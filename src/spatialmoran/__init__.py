@@ -38,11 +38,11 @@ from .dynamics import (
     StepDistribution,
     TransitionKernel,
     build_model,
+    flip_masses,
     p_minus,
     p_plus,
     step_distribution,
     transition_kernel,
-    zeta,
 )
 from .errors import (
     AbsorbingStart,
@@ -51,7 +51,6 @@ from .errors import (
     DegenerateDenominator,
     InputError,
     LevelOutOfRange,
-    NoConvergence,
     NotStochastic,
     NotStronglyConnected,
     NumericalFailure,
@@ -66,7 +65,6 @@ from .exact import (
     SolverInfo,
     fixation_for_initial,
     fixation_probabilities,
-    moran_deviation,
     moran_rho,
 )
 from .generators import random_doubly_stochastic, random_strongly_connected_weights
@@ -75,7 +73,6 @@ from .graph import (
     SelectionPolicy,
     StationaryDistribution,
     WeightMatrix,
-    canonical_level,
     complete_graph_weights,
     enumerate_level,
     is_isothermal,

@@ -63,7 +63,7 @@ def _load(args) -> object:
 def _cmd_exact(args, argv) -> int:
     model = _load(args)
     alpha = parse_init_spec(args.init, model.n) if args.init else None
-    report = fixation_probabilities(model, method=args.method, alpha=alpha)
+    report = fixation_probabilities(model, alpha=alpha)
     doc = {
         "manifest": _manifest("exact", argv, None),
         "rho": [{"mask": mask, "value": report.rho[mask]}
@@ -161,8 +161,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_flags(p_exact)
     p_exact.add_argument("--init", default=None,
                          help="initial distribution: mask:K, level:j:uniform, or atoms:[(mask,w),...]")
-    p_exact.add_argument("--method", default="auto",
-                         choices=("auto", "dense", "iterative"))
     _add_indent_flag(p_exact)
     p_exact.set_defaults(handler=_cmd_exact)
 

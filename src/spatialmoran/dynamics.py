@@ -15,6 +15,10 @@ probabilities are::
 
 Under stationary selection (``mu = pi`` with ``pi W = pi``) their ratio is
 the constant ``p_minus / p_plus = 1 / r`` on every transient configuration.
+
+:func:`flip_masses` gives the per-vertex flip masses for a batch of
+configurations; the step law, the transition kernel and the exact solver all
+take their masses from it.
 """
 
 from __future__ import annotations
@@ -34,10 +38,11 @@ from .graph import (
     stationary_distribution,
 )
 
-#: Largest vertex count for dense kernel storage (2^n x 2^n matrix).
-DENSE_KERNEL_LIMIT = 12
-#: Largest vertex count for which a kernel is assembled at all.
-MAX_KERNEL_VERTICES = 20
+#: Largest vertex count for the exact engines (transition kernel and fixation
+#: solver), which enumerate all ``2^n`` configurations.
+MAX_EXACT_VERTICES = 20
+#: Masks per block of :func:`flip_masses`, bounding its temporaries.
+_MASK_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,45 +113,24 @@ class StepDistribution:
 class TransitionKernel:
     """Row-stochastic kernel over all ``2^n`` configurations, indexed by bitmask.
 
-    ``P`` is a dense ndarray for small populations and a CSR matrix above
-    :data:`DENSE_KERNEL_LIMIT`.  Rows 0 and ``2^n - 1`` are exact unit
-    self-loops.
+    ``P`` is a CSR matrix with sorted column indices and no stored zeros.
+    Rows 0 and ``2^n - 1`` are exact unit self-loops.
     """
 
     n: int
-    P: object
+    P: csr_matrix
 
     @property
     def size(self) -> int:
         return 1 << self.n
 
-    @property
-    def is_dense(self) -> bool:
-        return isinstance(self.P, np.ndarray)
-
     def row(self, mask: int) -> np.ndarray:
-        if self.is_dense:
-            return self.P[mask]
-        return np.asarray(self.P.getrow(mask).todense()).ravel()
+        return self.P[[mask]].toarray().ravel()
 
     def entries(self):
-        """Yield ``(from_mask, to_mask, probability)`` for every nonzero entry."""
-        if self.is_dense:
-            rows, cols = np.nonzero(self.P)
-            for i, j in zip(rows.tolist(), cols.tolist()):
-                yield i, j, float(self.P[i, j])
-        else:
-            coo = self.P.tocoo()
-            order = np.lexsort((coo.col, coo.row))
-            for k in order.tolist():
-                yield int(coo.row[k]), int(coo.col[k]), float(coo.data[k])
-
-
-def zeta(x: Configuration, mu: SelectionPolicy) -> float:
-    """Probability that the selected parent is a mutant, before fitness bias."""
-    if x.n != mu.n:
-        raise NotStochastic("configuration and policy dimensions differ")
-    return float(x.vector() @ mu.mu)
+        """Yield ``(from_mask, to_mask, probability)`` for every nonzero entry, in order."""
+        coo = self.P.tocoo()
+        yield from zip(coo.row.tolist(), coo.col.tolist(), coo.data.tolist())
 
 
 def p_plus(x: Configuration, model: MicSMPModel) -> float:
@@ -171,7 +155,7 @@ def _vector_for(x: Configuration, model: MicSMPModel) -> np.ndarray:
 
 
 def _row_changes(mask: int, n: int, W: np.ndarray, mu: np.ndarray, r: float):
-    """Per-vertex flip masses out of ``mask``.
+    """Per-vertex flip masses out of one ``mask``, for the sampler's tables.
 
     Returns ``(gain, loss, idle)`` where ``gain[u]`` is the mass copying a
     mutant onto vertex ``u + 1`` (only meaningful where bit ``u`` is clear)
@@ -189,60 +173,82 @@ def _row_changes(mask: int, n: int, W: np.ndarray, mu: np.ndarray, r: float):
     return gain, loss, idle
 
 
+def flip_masses(model: MicSMPModel, masks) -> np.ndarray:
+    """One-step mass of flipping each vertex, out of each configuration in ``masks``.
+
+    Returns an array of shape ``(len(masks), n)``: entry ``[k, u]`` is the
+    probability that one update copies onto vertex ``u + 1`` the type it does
+    not carry in ``masks[k]``, moving the chain to ``masks[k] ^ (1 << u)``.
+    The rest of each row's unit mass is idle.
+
+    Every sum runs over the vertices in a fixed order, by elementwise
+    operations and cumulative sums (no BLAS), so a row is bitwise the same in
+    any batch.
+    """
+    masks = np.asarray(masks, dtype=np.int64)
+    n, mu, r = model.n, model.mu.mu, model.r
+    W = model.W.entries
+    bits = (1 << np.arange(n))[:, None]
+    out = np.empty((len(masks), n))
+    for lo in range(0, len(masks), _MASK_BLOCK):
+        # vertex-major blocks: x[v, k] is True where vertex v + 1 is a mutant
+        x = (masks[lo:lo + _MASK_BLOCK] & bits) != 0
+        z = (x * mu[:, None]).cumsum(axis=0)[-1]
+        sel = np.where(x, r, 1.0) * mu[:, None] / (1.0 + (r - 1.0) * z)
+        # selection mass of mutant parents, [0], and of wildtype parents, [1]
+        parents = np.empty((2,) + x.shape)
+        np.multiply(sel, x, out=parents[0])
+        np.subtract(sel, parents[0], out=parents[1])
+        # placed[0, u] (placed[1, u]): mass of mutant (wildtype) parents placed onto u
+        placed = np.zeros(parents.shape)
+        term = np.empty(parents.shape)
+        for v in range(n):
+            placed += np.multiply(W[v][:, None], parents[:, v, None, :], out=term)
+        out[lo:lo + x.shape[1]] = np.where(x, placed[1], placed[0]).T
+    return out
+
+
+def _flip_totals(flips: np.ndarray) -> np.ndarray:
+    """Row sums of :func:`flip_masses`, in vertex order: the mass of leaving each configuration."""
+    return np.cumsum(flips, axis=1)[:, -1]
+
+
+def _require_exact_size(n: int) -> None:
+    if n > MAX_EXACT_VERTICES:
+        raise TooLarge(f"exact computations over all 2^n configurations are limited "
+                       f"to n <= {MAX_EXACT_VERTICES}, got {n}")
+
+
 def step_distribution(x: Configuration, model: MicSMPModel) -> StepDistribution:
-    """Aggregate the one-step law out of ``x`` over all ordered parent/target pairs."""
-    xv = _vector_for(x, model)  # dimension check
-    del xv
-    n = model.n
-    gain, loss, idle = _row_changes(x.bits, n, model.W.entries, model.mu.mu, model.r)
-    moves = []
-    for u in range(n):
-        p = gain[u] + loss[u]  # disjoint: one of them is zero at every u
-        if p > 0.0:
-            moves.append((Configuration(x.bits ^ (1 << u), n), float(p)))
+    """The one-step law out of ``x``: every single-vertex flip of positive mass."""
+    if x.n != model.n:
+        raise NotStochastic("configuration and model dimensions differ")
+    flips = flip_masses(model, [x.bits])
+    moves = [(Configuration(x.bits ^ (1 << u), x.n), float(p))
+             for u, p in enumerate(flips[0].tolist()) if p > 0.0]
     moves.sort(key=lambda pair: pair[0].bits)
-    return StepDistribution(source=x, transitions=tuple(moves), idle_probability=idle)
+    return StepDistribution(source=x, transitions=tuple(moves),
+                            idle_probability=max(1.0 - float(_flip_totals(flips)[0]), 0.0))
 
 
-def transition_kernel(model: MicSMPModel,
-                      dense_limit: int = DENSE_KERNEL_LIMIT,
-                      max_vertices: int = MAX_KERNEL_VERTICES) -> TransitionKernel:
-    """Assemble the full ``2^n x 2^n`` transition kernel row by row.
+def transition_kernel(model: MicSMPModel) -> TransitionKernel:
+    """Assemble the full ``2^n x 2^n`` transition kernel from :func:`flip_masses`.
 
-    Rows are produced in ascending mask order from the same per-row
-    aggregation as :func:`step_distribution`, so kernel rows and step laws
-    agree bitwise.  Raises :class:`TooLarge` above ``max_vertices``.
+    Rows come from the same per-configuration masses as
+    :func:`step_distribution`, so kernel rows and step laws agree bitwise.
+    Raises :class:`TooLarge` above :data:`MAX_EXACT_VERTICES`.
     """
     n = model.n
-    if n > max_vertices:
-        raise TooLarge(f"kernel for n={n} exceeds the bound {max_vertices}")
+    _require_exact_size(n)
     size = 1 << n
-    full = size - 1
-    W, mu, r = model.W.entries, model.mu.mu, model.r
-    flips = 1 << np.arange(n)
-
-    if n <= dense_limit:
-        P = np.zeros((size, size))
-        for mask in range(1, full):
-            gain, loss, idle = _row_changes(mask, n, W, mu, r)
-            P[mask, mask ^ flips] = gain + loss
-            P[mask, mask] = idle
-        P[0, 0] = 1.0
-        P[full, full] = 1.0
-        return TransitionKernel(n=n, P=P)
-
-    rows, cols, vals = [], [], []
-    for mask in range(1, full):
-        gain, loss, idle = _row_changes(mask, n, W, mu, r)
-        masses = gain + loss
-        nz = np.nonzero(masses)[0]
-        rows.extend([mask] * (len(nz) + 1))
-        cols.extend((mask ^ flips[nz]).tolist())
-        vals.extend(masses[nz].tolist())
-        cols.append(mask)
-        vals.append(idle)
-    rows.extend([0, full])
-    cols.extend([0, full])
-    vals.extend([1.0, 1.0])
-    P = csr_matrix((vals, (rows, cols)), shape=(size, size))
+    masks = np.arange(size)
+    flips = flip_masses(model, masks)
+    # n flips then the idle mass on the diagonal, per row; absorbing rows have
+    # no flip mass, so their idle mass is exactly 1
+    data = np.column_stack((flips, np.maximum(1.0 - _flip_totals(flips), 0.0))).ravel()
+    cols = np.column_stack((masks[:, None] ^ (1 << np.arange(n)), masks)).ravel()
+    P = csr_matrix((data, cols, np.arange(0, size * (n + 1) + 1, n + 1)),
+                   shape=(size, size))
+    P.eliminate_zeros()
+    P.sort_indices()
     return TransitionKernel(n=n, P=P)

@@ -38,7 +38,7 @@ class OutOfRange(InputError):
 
 
 class DegenerateCase(InputError):
-    """The requested closed form is undefined for this parameter combination."""
+    """The requested quantity is undefined for this parameter combination."""
 
 
 class ZeroDenominator(InputError):
@@ -51,7 +51,3 @@ class DegenerateDenominator(InputError):
 
 class NumericalFailure(SpatialMoranError):
     """A numerical routine could not reach the required residual tolerance."""
-
-
-class NoConvergence(NumericalFailure):
-    """An iterative solver exhausted its iteration budget."""

@@ -1,31 +1,40 @@
-"""Exact fixation probabilities via the absorbing-chain linear system.
+"""Exact fixation probabilities via the absorbing jump chain.
 
-For transient states ``t`` the fixation probabilities solve
-``(I - Q) h = b`` where ``Q`` is the transient sub-kernel and ``b`` the
-one-step masses into the all-mutant state.  The reference values are the
-classic well-mixed fixation probabilities ``rho_i = i/n`` for neutral
-fitness and ``(1 - r^-i) / (1 - r^-n)`` otherwise.
+Idle steps do not change which absorbing state is hit, so the transient
+fixation probabilities solve ``A h = b`` with ``A = I - J``,
+``J[x, x ^ (1 << u)] = f_xu / d_x``, ``f`` the flip masses of
+:func:`~spatialmoran.dynamics.flip_masses` and ``d_x = sum_u f_xu``.  One
+path serves every ``n <= 20``, the one size bound: dense LU up to ``n = 10``
+(``solver.method == "dense"``) and restarted GMRES (Saad & Schultz 1986) on a
+CSR matrix above (``"iterative"``).  Both also solve ``A T = 1``, the expected
+number of jumps to absorption (Kemeny & Snell, *Finite Markov Chains*).
+``A`` is a nonsingular M-matrix, so ``||A^-1||_inf = max T``, which certifies
+the max-norm error of ``h``: ``solver.residual`` is that bound, and a solve
+whose bound exceeds 1e-10 raises :class:`NumericalFailure`.
+
+The reference values are the classic well-mixed fixation probabilities
+``rho_i = i/n`` for neutral fitness and ``(1 - r^-i) / (1 - r^-n)`` otherwise.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
-import scipy.linalg
+from scipy.sparse import csr_matrix, identity
+from scipy.sparse.linalg import gmres
 
-from .dynamics import MicSMPModel, TransitionKernel, transition_kernel
-from .errors import AtomOnAbsorbing, NoConvergence, NotStochastic, NumericalFailure, TooLarge
+from .dynamics import MicSMPModel, _flip_totals, _require_exact_size, flip_masses
+from .errors import AtomOnAbsorbing, DegenerateCase, NotStochastic, NumericalFailure
 from .graph import STOCHASTIC_TOL, Configuration
 
-#: Largest vertex count for the dense LU solve.
-DENSE_SOLVE_LIMIT = 12
-#: Largest vertex count for the fixed-point solve on the sparse kernel.
-ITERATIVE_SOLVE_LIMIT = 20
-#: Required residual of the solved linear system, max-norm.
+#: Largest certified max-norm error of the returned fixation probabilities.
 SOLVE_RESIDUAL_TOL = 1e-10
-
+#: Largest ``n`` solved by dense LU; GMRES is faster above it.
+_DENSE_MAX_N = 10
+_EPS = float(np.finfo(float).eps)
 _NEUTRAL_TOL = 1e-12
 
 
@@ -90,7 +99,7 @@ class InitialDistribution:
 
 @dataclass(frozen=True)
 class SolverInfo:
-    """How a fixation system was solved: method, sweep count, final residual."""
+    """``"dense"`` (LU) or ``"iterative"`` (GMRES), GMRES steps (1 for LU), certified error bound."""
 
     method: str
     iterations: int
@@ -114,104 +123,96 @@ class FixationReport:
     rho_alpha: float | None = None
 
 
-def _solve_dense(P: np.ndarray, size: int) -> tuple[np.ndarray, SolverInfo]:
-    Q = P[1:size - 1, 1:size - 1]
-    b = P[1:size - 1, size - 1]
-    A = np.eye(size - 2) - Q
-    h = scipy.linalg.solve(A, b)
-    residual = float(np.max(np.abs(A @ h - b)))
-    return h, SolverInfo(method="dense", iterations=1, residual=residual)
+def _jump_system(model: MicSMPModel, n: int):
+    """Off-diagonal entries ``(rows, cols, jump)`` of ``J`` and the right-hand sides ``[b, 1]``."""
+    full = (1 << n) - 1
+    masks = np.arange(1, full)
+    flips = flip_masses(model, masks)
+    leave = _flip_totals(flips)
+    if leave.min() <= 0.0:
+        raise DegenerateCase(f"configuration {int(masks[leave.argmin()]):#b} can never change")
+    jump = flips / leave[:, None]
+    targets = masks[:, None] ^ (1 << np.arange(n))
+    rhs = np.ones((len(masks), 2))
+    rhs[:, 0] = np.where(targets == full, jump, 0.0).sum(axis=1)
+    rows, flipped = np.nonzero((targets != 0) & (targets != full))
+    return rows, targets[rows, flipped] - 1, jump[rows, flipped], rhs
 
 
-def _solve_iterative(kernel: TransitionKernel, size: int,
-                     tol: float = 1e-12, max_sweeps: int = 10**7):
-    P = kernel.P
-    if kernel.is_dense:
-        Q = P[1:size - 1, 1:size - 1]
-        b = P[1:size - 1, size - 1]
-    else:
-        Q = P[1:size - 1, 1:size - 1].tocsr()
-        b = np.asarray(P[1:size - 1, size - 1].todense()).ravel()
-    h = b.copy()
-    for sweep in range(1, max_sweeps + 1):
-        h_next = Q @ h + b
-        delta = float(np.max(np.abs(h_next - h)))
-        h = h_next
-        if delta <= tol:
-            residual = float(np.max(np.abs(h - (Q @ h + b))))
-            return h, SolverInfo(method="iterative", iterations=sweep, residual=residual)
-    raise NoConvergence(f"fixed-point solve did not converge in {max_sweeps} sweeps")
+def _solve_dense(rows, cols, jump, rhs):
+    A = np.eye(len(rhs))
+    A[rows, cols] = -jump
+    return A, np.linalg.solve(A, rhs), 1
 
 
-def fixation_probabilities(model: MicSMPModel, method: str = "auto",
+def _solve_gmres(rows, cols, jump, rhs):
+    m = len(rhs)
+    A = identity(m, format="csr") - csr_matrix((jump, (rows, cols)), shape=(m, m))
+    steps = []
+    solve = partial(gmres, A, restart=50, maxiter=200, callback=steps.append,
+                    callback_type="pr_norm")
+    h = solve(rhs[:, 0], atol=1e-13, rtol=0.0)[0]
+    T = solve(rhs[:, 1], atol=0.0, rtol=1e-8)[0]  # T only has to bound ||A^-1||
+    return A, np.column_stack((h, T)), len(steps)
+
+
+def _certified_bound(A, X, rhs, n: int) -> float:
+    """``max T / (1 - ||1 - A T||) * ||b - A h||`` in max-norms, for ``X = [h, T]``.
+
+    It holds because ``A^-1 >= 0`` and ``A^-1 1 = T + A^-1 (1 - A T)``.  The
+    slack covers rounding in ``A``, ``b`` and the residuals, whose rows sum at
+    most ``n + 2`` terms, each at most 1 per unit of the solution.
+    """
+    residual = np.abs(rhs - A @ X).max(axis=0)
+    slack = 4 * (n + 2) * _EPS
+    t_max = float(np.abs(X[:, 1]).max())
+    drift = float(residual[1]) + slack * (1.0 + t_max)
+    if not drift < 1.0:
+        raise NumericalFailure(f"absorption-time residual {drift:.3e} leaves the error unbounded")
+    return t_max / (1.0 - drift) * (float(residual[0]) + slack)
+
+
+def fixation_probabilities(model: MicSMPModel,
                            alpha: InitialDistribution | None = None) -> FixationReport:
     """Solve the absorbing chain for every configuration's fixation probability.
 
-    Parameters
-    ----------
-    model : MicSMPModel
-    method : {"auto", "dense", "iterative"}
-        ``auto`` picks the dense LU solve up to ``n = 12`` and the
-        substochastic fixed-point iteration beyond.
-    alpha : InitialDistribution, optional
-        When given, the report carries ``rho_alpha = sum alpha(x) rho_x``.
+    Dense LU up to ``n = 10``, GMRES above; both certified (module docstring).
+    When ``alpha`` is given, the report carries ``rho_alpha = sum alpha(x) rho_x``.
 
-    Raises
-    ------
-    TooLarge
-        If ``n`` exceeds the limit of the requested method.
-    NumericalFailure
-        If the solved system's residual exceeds 1e-10.
+    Raises :class:`TooLarge` above ``n = 20``, :class:`DegenerateCase` when
+    some transient configuration can never change, and
+    :class:`NumericalFailure` when the certified error bound exceeds 1e-10.
     """
     n = model.n
-    if method == "auto":
-        method = "dense" if n <= DENSE_SOLVE_LIMIT else "iterative"
-    if method == "dense" and n > DENSE_SOLVE_LIMIT:
-        raise TooLarge(f"dense solve limited to n <= {DENSE_SOLVE_LIMIT}, got {n}")
-    if n > ITERATIVE_SOLVE_LIMIT:
-        raise TooLarge(f"solvers limited to n <= {ITERATIVE_SOLVE_LIMIT}, got {n}")
-
-    kernel = transition_kernel(model)
-    size = 1 << n
-    if method == "dense":
-        P = kernel.P if kernel.is_dense else np.asarray(kernel.P.todense())
-        h, info = _solve_dense(P, size)
-    elif method == "iterative":
-        h, info = _solve_iterative(kernel, size)
-    else:
-        raise NotStochastic(f"unknown solver method {method!r}")
-
-    if info.residual > SOLVE_RESIDUAL_TOL:
-        raise NumericalFailure(f"solver residual {info.residual:.3e} above 1e-10")
-    if np.any(h < -SOLVE_RESIDUAL_TOL) or np.any(h > 1.0 + SOLVE_RESIDUAL_TOL):
+    _require_exact_size(n)
+    if alpha is not None and alpha.n != n:
+        raise NotStochastic("initial distribution dimension mismatch")
+    *entries, rhs = _jump_system(model, n)
+    method, solve = ("dense", _solve_dense) if n <= _DENSE_MAX_N else ("iterative", _solve_gmres)
+    A, X, iterations = solve(*entries, rhs)
+    bound = _certified_bound(A, X, rhs, n)
+    h = X[:, 0]
+    if not bound <= SOLVE_RESIDUAL_TOL:
+        raise NumericalFailure(f"certified error bound {bound:.3e} above {SOLVE_RESIDUAL_TOL:g}")
+    if h.min() < -bound or h.max() > 1.0 + bound:
         raise NumericalFailure("fixation probabilities escape [0, 1]")
-    h = np.clip(h, 0.0, 1.0)
 
-    rho = {0: 0.0, size - 1: 1.0}
-    for mask in range(1, size - 1):
-        rho[mask] = float(h[mask - 1])
-
+    rho = {0: 0.0, (1 << n) - 1: 1.0}
+    reference = [moran_rho(j, n, model.r) for j in range(n + 1)]
     deviation: dict[int, float] = {}
-    for mask in range(1, size - 1):
+    for mask, value in enumerate(h.clip(0.0, 1.0).tolist(), start=1):
+        rho[mask] = value
         level = mask.bit_count()
-        dev = abs(rho[mask] - moran_rho(level, n, model.r))
-        deviation[level] = max(deviation.get(level, 0.0), dev)
+        deviation[level] = max(deviation.get(level, 0.0), abs(value - reference[level]))
 
     rho_alpha = None
     if alpha is not None:
-        if alpha.n != n:
-            raise NotStochastic("initial distribution dimension mismatch")
         rho_alpha = float(sum(w * rho[mask] for mask, w in alpha.atoms))
 
     return FixationReport(n=n, r=model.r, rho=rho, per_level_deviation=deviation,
-                          solver=info, rho_alpha=rho_alpha)
+                          solver=SolverInfo(method, iterations, bound), rho_alpha=rho_alpha)
 
 
 def fixation_for_initial(model: MicSMPModel, alpha: InitialDistribution) -> float:
     """Fixation probability when the start is drawn from ``alpha``."""
     return fixation_probabilities(model, alpha=alpha).rho_alpha
-
-
-def moran_deviation(model: MicSMPModel, method: str = "auto") -> dict:
-    """Per-level worst-case distance of ``rho_x`` from the well-mixed reference."""
-    return fixation_probabilities(model, method=method).per_level_deviation

@@ -21,7 +21,6 @@ from .errors import (
     NotStochastic,
     NotStronglyConnected,
     NumericalFailure,
-    TooLarge,
 )
 
 #: Default tolerance for stochasticity and stationarity checks.
@@ -125,8 +124,7 @@ def mask_vector(mask: int, n: int) -> np.ndarray:
     return ((mask >> np.arange(n)) & 1).astype(float)
 
 
-def validate_weight_matrix(raw, tol: float = STOCHASTIC_TOL,
-                           max_exact_n: int | None = None) -> WeightMatrix:
+def validate_weight_matrix(raw, tol: float = STOCHASTIC_TOL) -> WeightMatrix:
     """Validate a raw square matrix as a population weight matrix.
 
     Checks shape, entry range, row stochasticity within ``tol``, and strong
@@ -139,9 +137,6 @@ def validate_weight_matrix(raw, tol: float = STOCHASTIC_TOL,
         Candidate weight matrix, ``n >= 2``.
     tol : float
         Row-sum tolerance.
-    max_exact_n : int, optional
-        When given, reject matrices with ``n > max_exact_n`` with
-        :class:`TooLarge` (guard for downstream exact solvers).
 
     Returns
     -------
@@ -153,8 +148,6 @@ def validate_weight_matrix(raw, tol: float = STOCHASTIC_TOL,
     n = entries.shape[0]
     if n < 2:
         raise NotStochastic("population needs at least two vertices")
-    if max_exact_n is not None and n > max_exact_n:
-        raise TooLarge(f"n={n} exceeds the configured bound {max_exact_n}")
     if np.any(entries < -tol) or np.any(entries > 1.0 + tol):
         raise NotStochastic("entries must lie in [0, 1]")
     row_err = np.abs(entries.sum(axis=1) - 1.0)
@@ -216,11 +209,6 @@ def stationary_distribution(W: WeightMatrix,
 def is_isothermal(W: WeightMatrix, tol: float = STOCHASTIC_TOL) -> bool:
     """True iff every column of ``W`` sums to one (doubly stochastic weights)."""
     return bool(np.max(np.abs(W.column_sums() - 1.0)) <= tol)
-
-
-def canonical_level(x: Configuration) -> int:
-    """Number of mutants in a configuration (its level in the mutant-count partition)."""
-    return x.level
 
 
 def enumerate_level(n: int, j: int) -> list[Configuration]:

@@ -21,11 +21,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import MicSMPModel, _row_changes
-from .errors import AbsorbingStart, NotStochastic, OutOfRange
+from .errors import AbsorbingStart, NotStochastic, OutOfRange, TooLarge
 from .exact import InitialDistribution
 from .graph import Configuration
 
 _CHUNK = 32
+#: Largest vertex count: configurations are handled as 64-bit integer masks.
+MAX_SAMPLER_VERTICES = 63
 
 
 class Outcome(enum.Enum):
@@ -98,6 +100,12 @@ class _TrialStream:
         return buf.pop()
 
 
+def _require_mask_width(model: MicSMPModel) -> None:
+    if model.n > MAX_SAMPLER_VERTICES:
+        raise TooLarge(f"Monte Carlo handles configurations as 64-bit masks, so it is "
+                       f"limited to n <= {MAX_SAMPLER_VERTICES}, got {model.n}")
+
+
 class _Sampler:
     """Per-configuration cumulative sampling tables for one model and mode."""
 
@@ -163,8 +171,9 @@ def simulate_trajectory(model: MicSMPModel, x0: Configuration,
     """Run one trajectory from ``x0`` until absorption or ``cfg.max_steps``.
 
     Uses trial stream 0 of ``cfg.seed``; raises :class:`AbsorbingStart` when
-    ``x0`` is already absorbing.
+    ``x0`` is already absorbing and :class:`TooLarge` above ``n = 63``.
     """
+    _require_mask_width(model)
     if x0.n != model.n:
         raise NotStochastic("start configuration dimension mismatch")
     if x0.is_absorbing:
@@ -205,8 +214,10 @@ def estimate_fixation(model: MicSMPModel, alpha: InitialDistribution, trials: in
 
     Each trial draws its start from ``alpha`` and walks to absorption.  The
     per-trial streams depend only on ``(cfg.seed, trial index)``, so the
-    result is identical for any ``workers`` value.
+    result is identical for any ``workers`` value.  Raises :class:`TooLarge`
+    above ``n = 63``.
     """
+    _require_mask_width(model)
     if trials < 1:
         raise OutOfRange(f"need at least one trial, got {trials}")
     if workers < 1:

@@ -92,6 +92,12 @@ class TestSimulateCommand:
         assert code == 2
         assert doc["error"]["type"] == "AtomOnAbsorbing"
 
+    def test_more_than_63_vertices_exits_two(self, capsys, schema):
+        code, doc = run_json(capsys, schema, "simulate", "--model", "@complete:70",
+                             "--init", "mask:1", "--trials", "2", "--seed", "1")
+        assert code == 2
+        assert doc["error"]["type"] == "TooLarge"
+
     def test_faithful_mode_with_step_cap(self, capsys, schema):
         code, doc = run_json(capsys, schema, "simulate", "--model", "@n2:0.1,0.1",
                              "--init", "mask:1", "--trials", "500", "--seed", "3",

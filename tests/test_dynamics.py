@@ -3,10 +3,11 @@ import pytest
 
 from spatialmoran import (
     Configuration,
-    SelectionPolicy,
     TooLarge,
     build_model,
     complete_graph_weights,
+    fixation_probabilities,
+    flip_masses,
     galanis_model,
     p_minus,
     p_plus,
@@ -15,7 +16,6 @@ from spatialmoran import (
     step_distribution,
     transition_kernel,
     two_vertex_weights,
-    zeta,
 )
 from spatialmoran.analysis import classic_p_minus, classic_p_plus
 
@@ -46,17 +46,6 @@ def random_model(rng, n=None, positive_mu=True):
     mu /= mu.sum()
     r = float(rng.uniform(0.25, 4.0))
     return build_model(W, mu=mu, r=r)
-
-
-class TestZeta:
-    def test_boundaries(self):
-        mu = SelectionPolicy(np.array([0.2, 0.3, 0.5]))
-        assert zeta(Configuration(0, 3), mu) == 0.0
-        assert zeta(Configuration(7, 3), mu) == 1.0
-
-    def test_galanis_single_mutant(self):
-        pi = stationary_distribution(galanis_model(1.0).W).pi
-        assert zeta(Configuration(0b001, 3), SelectionPolicy(pi)) == pytest.approx(2 / 7, abs=1e-15)
 
 
 class TestLevelProbabilities:
@@ -237,7 +226,7 @@ class TestTransitionKernel:
             r = float(rng.uniform(0.25, 4.0))
             model = build_model(W, mu="uniform", r=r)
             expected = expected_three_vertex_kernel(W.entries.tolist(), r)
-            assert np.max(np.abs(transition_kernel(model).P - expected)) <= 1e-12
+            assert np.max(np.abs(transition_kernel(model).P.toarray() - expected)) <= 1e-12
 
     def test_two_vertex_table(self):
         rng = np.random.default_rng(15)
@@ -253,14 +242,14 @@ class TestTransitionKernel:
             [m * w1 / d1, 0.0, 1 - (m * w1 + r * (1 - m) * w2) / d1, r * (1 - m) * w2 / d1],
             [0.0, 0.0, 0.0, 1.0],
         ])
-        assert np.max(np.abs(transition_kernel(model).P - expected)) <= 1e-12
+        assert np.max(np.abs(transition_kernel(model).P.toarray() - expected)) <= 1e-12
 
     def test_rows_stochastic_and_absorbing_exact(self):
         rng = np.random.default_rng(16)
         for _ in range(10):
             model = random_model(rng)
             kernel = transition_kernel(model)
-            P = kernel.P
+            P = kernel.P.toarray()
             size = kernel.size
             assert np.max(np.abs(P.sum(axis=1) - 1.0)) <= 1e-12
             assert P[0, 0] == 1.0 and np.count_nonzero(P[0]) == 1
@@ -284,16 +273,34 @@ class TestTransitionKernel:
             for target, p in dist.transitions:
                 assert row[target.bits] == p
 
-    def test_sparse_storage_agrees_with_dense(self):
-        rng = np.random.default_rng(19)
-        model = random_model(rng, n=4)
-        dense = transition_kernel(model)
-        sparse = transition_kernel(model, dense_limit=2)
-        assert not sparse.is_dense and dense.is_dense
-        assert np.max(np.abs(np.asarray(sparse.P.todense()) - dense.P)) == 0.0
-
     def test_size_bound(self):
-        rng = np.random.default_rng(20)
-        model = random_model(rng, n=5)
+        model = build_model(complete_graph_weights(21), mu="uniform", r=1.0)
         with pytest.raises(TooLarge):
-            transition_kernel(model, max_vertices=4)
+            transition_kernel(model)
+        with pytest.raises(TooLarge):
+            fixation_probabilities(model)
+
+
+class TestFlipMasses:
+    def test_rows_match_brute_force(self):
+        rng = np.random.default_rng(22)
+        for _ in range(10):
+            model = random_model(rng)
+            n = model.n
+            masks = np.arange(1 << n)
+            flips = flip_masses(model, masks)
+            assert flips.shape == (1 << n, n)
+            for mask in masks.tolist():
+                masses, _ = brute_force_step(mask, model.W.entries.tolist(),
+                                             model.mu.mu.tolist(), model.r)
+                for u in range(n):
+                    assert abs(flips[mask, u] - masses.get(mask ^ (1 << u), 0.0)) <= 1e-12
+
+    def test_rows_do_not_depend_on_the_batch(self):
+        rng = np.random.default_rng(23)
+        model = random_model(rng, n=9)
+        masks = np.arange(1 << 9)
+        batch = flip_masses(model, masks)
+        for mask in range(0, 1 << 9, 7):
+            assert np.array_equal(flip_masses(model, [mask])[0], batch[mask])
+        assert np.array_equal(flip_masses(model, masks[::-1]), batch[::-1])

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from spatialmoran import (
     AtomOnAbsorbing,
+    DegenerateCase,
     InitialDistribution,
     NotStochastic,
     TooLarge,
@@ -11,13 +13,13 @@ from spatialmoran import (
     fixation_for_initial,
     fixation_probabilities,
     galanis_model,
-    moran_deviation,
     moran_rho,
     n2_moran_selection,
     random_strongly_connected_weights,
     stationary_distribution,
     transition_kernel,
     two_vertex_weights,
+    validate_weight_matrix,
 )
 from spatialmoran.analysis import N2Params, n2_fixation_closed_form
 
@@ -121,20 +123,6 @@ class TestFixationProbabilities:
             values.append(fixation_for_initial(model, alpha))
         assert all(a < b for a, b in zip(values, values[1:]))
 
-    def test_dense_and_iterative_agree(self):
-        rng = np.random.default_rng(54)
-        for _ in range(5):
-            n = int(rng.integers(2, 9))
-            W = random_strongly_connected_weights(n, rng)
-            mu = rng.uniform(0.05, 1.0, n)
-            mu /= mu.sum()
-            model = build_model(W, mu=mu, r=float(rng.uniform(0.3, 3.0)))
-            dense = fixation_probabilities(model, method="dense")
-            iterative = fixation_probabilities(model, method="iterative")
-            assert iterative.solver.iterations > 1
-            worst = max(abs(dense.rho[mask] - iterative.rho[mask])
-                        for mask in dense.rho)
-            assert worst <= 1e-9
 
     def test_neutral_complementarity(self):
         rng = np.random.default_rng(55)
@@ -147,21 +135,112 @@ class TestFixationProbabilities:
             for mask in range(1 << n):
                 assert report.rho[mask] + report.rho[mask ^ full] == pytest.approx(1.0, abs=1e-9)
 
+    def test_configuration_that_never_changes_is_rejected(self):
+        # only vertex 1 reproduces, onto vertex 2: mutants on 1 and 2 stay forever
+        W = validate_weight_matrix([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
+        with pytest.raises(DegenerateCase, match="0b11 can never change"):
+            fixation_probabilities(build_model(W, mu=[1.0, 0.0, 0.0], r=1.0))
+
     def test_size_bounds(self):
-        big = build_model(complete_graph_weights(13), mu="uniform", r=1.0)
-        with pytest.raises(TooLarge):
-            fixation_probabilities(big, method="dense")
         huge = build_model(complete_graph_weights(21), mu="uniform", r=1.0)
         with pytest.raises(TooLarge):
             fixation_probabilities(huge)
 
     def test_sparse_iterative_path_above_dense_limit(self):
-        # n = 13 exceeds dense storage: sparse kernel + fixed-point solve
+        # n = 13 is above the dense LU branch: CSR matrix + GMRES
         model = build_model(complete_graph_weights(13), mu="uniform", r=2.0)
         report = fixation_probabilities(model)
         assert report.solver.method == "iterative"
         assert report.rho[1] == pytest.approx(moran_rho(1, 13, 2.0), abs=1e-9)
         assert max(report.per_level_deviation.values()) <= 1e-9
+
+
+def ring_weights(n, self_loop):
+    W = np.zeros((n, n))
+    side = (1.0 - self_loop) / 2.0
+    for v in range(n):
+        W[v, v] = self_loop
+        W[v, (v + 1) % n] += side
+        W[v, (v - 1) % n] += side
+    return validate_weight_matrix(W)
+
+
+def star_block_chain(n, r):
+    """Fixation probabilities of the star under uniform selection, by block counts.
+
+    Vertex 1 is the centre and the ``n - 1`` leaves are interchangeable, so the
+    state ``(c, k)`` (centre type, mutant leaves) is an exact Markov chain on
+    ``2n`` states.  Returns ``h[c, k]``.
+    """
+    leaves = n - 1
+    P = np.zeros((2 * n, 2 * n))
+    for c in (0, 1):
+        for k in range(n):
+            i = c * n + k
+            total = n + (r - 1.0) * (c + k)  # n times the fitness-weighted selection total
+            if c:
+                if k < leaves:
+                    P[i, i + 1] = r / total * (leaves - k) / leaves  # centre onto a wildtype leaf
+                P[i, k] = (leaves - k) / total  # a wildtype leaf onto the centre
+            else:
+                if k > 0:
+                    P[i, i - 1] = 1.0 / total * k / leaves  # centre onto a mutant leaf
+                P[i, n + k] = r * k / total  # a mutant leaf onto the centre
+    P += np.diag(1.0 - P.sum(axis=1))  # every other update is idle
+    transient = [i for i in range(2 * n) if i not in (0, 2 * n - 1)]
+    A = np.eye(len(transient)) - P[np.ix_(transient, transient)]
+    h = np.zeros(2 * n)
+    h[2 * n - 1] = 1.0
+    h[transient] = scipy.linalg.solve(A, P[transient, 2 * n - 1])
+    return h.reshape(2, n)
+
+
+class TestCertifiedSolve:
+    """The reported residual is a certified bound on the true max-norm error."""
+
+    @pytest.mark.parametrize("self_loop, r", [(0.5, 1.0), (0.9, 2.0)])
+    def test_isothermal_ring(self, self_loop, r):
+        n = 13
+        report = fixation_probabilities(build_model(ring_weights(n, self_loop), mu="uniform", r=r))
+        error = max(abs(report.rho[mask] - moran_rho(mask.bit_count(), n, r))
+                    for mask in report.rho)
+        assert error <= report.solver.residual <= 1e-10
+
+    def test_star_against_block_count_chain(self):
+        n, r = 14, 1.7
+        W = np.zeros((n, n))
+        W[0, 1:] = 1.0 / (n - 1)
+        W[1:, 0] = 1.0
+        report = fixation_probabilities(build_model(validate_weight_matrix(W), mu="uniform", r=r))
+        h = star_block_chain(n, r)
+        error = max(abs(report.rho[mask] - h[mask & 1, (mask >> 1).bit_count()])
+                    for mask in report.rho)
+        assert error <= report.solver.residual <= 1e-10
+
+    def test_gmres_against_dense_solve(self):
+        rng = np.random.default_rng(54)
+        n = 11
+        W = random_strongly_connected_weights(n, rng)
+        mu = rng.uniform(0.05, 1.0, n)
+        mu /= mu.sum()
+        model = build_model(W, mu=mu, r=float(rng.uniform(0.3, 3.0)))
+        report = fixation_probabilities(model)
+        assert report.solver.method == "iterative"
+        P = transition_kernel(model).P.toarray()
+        h = scipy.linalg.solve(np.eye(P.shape[0] - 2) - P[1:-1, 1:-1], P[1:-1, -1])
+        error = max(abs(report.rho[mask] - h[mask - 1]) for mask in range(1, (1 << n) - 1))
+        assert error <= report.solver.residual <= 1e-10
+
+    def test_dense_branch_is_certified(self):
+        rng = np.random.default_rng(56)
+        for n in (2, 5, 10):
+            W = random_strongly_connected_weights(n, rng)
+            model = build_model(W, mu="stationary", r=2.0)
+            report = fixation_probabilities(model)
+            assert report.solver.method == "dense"
+            error = max(abs(report.rho[mask] - moran_rho(mask.bit_count(), n, 2.0))
+                        for mask in report.rho)
+            assert error <= report.solver.residual <= 1e-10
 
 
 class TestFixationForInitial:
@@ -199,12 +278,12 @@ class TestMoranDeviation:
     def test_stationary_policy_all_levels_tight(self):
         rng = np.random.default_rng(70)
         W = random_strongly_connected_weights(6, rng)
-        deviation = moran_deviation(build_model(W, mu="stationary", r=0.5))
+        deviation = fixation_probabilities(build_model(W, mu="stationary", r=0.5)).per_level_deviation
         assert set(deviation) == {1, 2, 3, 4, 5}
         assert max(deviation.values()) <= 1e-9
 
     def test_generic_policy_deviates(self):
-        deviation = moran_deviation(galanis_model(1.0, mu=[0.6, 0.2, 0.2]))
+        deviation = fixation_probabilities(galanis_model(1.0, mu=[0.6, 0.2, 0.2])).per_level_deviation
         assert max(deviation.values()) > 1e-6
 
     def test_two_vertex_mixture_fixed_but_configurations_differ(self):

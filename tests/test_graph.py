@@ -7,8 +7,6 @@ from spatialmoran import (
     LevelOutOfRange,
     NotStochastic,
     NotStronglyConnected,
-    TooLarge,
-    canonical_level,
     complete_graph_weights,
     enumerate_level,
     is_isothermal,
@@ -43,10 +41,6 @@ class TestValidateWeightMatrix:
             validate_weight_matrix([[0.5, 0.5]])
         with pytest.raises(NotStochastic):
             validate_weight_matrix([[1.0]])
-
-    def test_exact_size_bound(self):
-        with pytest.raises(TooLarge):
-            validate_weight_matrix(np.full((5, 5), 0.2), max_exact_n=4)
 
     def test_self_loops_ignored_for_connectivity(self):
         # loops alone must not connect anything
@@ -113,9 +107,9 @@ class TestIsothermal:
 
 class TestConfigurations:
     def test_level_boundaries(self):
-        assert canonical_level(Configuration(0, 4)) == 0
-        assert canonical_level(Configuration(0b1111, 4)) == 4
-        assert canonical_level(Configuration(0b101, 3)) == 2
+        assert Configuration(0, 4).level == 0
+        assert Configuration(0b1111, 4).level == 4
+        assert Configuration(0b101, 3).level == 2
 
     def test_level_matches_vector_sum(self):
         rng = np.random.default_rng(5)
@@ -123,7 +117,7 @@ class TestConfigurations:
             n = int(rng.integers(1, 16))
             mask = int(rng.integers(0, 1 << n))
             x = Configuration(mask, n)
-            assert canonical_level(x) == int(x.vector().sum())
+            assert x.level == int(x.vector().sum())
 
     def test_mask_must_fit(self):
         with pytest.raises(LevelOutOfRange):

@@ -9,8 +9,10 @@ from spatialmoran import (
     InitialDistribution,
     Outcome,
     OutOfRange,
+    TooLarge,
     TrajectoryConfig,
     build_model,
+    complete_graph_weights,
     estimate_fixation,
     fixation_for_initial,
     galanis_model,
@@ -68,6 +70,14 @@ class TestSimulateTrajectory:
 
 
 class TestEstimateFixation:
+    def test_more_than_63_vertices_is_too_large(self):
+        model = build_model(complete_graph_weights(70), mu="uniform", r=1.0)
+        cfg = TrajectoryConfig(seed=1)
+        with pytest.raises(TooLarge, match="n <= 63"):
+            estimate_fixation(model, InitialDistribution.point_mass(1, 70), 2, cfg)
+        with pytest.raises(TooLarge, match="n <= 63"):
+            simulate_trajectory(model, Configuration(1, 70), cfg)
+
     def test_single_trial_is_binary(self):
         result = estimate_fixation(galanis_model(1.0), GALANIS_SINGLE, 1,
                                    TrajectoryConfig(seed=2))
