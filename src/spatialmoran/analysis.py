@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import MicSMPModel, build_model, p_minus, p_plus
+from .dynamics import MicSMPModel, _require_exact_size, build_model, p_minus, p_plus
 from .errors import (
     DegenerateCase,
     DegenerateDenominator,
@@ -62,7 +62,12 @@ class MartingaleReport:
 
 
 def martingale_report(model: MicSMPModel) -> MartingaleReport:
-    """Evaluate both drift identities on every transient configuration."""
+    """Evaluate both drift identities on every transient configuration.
+
+    Raises :class:`TooLarge` above ``n = 20``, as do :func:`ratio_constancy`
+    and :func:`macro_markov_check`.
+    """
+    _require_exact_size(model.n)
     r = model.r
     drift, exp_drift = {}, {}
     for mask, pp, pm in _transient_pm(model):
@@ -83,6 +88,7 @@ def ratio_constancy(model: MicSMPModel) -> float:
     the weight matrix.  Configurations with ``p_plus == 0`` (possible only
     for policies with zero entries) contribute ``inf``.
     """
+    _require_exact_size(model.n)
     worst = 0.0
     inv_r = 1.0 / model.r
     for _, pp, pm in _transient_pm(model):
@@ -125,6 +131,7 @@ class MacroMarkovResult:
 def macro_markov_check(model: MicSMPModel, tol: float = STRUCTURAL_TOL) -> MacroMarkovResult:
     """Check per-level constancy of the increase/decrease probabilities."""
     n = model.n
+    _require_exact_size(n)
     for level in range(1, n):
         configs = enumerate_level(n, level)
         ref = configs[0]

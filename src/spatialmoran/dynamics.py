@@ -34,7 +34,6 @@ from .graph import (
     Configuration,
     SelectionPolicy,
     WeightMatrix,
-    mask_vector,
     stationary_distribution,
 )
 
@@ -152,25 +151,6 @@ def _vector_for(x: Configuration, model: MicSMPModel) -> np.ndarray:
     if x.n != model.n:
         raise NotStochastic("configuration and model dimensions differ")
     return x.vector()
-
-
-def _row_changes(mask: int, n: int, W: np.ndarray, mu: np.ndarray, r: float):
-    """Per-vertex flip masses out of one ``mask``, for the sampler's tables.
-
-    Returns ``(gain, loss, idle)`` where ``gain[u]`` is the mass copying a
-    mutant onto vertex ``u + 1`` (only meaningful where bit ``u`` is clear)
-    and ``loss[u]`` the mass copying a wildtype onto it (bit set).  ``idle``
-    collects all same-type replacements.
-    """
-    x = mask_vector(mask, n)
-    z = x @ mu
-    sel = mu * np.where(x > 0.0, r, 1.0) / (1.0 + (r - 1.0) * z)
-    toward = (sel * x) @ W
-    away = (sel * (1.0 - x)) @ W
-    gain = toward * (1.0 - x)
-    loss = away * x
-    idle = float(toward @ x + away @ (1.0 - x))
-    return gain, loss, idle
 
 
 def flip_masses(model: MicSMPModel, masks) -> np.ndarray:

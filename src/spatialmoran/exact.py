@@ -27,13 +27,16 @@ from scipy.sparse import csr_matrix, identity
 from scipy.sparse.linalg import gmres
 
 from .dynamics import MicSMPModel, _flip_totals, _require_exact_size, flip_masses
-from .errors import AtomOnAbsorbing, DegenerateCase, NotStochastic, NumericalFailure
+from .errors import AtomOnAbsorbing, DegenerateCase, NotStochastic, NumericalFailure, TooLarge
 from .graph import STOCHASTIC_TOL, Configuration
 
 #: Largest certified max-norm error of the returned fixation probabilities.
 SOLVE_RESIDUAL_TOL = 1e-10
 #: Largest ``n`` solved by dense LU; GMRES is faster above it.
 _DENSE_MAX_N = 10
+#: Most atoms :meth:`InitialDistribution.level_uniform` enumerates; every level
+#: of an exact-size model fits, since ``C(20, 10) = 184,756``.
+MAX_LEVEL_ATOMS = 10**6
 _EPS = float(np.finfo(float).eps)
 _NEUTRAL_TOL = 1e-12
 
@@ -93,6 +96,9 @@ class InitialDistribution:
     def level_uniform(cls, n: int, j: int) -> "InitialDistribution":
         from .graph import enumerate_level
 
+        if 0 <= j <= n and math.comb(n, j) > MAX_LEVEL_ATOMS:
+            raise TooLarge(f"level {j} of {n} vertices has {math.comb(n, j)} configurations, "
+                           f"more than the {MAX_LEVEL_ATOMS} a uniform start may enumerate")
         configs = enumerate_level(n, j)
         return cls(n=n, atoms=tuple((c.bits, 1.0 / len(configs)) for c in configs))
 

@@ -13,8 +13,6 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .errors import (
     LevelOutOfRange,
@@ -120,8 +118,22 @@ class Configuration:
 
 
 def mask_vector(mask: int, n: int) -> np.ndarray:
-    """Expand a bitmask into a float 0/1 vector of length ``n``."""
-    return ((mask >> np.arange(n)) & 1).astype(float)
+    """Expand a bitmask of any width into a float 0/1 vector of length ``n``."""
+    raw = np.frombuffer(int(mask).to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(raw, count=n, bitorder="little").astype(float)
+
+
+def _first_unreached(adjacency: np.ndarray) -> int | None:
+    """A vertex that no directed path of ``adjacency`` reaches from vertex 0, or None."""
+    seen = np.zeros(adjacency.shape[0], dtype=bool)
+    seen[0] = True
+    frontier = seen
+    while not seen.all():
+        frontier = adjacency[frontier].any(axis=0) & ~seen
+        if not frontier.any():
+            return int(seen.argmin())
+        seen |= frontier
+    return None
 
 
 def validate_weight_matrix(raw, tol: float = STOCHASTIC_TOL) -> WeightMatrix:
@@ -148,22 +160,23 @@ def validate_weight_matrix(raw, tol: float = STOCHASTIC_TOL) -> WeightMatrix:
     n = entries.shape[0]
     if n < 2:
         raise NotStochastic("population needs at least two vertices")
-    if np.any(entries < -tol) or np.any(entries > 1.0 + tol):
+    if (entries < -tol).any() or (entries > 1.0 + tol).any():
         raise NotStochastic("entries must lie in [0, 1]")
     row_err = np.abs(entries.sum(axis=1) - 1.0)
-    if np.any(row_err > tol):
+    if (row_err > tol).any():
         bad = int(np.argmax(row_err))
         raise NotStochastic(
             f"row {bad + 1} sums to {float(entries[bad].sum())!r}, off by {row_err[bad]:.3e}"
         )
-    off_diag = entries.copy()
-    np.fill_diagonal(off_diag, 0.0)
-    adjacency = csr_matrix(off_diag > 0.0)
-    n_comp, _ = connected_components(adjacency, directed=True, connection="strong")
-    if n_comp != 1:
-        raise NotStronglyConnected(
-            f"positive off-diagonal edges split into {n_comp} strong components"
-        )
+    edges = entries > 0.0
+    np.fill_diagonal(edges, False)
+    for adjacency, relation in ((edges, "is not reached from"), (edges.T, "does not reach")):
+        unreached = _first_unreached(adjacency)
+        if unreached is not None:
+            raise NotStronglyConnected(
+                f"vertex {unreached + 1} {relation} vertex 1 along positive "
+                f"off-diagonal edges"
+            )
     entries.setflags(write=False)
     return WeightMatrix(entries)
 

@@ -1,33 +1,51 @@
 """Monte Carlo estimation of fixation probabilities.
 
 Trials are reproducible and embarrassingly parallel: trial ``t`` consumes an
-independent Philox stream positioned at counter ``t`` under the run seed, so
-results are bit-identical for any worker count and any partition of the
-trial range.  The default event-driven mode samples only state-changing
-transitions (idle steps keep the configuration and therefore cannot affect
-which absorbing state is hit); faithful mode samples the one-step law
-including idles and exists to validate that shortcut.
+independent Philox stream positioned at counter ``t`` under the run seed, one
+uniform per step, so results are bit-identical for any worker count and any
+partition of the trial range.  The default event-driven mode samples only
+state-changing transitions (idle steps keep the configuration and therefore
+cannot affect which absorbing state is hit); faithful mode samples the
+one-step law including idles and exists to validate that shortcut.
+
+Two walkers sample the same law.  Up to ``n = 12`` (:data:`TABLE_MAX_VERTICES`)
+every transient configuration gets a cumulative sampling table, built up
+front in one :func:`~spatialmoran.dynamics.flip_masses` batch, and a step is
+one bisection; at that size the ``2^n`` tables are small and the fastest
+walk.  Above it the tables would not fit, and the walker follows Gillespie's
+direct method instead: per trajectory it keeps the type vector and the
+unnormalised masses of mutant and of wildtype parents placed onto each
+vertex.  Flipping vertex ``u`` changes only ``u``'s selection weight, so a
+step is O(n) work and nothing is kept per configuration.  The masses are
+recomputed from scratch every :data:`REFRESH_EVENTS` flips, which bounds
+their rounding drift.  There is no vertex limit.
+
+A configuration that can never change (every flip mass zero, possible only
+when the policy has zeros) censors the trajectory that reaches it, in both
+modes, at once.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-import threading
 from bisect import bisect_left
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
-from .dynamics import MicSMPModel, _row_changes
-from .errors import AbsorbingStart, NotStochastic, OutOfRange, TooLarge
+from .dynamics import MicSMPModel, flip_masses
+from .errors import AbsorbingStart, NotStochastic, OutOfRange
 from .exact import InitialDistribution
-from .graph import Configuration
+from .graph import Configuration, mask_vector
 
 _CHUNK = 32
-#: Largest vertex count: configurations are handled as 64-bit integer masks.
-MAX_SAMPLER_VERTICES = 63
+#: Largest vertex count sampled from prebuilt per-configuration tables.
+TABLE_MAX_VERTICES = 12
+#: Flips between from-scratch recomputes of the incremental walker's masses.
+REFRESH_EVENTS = 1000
 
 
 class Outcome(enum.Enum):
@@ -100,52 +118,28 @@ class _TrialStream:
         return buf.pop()
 
 
-def _require_mask_width(model: MicSMPModel) -> None:
-    if model.n > MAX_SAMPLER_VERTICES:
-        raise TooLarge(f"Monte Carlo handles configurations as 64-bit masks, so it is "
-                       f"limited to n <= {MAX_SAMPLER_VERTICES}, got {model.n}")
-
-
-class _Sampler:
-    """Per-configuration cumulative sampling tables for one model and mode."""
+class _Tables:
+    """Cumulative sampling tables for every transient configuration (small ``n``)."""
 
     def __init__(self, model: MicSMPModel, mode: str):
-        self._model = model
-        self._mode = mode
-        self._n = model.n
-        self._full = (1 << model.n) - 1
-        self._tables: dict[int, tuple[list, list]] = {}
-        self._lock = threading.Lock()
-        if model.n <= 12:
-            for mask in range(1, self._full):
-                self._tables[mask] = self._build(mask)
-
-    def _build(self, mask: int) -> tuple[list, list]:
-        model = self._model
-        gain, loss, idle = _row_changes(mask, self._n, model.W.entries,
-                                        model.mu.mu, model.r)
-        masses = gain + loss
-        targets = [mask ^ (1 << u) for u in np.nonzero(masses)[0].tolist()]
-        probs = masses[masses > 0].tolist()
-        if self._mode == "event":
-            scale = 1.0 - idle
-            probs = [p / scale for p in probs]
-        else:
-            targets.append(mask)
-            probs.append(idle)
-        cum, acc = [], 0.0
-        for p in probs:
-            acc += p
-            cum.append(acc)
-        cum[-1] = 1.0  # guard the top edge against rounding
-        return cum, targets
-
-    def table(self, mask: int) -> tuple[list, list]:
-        table = self._tables.get(mask)
-        if table is None:
-            with self._lock:
-                table = self._tables.setdefault(mask, self._build(mask))
-        return table
+        n = model.n
+        self._full = full = (1 << n) - 1
+        # indexed by mask; None for the absorbing masks and for masks that never change
+        self._tables: list = [None] * (full + 1)
+        flips = flip_masses(model, np.arange(1, full)).tolist()
+        for mask, row in enumerate(flips, start=1):
+            targets = [mask ^ (1 << u) for u, p in enumerate(row) if p > 0.0]
+            if not targets:
+                continue
+            cum = list(accumulate(p for p in row if p > 0.0))
+            if mode == "event":
+                total = cum[-1]
+                cum = [c / total for c in cum]
+                cum[-1] = 1.0  # guard the top edge against rounding
+            else:
+                targets.append(mask)  # the idle mass closes the table
+                cum.append(1.0)
+            self._tables[mask] = (cum, targets)
 
     def walk(self, mask: int, stream: _TrialStream, max_steps: int):
         full = self._full
@@ -153,10 +147,10 @@ class _Sampler:
         next_uniform = stream.next_uniform
         steps = 0
         while steps < max_steps:
-            try:
-                cum, targets = tables[mask]
-            except KeyError:
-                cum, targets = self.table(mask)
+            table = tables[mask]
+            if table is None:
+                break  # the configuration never changes
+            cum, targets = table
             mask = targets[bisect_left(cum, next_uniform())]
             steps += 1
             if mask == 0:
@@ -166,25 +160,133 @@ class _Sampler:
         return Outcome.CENSORED, steps
 
 
+class _Trajectory:
+    """State of one incremental walk.
+
+    ``masses[0, u]`` (``masses[1, u]``) is the unnormalised mass of mutant
+    (wildtype) parents placing offspring onto ``u``; ``weight`` is the total
+    selection weight, which normalises both.
+    """
+
+    __slots__ = ("x", "masses", "weight", "mutants", "since")
+
+
+class _Walker:
+    """Incremental walker of Gillespie's direct method (large ``n``)."""
+
+    def __init__(self, model: MicSMPModel, mode: str):
+        mu, r = model.mu.mu, model.r
+        self._n = model.n
+        self._event = mode == "event"
+        self._mu, self._r, self._W = mu, r, model.W.entries
+        # rows[u]: change of the masses when vertex u turns mutant
+        self._rows = np.stack((r * model.w_mu, -model.w_mu), axis=1)
+        self._dweight = ((r - 1.0) * mu).tolist()
+        # bound on the rounding residue REFRESH_EVENTS updates leave on a zero mass
+        scale = max(r, 1.0) * float(np.max(mu @ self._W))
+        self._guard = 4.0 * REFRESH_EVENTS * np.finfo(float).eps * scale
+
+    def refresh(self, x: np.ndarray, masses: np.ndarray) -> float:
+        """Recompute ``masses`` from the type vector ``x``; returns the selection weight."""
+        mutant_mu = np.where(x, self._mu, 0.0)
+        masses[0] = (self._r * mutant_mu) @ self._W
+        masses[1] = (self._mu - mutant_mu) @ self._W
+        return 1.0 + (self._r - 1.0) * float(mutant_mu.sum())
+
+    def start(self, mask: int) -> _Trajectory:
+        traj = _Trajectory()
+        traj.x = mask_vector(mask, self._n) > 0.0
+        traj.mutants = int(traj.x.sum())
+        traj.masses = np.empty((2, self._n))
+        traj.weight = self.refresh(traj.x, traj.masses)
+        traj.since = 0
+        return traj
+
+    def advance(self, traj: _Trajectory, stream: _TrialStream, max_steps: int):
+        """Take up to ``max_steps`` steps; ``(outcome, steps)``, censored if not absorbed."""
+        n, event, guard = self._n, self._event, self._guard
+        rows, dweight = self._rows, self._dweight
+        where = np.where
+        next_uniform = stream.next_uniform
+        x, masses = traj.x, traj.masses
+        toward, away = masses
+        weight, mutants, since = traj.weight, traj.mutants, traj.since
+        outcome = Outcome.CENSORED
+        steps = 0
+        while steps < max_steps:
+            uniform = next_uniform()
+            steps += 1
+            while True:
+                if since >= REFRESH_EVENTS:
+                    weight, since = self.refresh(x, masses), 0
+                flips = where(x, away, toward)
+                cum = flips.cumsum()
+                total = cum[-1]
+                target = uniform * (total if event else weight)
+                if target < total:
+                    u = cum.searchsorted(target, "right")
+                    doubtful = flips[u] <= guard
+                else:  # an idle step, or nothing can change
+                    u = -1
+                    doubtful = total <= guard
+                if not (doubtful and since):
+                    break
+                # the mass may be the rounding residue of a zero: recompute and
+                # place the same uniform again
+                since = REFRESH_EVENTS
+            if u < 0:
+                if total == 0.0:  # the configuration never changes: censor, uncounted
+                    steps -= 1
+                    break
+                continue
+            since += 1
+            if x[u]:
+                masses -= rows[u]
+                weight -= dweight[u]
+                mutants -= 1
+                x[u] = False
+                if mutants == 0:
+                    outcome = Outcome.EXTINCTION
+                    break
+            else:
+                masses += rows[u]
+                weight += dweight[u]
+                mutants += 1
+                x[u] = True
+                if mutants == n:
+                    outcome = Outcome.FIXATION
+                    break
+        traj.weight, traj.mutants, traj.since = weight, mutants, since
+        return outcome, steps
+
+    def walk(self, mask: int, stream: _TrialStream, max_steps: int):
+        return self.advance(self.start(mask), stream, max_steps)
+
+
+def _sampler(model: MicSMPModel, mode: str):
+    if model.n <= TABLE_MAX_VERTICES:
+        return _Tables(model, mode)
+    return _Walker(model, mode)
+
+
 def simulate_trajectory(model: MicSMPModel, x0: Configuration,
                         cfg: TrajectoryConfig) -> tuple[Outcome, int]:
     """Run one trajectory from ``x0`` until absorption or ``cfg.max_steps``.
 
     Uses trial stream 0 of ``cfg.seed``; raises :class:`AbsorbingStart` when
-    ``x0`` is already absorbing and :class:`TooLarge` above ``n = 63``.
+    ``x0`` is already absorbing.
     """
-    _require_mask_width(model)
     if x0.n != model.n:
         raise NotStochastic("start configuration dimension mismatch")
     if x0.is_absorbing:
         raise AbsorbingStart(f"mask {x0.bits:#b} is absorbing")
-    sampler = _Sampler(model, cfg.mode)
+    sampler = _sampler(model, cfg.mode)
     stream = _TrialStream(cfg.seed)
     stream.position(0)
     return sampler.walk(x0.bits, stream, cfg.max_steps)
 
 
-def _run_range(sampler: _Sampler, alpha_cum, alpha_masks, seed: int,
+def _run_range(sampler, alpha_cum, alpha_masks, seed: int,
                lo: int, hi: int, max_steps: int):
     stream = _TrialStream(seed)
     fix = ext = cens = 0
@@ -204,7 +306,7 @@ def _run_range(sampler: _Sampler, alpha_cum, alpha_masks, seed: int,
 def _run_chunk(args):
     """Worker-process entry: rebuild the sampler locally and run a trial range."""
     model, mode, alpha_cum, alpha_masks, seed, lo, hi, max_steps = args
-    return _run_range(_Sampler(model, mode), alpha_cum, alpha_masks,
+    return _run_range(_sampler(model, mode), alpha_cum, alpha_masks,
                       seed, lo, hi, max_steps)
 
 
@@ -214,10 +316,8 @@ def estimate_fixation(model: MicSMPModel, alpha: InitialDistribution, trials: in
 
     Each trial draws its start from ``alpha`` and walks to absorption.  The
     per-trial streams depend only on ``(cfg.seed, trial index)``, so the
-    result is identical for any ``workers`` value.  Raises :class:`TooLarge`
-    above ``n = 63``.
+    result is identical for any ``workers`` value.
     """
-    _require_mask_width(model)
     if trials < 1:
         raise OutOfRange(f"need at least one trial, got {trials}")
     if workers < 1:
@@ -234,7 +334,7 @@ def estimate_fixation(model: MicSMPModel, alpha: InitialDistribution, trials: in
 
     workers = min(workers, trials)
     if workers == 1:
-        parts = [_run_range(_Sampler(model, cfg.mode), alpha_cum, alpha_masks,
+        parts = [_run_range(_sampler(model, cfg.mode), alpha_cum, alpha_masks,
                             cfg.seed, 0, trials, cfg.max_steps)]
     else:
         bounds = np.linspace(0, trials, workers + 1).astype(int).tolist()

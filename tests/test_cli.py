@@ -92,11 +92,13 @@ class TestSimulateCommand:
         assert code == 2
         assert doc["error"]["type"] == "AtomOnAbsorbing"
 
-    def test_more_than_63_vertices_exits_two(self, capsys, schema):
+    def test_more_than_63_vertices_runs(self, capsys, schema):
         code, doc = run_json(capsys, schema, "simulate", "--model", "@complete:70",
-                             "--init", "mask:1", "--trials", "2", "--seed", "1")
-        assert code == 2
-        assert doc["error"]["type"] == "TooLarge"
+                             "--r", "1.5", "--init", "mask:31", "--trials", "200",
+                             "--seed", "1")
+        assert code == 0
+        exact = moran_rho(5, 70, 1.5)
+        assert abs(doc["frequency"] - exact) <= 4 * np.sqrt(exact * (1 - exact) / 200)
 
     def test_faithful_mode_with_step_cap(self, capsys, schema):
         code, doc = run_json(capsys, schema, "simulate", "--model", "@n2:0.1,0.1",
@@ -181,6 +183,11 @@ class TestVerifyCommand:
         code, doc = run_json(capsys, schema, "verify", "--model", "@complete:4", "--r", "1")
         assert code == 0
         assert doc["model_report"]["macro_markov"]["lumpable"] is True
+
+    def test_model_above_exact_size_exits_two(self, capsys, schema):
+        code, doc = run_json(capsys, schema, "verify", "--model", "@complete:21")
+        assert code == 2
+        assert doc["error"]["type"] == "TooLarge"
 
     def test_failed_builtin_suite_exits_one(self, capsys, monkeypatch):
         import spatialmoran.cli as cli_module

@@ -72,6 +72,12 @@ class TestInitialDistribution:
         assert len(alpha.atoms) == 6
         assert all(w == pytest.approx(1 / 6) for _, w in alpha.atoms)
 
+    def test_level_uniform_bounds_its_atoms(self):
+        # C(20, 10) = 184,756 fits; C(1000, 3) = 1.7e8 is refused before enumerating
+        assert len(InitialDistribution.level_uniform(20, 10).atoms) == 184756
+        with pytest.raises(TooLarge):
+            InitialDistribution.level_uniform(1000, 3)
+
 
 class TestFixationProbabilities:
     def test_galanis_neutral_levels(self):

@@ -42,6 +42,15 @@ class TestValidateWeightMatrix:
         with pytest.raises(NotStochastic):
             validate_weight_matrix([[1.0]])
 
+    def test_two_cycles_joined_one_way_rejected(self):
+        # cycles 1 -> 2 -> 1 and 3 -> 4 -> 3, with the only link 2 -> 3
+        W = [[0.0, 1.0, 0.0, 0.0],
+             [0.5, 0.0, 0.5, 0.0],
+             [0.0, 0.0, 0.0, 1.0],
+             [0.0, 0.0, 1.0, 0.0]]
+        with pytest.raises(NotStronglyConnected):
+            validate_weight_matrix(W)
+
     def test_self_loops_ignored_for_connectivity(self):
         # loops alone must not connect anything
         W = [[0.9, 0.1, 0.0], [0.0, 0.9, 0.1], [0.1, 0.0, 0.9]]
@@ -118,6 +127,12 @@ class TestConfigurations:
             mask = int(rng.integers(0, 1 << n))
             x = Configuration(mask, n)
             assert x.level == int(x.vector().sum())
+
+    def test_vector_of_a_mask_wider_than_64_bits(self):
+        mask = (1 << 69) | (1 << 64) | 0b101
+        x = Configuration(mask, 70).vector()
+        assert np.flatnonzero(x).tolist() == [0, 2, 64, 69]
+        assert x.sum() == Configuration(mask, 70).level
 
     def test_mask_must_fit(self):
         with pytest.raises(LevelOutOfRange):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,16 +10,24 @@ from spatialmoran import (
     InitialDistribution,
     Outcome,
     OutOfRange,
-    TooLarge,
     TrajectoryConfig,
     build_model,
     complete_graph_weights,
     estimate_fixation,
     fixation_for_initial,
     galanis_model,
+    moran_rho,
     random_strongly_connected_weights,
     simulate_trajectory,
     two_vertex_weights,
+    validate_weight_matrix,
+)
+from spatialmoran.montecarlo import (
+    REFRESH_EVENTS,
+    TABLE_MAX_VERTICES,
+    _sampler,
+    _TrialStream,
+    _Walker,
 )
 
 GALANIS_SINGLE = InitialDistribution.point_mass(0b001, 3)
@@ -70,13 +79,16 @@ class TestSimulateTrajectory:
 
 
 class TestEstimateFixation:
-    def test_more_than_63_vertices_is_too_large(self):
-        model = build_model(complete_graph_weights(70), mu="uniform", r=1.0)
+    def test_more_than_63_vertices_runs(self):
+        model = build_model(complete_graph_weights(70), mu="uniform", r=1.5)
         cfg = TrajectoryConfig(seed=1)
-        with pytest.raises(TooLarge, match="n <= 63"):
-            estimate_fixation(model, InitialDistribution.point_mass(1, 70), 2, cfg)
-        with pytest.raises(TooLarge, match="n <= 63"):
-            simulate_trajectory(model, Configuration(1, 70), cfg)
+        result = estimate_fixation(model, InitialDistribution.point_mass(31, 70), 200, cfg)
+        exact = moran_rho(5, 70, 1.5)
+        assert result.censored == 0
+        assert abs(result.frequency - exact) <= 4 * math.sqrt(exact * (1 - exact) / 200)
+        # a start with bits above 2^63 set
+        outcome, _ = simulate_trajectory(model, Configuration((1 << 69) | (1 << 64), 70), cfg)
+        assert outcome in (Outcome.FIXATION, Outcome.EXTINCTION)
 
     def test_single_trial_is_binary(self):
         result = estimate_fixation(galanis_model(1.0), GALANIS_SINGLE, 1,
@@ -157,3 +169,145 @@ class TestEstimateFixation:
                                    TrajectoryConfig(seed=4))
         f = result.frequency
         assert result.ci_halfwidth == pytest.approx(3 * math.sqrt(f * (1 - f) / 5000))
+
+
+def _random_policy_model(n, seed, r):
+    """A random graph under a positive policy that is not its stationary one."""
+    rng = np.random.default_rng(seed)
+    W = random_strongly_connected_weights(n, rng)
+    mu = rng.uniform(0.2, 1.0, n)
+    return build_model(W, mu=mu / mu.sum(), r=r)
+
+
+def _stuck_cycle(n):
+    """Directed n-cycle where only vertex 1 is ever selected.
+
+    From one mutant at vertex 1 the only move makes vertex 2 a mutant too;
+    after that every update copies a mutant onto a mutant, forever.
+    """
+    return build_model(validate_weight_matrix(np.roll(np.eye(n), 1, axis=1)),
+                       mu=np.eye(n)[0], r=1.0)
+
+
+def _mask_of(x):
+    return sum(1 << int(v) for v in np.flatnonzero(x))
+
+
+def _residue_model():
+    """n = 13 graph where only vertices 1-3 are selected, at r = 3.
+
+    Vertex 1 places onto 2 and 4, vertices 2 and 3 onto each other and onto
+    1; vertices 4, 5, ..., 13 form a chain back to 1.  From mutants at 1 and
+    4, trajectories either die out or make 1-3 mutants and stop there; on the
+    way, the masses of wildtype parents 2 and 3 are added and subtracted, and
+    their rounding residues are all that is left on some zero masses.
+    """
+    n = 13
+    W = np.zeros((n, n))
+    W[0, 1], W[0, 3] = 0.5, 0.5
+    W[1, 2], W[1, 0] = 0.1, 0.9
+    W[2, 0], W[2, 1] = 0.2, 0.8
+    for v in range(3, n):
+        W[v, (v + 1) % n] = 1.0
+    return build_model(validate_weight_matrix(W), mu=[0.3, 0.3, 0.4] + [0.0] * (n - 3), r=3.0)
+
+
+class TestNeverChangingConfiguration:
+    @pytest.mark.parametrize("n", [3, TABLE_MAX_VERTICES + 1])
+    @pytest.mark.parametrize("mode", ["event", "faithful"])
+    def test_censored_in_both_modes(self, n, mode):
+        model = _stuck_cycle(n)
+        cfg = TrajectoryConfig(seed=4, mode=mode)
+        result = estimate_fixation(model, InitialDistribution.point_mass(0b001, n), 100, cfg)
+        assert (result.fixations, result.extinctions, result.censored) == (0, 0, 100)
+        assert math.isnan(result.frequency)
+        assert simulate_trajectory(model, Configuration(0b001, n), cfg) == (Outcome.CENSORED, 1)
+
+
+class TestIncrementalWalker:
+    def test_used_above_the_table_cut(self):
+        model = _random_policy_model(TABLE_MAX_VERTICES + 1, 1, 1.5)
+        assert isinstance(_sampler(model, "event"), _Walker)
+        assert not isinstance(_sampler(galanis_model(1.0), "event"), _Walker)
+
+    def test_masses_track_a_recompute(self):
+        # every event's masses against a from-scratch recompute, over 10^4
+        # events, ten recompute intervals of the walker
+        n = 30
+        model = _random_policy_model(n, 30, 1.7)
+        walker = _sampler(model, "event")
+        stream = _TrialStream(5)
+        stream.position(0)
+        start = (1 << (n // 2)) - 1
+        traj = walker.start(start)
+        for _ in range(10 * REFRESH_EVENTS):
+            outcome, steps = walker.advance(traj, stream, 1)
+            assert steps == 1
+            if outcome is not Outcome.CENSORED:
+                traj = walker.start(start)
+                continue
+            fresh = walker.start(_mask_of(traj.x))
+            scale = np.abs(fresh.masses).max()
+            assert np.abs(traj.masses - fresh.masses).max() <= 1e-12 * scale
+            assert abs(traj.weight - fresh.weight) <= 1e-12 * fresh.weight
+            assert traj.mutants == fresh.mutants
+
+    def test_never_flips_a_vertex_of_zero_mass(self):
+        walker = _sampler(_residue_model(), "event")
+        stuck = 0
+        for seed in range(100):
+            stream = _TrialStream(seed)
+            stream.position(0)
+            traj = walker.start(0b1001)
+            while True:
+                fresh = walker.start(_mask_of(traj.x))
+                mass = np.where(fresh.x, fresh.masses[1], fresh.masses[0])
+                before = traj.x.copy()
+                outcome, steps = walker.advance(traj, stream, 1)
+                if steps == 0:  # censored where nothing can change
+                    assert mass.sum() == 0.0
+                    stuck += 1
+                    break
+                (u,) = np.flatnonzero(before != traj.x)
+                assert mass[u] > 0.0
+                if outcome is not Outcome.CENSORED:
+                    break
+        assert stuck > 0
+
+    def test_worker_invariant(self):
+        model = _random_policy_model(16, 16, 1.3)
+        alpha = InitialDistribution.level_uniform(16, 2)
+        cfg = TrajectoryConfig(seed=8)
+        assert estimate_fixation(model, alpha, 300, cfg) == \
+            estimate_fixation(model, alpha, 300, cfg, workers=2)
+
+    @pytest.mark.parametrize("mode", ["event", "faithful"])
+    def test_agrees_with_exact_solver(self, mode):
+        model = _random_policy_model(14, 14, 1.5)
+        assert not model.is_stationary()
+        alpha = InitialDistribution.level_uniform(14, 3)
+        exact = fixation_for_initial(model, alpha)
+        trials = 2000
+        result = estimate_fixation(model, alpha, trials, TrajectoryConfig(seed=21, mode=mode))
+        assert result.censored == 0
+        assert abs(result.frequency - exact) <= 4 * math.sqrt(exact * (1 - exact) / trials)
+
+    def test_holds_no_per_configuration_state(self):
+        model = build_model(complete_graph_weights(16), mu="uniform", r=1.0)
+        sampler = _sampler(model, "event")
+        stream = _TrialStream(3)
+
+        def run(trials):
+            for trial in range(trials):
+                stream.position(trial)
+                sampler.walk(0xFF, stream, 10**6)
+
+        run(5)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            run(200)
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert grown < 64 * 1024
