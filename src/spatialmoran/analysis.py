@@ -13,21 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import MicSMPModel, _require_exact_size, build_model, p_minus, p_plus
-from .errors import (
-    DegenerateCase,
-    DegenerateDenominator,
-    OutOfRange,
-    ZeroDenominator,
-)
+from .dynamics import MicSMPModel, _level_rates, _require_exact_size, build_model
+from .errors import DegenerateCase, DegenerateDenominator, OutOfRange, ZeroDenominator
 from .exact import InitialDistribution, moran_rho
-from .graph import (
-    Configuration,
-    SelectionPolicy,
-    complete_graph_weights,
-    enumerate_level,
-    validate_weight_matrix,
-)
+from .graph import SelectionPolicy, complete_graph_weights, validate_weight_matrix
 
 #: Threshold for structural equality checks (exact float identities).
 STRUCTURAL_TOL = 1e-12
@@ -39,11 +28,17 @@ SOLVER_TOL = 1e-10
 GALANIS_WEIGHTS = ((0.0, 0.25, 0.75), (0.25, 0.0, 0.75), (0.5, 0.5, 0.0))
 
 
-def _transient_pm(model: MicSMPModel):
-    n = model.n
-    for mask in range(1, (1 << n) - 1):
-        x = Configuration(mask, n)
-        yield mask, p_plus(x, model), p_minus(x, model)
+def _transient_rates(model: MicSMPModel):
+    """Every transient mask, with its level, ``p_plus`` and ``p_minus``, in one batch."""
+    _require_exact_size(model.n)
+    masks = np.arange(1, (1 << model.n) - 1)
+    return (masks, *_level_rates(model, masks))
+
+
+def _ratio_deviation(pp: np.ndarray, pm: np.ndarray, r: float) -> np.ndarray:
+    """``|p_minus / p_plus - 1/r|`` per configuration, ``inf`` where ``p_plus == 0``."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(pp > 0.0, np.abs(pm / pp - 1.0 / r), np.inf)
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,17 +62,15 @@ def martingale_report(model: MicSMPModel) -> MartingaleReport:
     Raises :class:`TooLarge` above ``n = 20``, as do :func:`ratio_constancy`
     and :func:`macro_markov_check`.
     """
-    _require_exact_size(model.n)
+    masks, _, pp, pm = _transient_rates(model)
     r = model.r
-    drift, exp_drift = {}, {}
-    for mask, pp, pm in _transient_pm(model):
-        drift[mask] = pp - pm
-        exp_drift[mask] = r * pm + (1.0 - pp - pm) + pp / r - 1.0
+    drift = pp - pm
+    exp_drift = r * pm + (1.0 - pp - pm) + pp / r - 1.0
     return MartingaleReport(
-        drift=drift,
-        exp_drift=exp_drift,
-        max_abs_drift=max(abs(v) for v in drift.values()),
-        max_abs_exp_drift=max(abs(v) for v in exp_drift.values()),
+        drift=dict(zip(masks.tolist(), drift.tolist())),
+        exp_drift=dict(zip(masks.tolist(), exp_drift.tolist())),
+        max_abs_drift=float(np.abs(drift).max()),
+        max_abs_exp_drift=float(np.abs(exp_drift).max()),
     )
 
 
@@ -88,13 +81,8 @@ def ratio_constancy(model: MicSMPModel) -> float:
     the weight matrix.  Configurations with ``p_plus == 0`` (possible only
     for policies with zero entries) contribute ``inf``.
     """
-    _require_exact_size(model.n)
-    worst = 0.0
-    inv_r = 1.0 / model.r
-    for _, pp, pm in _transient_pm(model):
-        dev = abs(pm / pp - inv_r) if pp > 0.0 else float("inf")
-        worst = max(worst, dev)
-    return worst
+    _, _, pp, pm = _transient_rates(model)
+    return float(_ratio_deviation(pp, pm, model.r).max())
 
 
 def single_mutant_ratio_witness(model: MicSMPModel) -> tuple[int, float]:
@@ -102,17 +90,13 @@ def single_mutant_ratio_witness(model: MicSMPModel) -> tuple[int, float]:
 
     Returns ``(mask, deviation)``; a strictly positive deviation witnesses a
     non-stationary policy, since for ``x = e_v`` the deviation numerator is
-    ``mu_v - (mu W)_v``.
+    ``mu_v - (mu W)_v``.  Of equal deviations, the lowest mask is returned.
     """
-    inv_r = 1.0 / model.r
-    best = (0, -1.0)
-    for v in range(model.n):
-        x = Configuration(1 << v, model.n)
-        pp = p_plus(x, model)
-        dev = abs(p_minus(x, model) / pp - inv_r) if pp > 0.0 else float("inf")
-        if dev > best[1]:
-            best = (x.bits, dev)
-    return best
+    masks = [1 << v for v in range(model.n)]
+    _, pp, pm = _level_rates(model, masks)
+    deviation = _ratio_deviation(pp, pm, model.r)
+    best = int(deviation.argmax())
+    return masks[best], float(deviation[best])
 
 
 @dataclass(frozen=True)
@@ -130,17 +114,15 @@ class MacroMarkovResult:
 
 def macro_markov_check(model: MicSMPModel, tol: float = STRUCTURAL_TOL) -> MacroMarkovResult:
     """Check per-level constancy of the increase/decrease probabilities."""
-    n = model.n
-    _require_exact_size(n)
-    for level in range(1, n):
-        configs = enumerate_level(n, level)
-        ref = configs[0]
-        ref_pp, ref_pm = p_plus(ref, model), p_minus(ref, model)
-        for x in configs[1:]:
-            if (abs(p_plus(x, model) - ref_pp) > tol
-                    or abs(p_minus(x, model) - ref_pm) > tol):
-                return MacroMarkovResult(False, (level, ref.bits, x.bits))
-    return MacroMarkovResult(True, None)
+    masks, levels, pp, pm = _transient_rates(model)
+    # the lowest mask of level j, 2^j - 1, sits at index 2^j - 2
+    ref = (1 << levels) - 2
+    differs = (np.abs(pp - pp[ref]) > tol) | (np.abs(pm - pm[ref]) > tol)
+    if not differs.any():
+        return MacroMarkovResult(True, None)
+    level = int(levels[differs].min())
+    mask = int(masks[differs & (levels == level)][0])
+    return MacroMarkovResult(False, (level, (1 << level) - 1, mask))
 
 
 # ---------------------------------------------------------------------------
@@ -394,11 +376,8 @@ def classic_moran_check(n: int, r: float) -> float:
     if not 2 <= n <= 12:
         raise OutOfRange(f"check supported for 2 <= n <= 12, got {n}")
     model = build_model(complete_graph_weights(n), mu="uniform", r=r)
-    worst = 0.0
-    for j in range(1, n):
-        expected_pp = classic_p_plus(j, n, r)
-        expected_pm = classic_p_minus(j, n, r)
-        for x in enumerate_level(n, j):
-            worst = max(worst, abs(p_plus(x, model) - expected_pp),
-                        abs(p_minus(x, model) - expected_pm))
-    return worst
+    _, levels, pp, pm = _transient_rates(model)
+    expected_pp = np.array([classic_p_plus(j, n, r) for j in range(n)])
+    expected_pm = np.array([classic_p_minus(j, n, r) for j in range(n)])
+    return float(max(np.abs(pp - expected_pp[levels]).max(),
+                     np.abs(pm - expected_pm[levels]).max()))

@@ -17,8 +17,9 @@ Under stationary selection (``mu = pi`` with ``pi W = pi``) their ratio is
 the constant ``p_minus / p_plus = 1 / r`` on every transient configuration.
 
 :func:`flip_masses` gives the per-vertex flip masses for a batch of
-configurations; the step law, the transition kernel and the exact solver all
-take their masses from it.
+configurations; the step law, the kernel, the exact solver, the Monte Carlo
+tables, and ``p_plus``/``p_minus`` with the diagnostics built on them (its
+row sums over the wildtype and the mutant vertices) all take them from it.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .graph import (
     Configuration,
     SelectionPolicy,
     WeightMatrix,
+    mask_bits,
     stationary_distribution,
 )
 
@@ -134,23 +136,18 @@ class TransitionKernel:
 
 def p_plus(x: Configuration, model: MicSMPModel) -> float:
     """Probability that one update increases the mutant count by one."""
-    xv = _vector_for(x, model)
-    z = float(xv @ model.mu.mu)
-    row = xv @ model.w_mu
-    return float(model.r / (1.0 + (model.r - 1.0) * z) * (row.sum() - row @ xv))
+    return float(_level_rates(model, [_mask_of(x, model)])[1][0])
 
 
 def p_minus(x: Configuration, model: MicSMPModel) -> float:
     """Probability that one update decreases the mutant count by one."""
-    xv = _vector_for(x, model)
-    z = float(xv @ model.mu.mu)
-    return float(((1.0 - xv) @ model.w_mu @ xv) / (1.0 + (model.r - 1.0) * z))
+    return float(_level_rates(model, [_mask_of(x, model)])[2][0])
 
 
-def _vector_for(x: Configuration, model: MicSMPModel) -> np.ndarray:
+def _mask_of(x: Configuration, model: MicSMPModel) -> int:
     if x.n != model.n:
         raise NotStochastic("configuration and model dimensions differ")
-    return x.vector()
+    return x.bits
 
 
 def flip_masses(model: MicSMPModel, masks) -> np.ndarray:
@@ -159,20 +156,19 @@ def flip_masses(model: MicSMPModel, masks) -> np.ndarray:
     Returns an array of shape ``(len(masks), n)``: entry ``[k, u]`` is the
     probability that one update copies onto vertex ``u + 1`` the type it does
     not carry in ``masks[k]``, moving the chain to ``masks[k] ^ (1 << u)``.
-    The rest of each row's unit mass is idle.
+    The rest of each row's unit mass is idle.  Masks may be of any width.
 
     Every sum runs over the vertices in a fixed order, by elementwise
     operations and cumulative sums (no BLAS), so a row is bitwise the same in
     any batch.
     """
-    masks = np.asarray(masks, dtype=np.int64)
     n, mu, r = model.n, model.mu.mu, model.r
+    bits = mask_bits(masks, n)
     W = model.W.entries
-    bits = (1 << np.arange(n))[:, None]
-    out = np.empty((len(masks), n))
-    for lo in range(0, len(masks), _MASK_BLOCK):
+    out = np.empty(bits.shape)
+    for lo in range(0, len(bits), _MASK_BLOCK):
         # vertex-major blocks: x[v, k] is True where vertex v + 1 is a mutant
-        x = (masks[lo:lo + _MASK_BLOCK] & bits) != 0
+        x = np.ascontiguousarray(bits[lo:lo + _MASK_BLOCK].T)
         z = (x * mu[:, None]).cumsum(axis=0)[-1]
         sel = np.where(x, r, 1.0) * mu[:, None] / (1.0 + (r - 1.0) * z)
         # selection mass of mutant parents, [0], and of wildtype parents, [1]
@@ -188,6 +184,15 @@ def flip_masses(model: MicSMPModel, masks) -> np.ndarray:
     return out
 
 
+def _level_rates(model: MicSMPModel, masks):
+    """Level, ``p_plus`` and ``p_minus`` of each configuration in ``masks``, as arrays:
+    the row sums of its flip masses over the wildtype and over the mutant vertices."""
+    bits = mask_bits(masks, model.n)
+    flips = flip_masses(model, masks)
+    return (bits.sum(axis=1), _flip_totals(np.where(bits, 0.0, flips)),
+            _flip_totals(np.where(bits, flips, 0.0)))
+
+
 def _flip_totals(flips: np.ndarray) -> np.ndarray:
     """Row sums of :func:`flip_masses`, in vertex order: the mass of leaving each configuration."""
     return np.cumsum(flips, axis=1)[:, -1]
@@ -201,9 +206,7 @@ def _require_exact_size(n: int) -> None:
 
 def step_distribution(x: Configuration, model: MicSMPModel) -> StepDistribution:
     """The one-step law out of ``x``: every single-vertex flip of positive mass."""
-    if x.n != model.n:
-        raise NotStochastic("configuration and model dimensions differ")
-    flips = flip_masses(model, [x.bits])
+    flips = flip_masses(model, [_mask_of(x, model)])
     moves = [(Configuration(x.bits ^ (1 << u), x.n), float(p))
              for u, p in enumerate(flips[0].tolist()) if p > 0.0]
     moves.sort(key=lambda pair: pair[0].bits)

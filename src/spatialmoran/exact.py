@@ -28,7 +28,7 @@ from scipy.sparse.linalg import gmres
 
 from .dynamics import MicSMPModel, _flip_totals, _require_exact_size, flip_masses
 from .errors import AtomOnAbsorbing, DegenerateCase, NotStochastic, NumericalFailure, TooLarge
-from .graph import STOCHASTIC_TOL, Configuration
+from .graph import STOCHASTIC_TOL, Configuration, level_masks, mask_bits
 
 #: Largest certified max-norm error of the returned fixation probabilities.
 SOLVE_RESIDUAL_TOL = 1e-10
@@ -94,13 +94,11 @@ class InitialDistribution:
 
     @classmethod
     def level_uniform(cls, n: int, j: int) -> "InitialDistribution":
-        from .graph import enumerate_level
-
         if 0 <= j <= n and math.comb(n, j) > MAX_LEVEL_ATOMS:
             raise TooLarge(f"level {j} of {n} vertices has {math.comb(n, j)} configurations, "
                            f"more than the {MAX_LEVEL_ATOMS} a uniform start may enumerate")
-        configs = enumerate_level(n, j)
-        return cls(n=n, atoms=tuple((c.bits, 1.0 / len(configs)) for c in configs))
+        masks = level_masks(n, j)
+        return cls(n=n, atoms=tuple((mask, 1.0 / len(masks)) for mask in masks))
 
 
 @dataclass(frozen=True)
@@ -203,13 +201,14 @@ def fixation_probabilities(model: MicSMPModel,
     if h.min() < -bound or h.max() > 1.0 + bound:
         raise NumericalFailure("fixation probabilities escape [0, 1]")
 
-    rho = {0: 0.0, (1 << n) - 1: 1.0}
-    reference = [moran_rho(j, n, model.r) for j in range(n + 1)]
-    deviation: dict[int, float] = {}
-    for mask, value in enumerate(h.clip(0.0, 1.0).tolist(), start=1):
-        rho[mask] = value
-        level = mask.bit_count()
-        deviation[level] = max(deviation.get(level, 0.0), abs(value - reference[level]))
+    full = (1 << n) - 1
+    values = h.clip(0.0, 1.0)
+    rho = {0: 0.0, full: 1.0, **dict(zip(range(1, full), values.tolist()))}
+    levels = mask_bits(np.arange(1, full), n).sum(axis=1)
+    reference = np.array([moran_rho(j, n, model.r) for j in range(n + 1)])
+    worst = np.zeros(n + 1)
+    np.maximum.at(worst, levels, np.abs(values - reference[levels]))
+    deviation = dict(zip(range(1, n), worst[1:n].tolist()))
 
     rho_alpha = None
     if alpha is not None:

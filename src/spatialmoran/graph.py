@@ -71,6 +71,8 @@ class SelectionPolicy:
         mu = _frozen_array(self.mu)
         if mu.ndim != 1:
             raise NotStochastic("selection policy must be a vector")
+        if not np.isfinite(mu).all():
+            raise NotStochastic("selection policy entries must be finite")
         if np.any(mu < -STOCHASTIC_TOL) or abs(mu.sum() - 1.0) > STOCHASTIC_TOL:
             raise NotStochastic(
                 f"selection policy must be a probability vector, got sum {float(mu.sum())!r}"
@@ -119,8 +121,18 @@ class Configuration:
 
 def mask_vector(mask: int, n: int) -> np.ndarray:
     """Expand a bitmask of any width into a float 0/1 vector of length ``n``."""
-    raw = np.frombuffer(int(mask).to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
-    return np.unpackbits(raw, count=n, bitorder="little").astype(float)
+    return mask_bits([mask], n)[0].astype(float)
+
+
+def mask_bits(masks, n: int) -> np.ndarray:
+    """Expand bitmasks of any width in ``[0, 2^n)`` (else :class:`LevelOutOfRange`) into a
+    boolean matrix: ``[k, v]`` is True where vertex ``v + 1`` is a mutant in ``masks[k]``."""
+    masks = masks.tolist() if isinstance(masks, np.ndarray) else [int(mask) for mask in masks]
+    if masks and (min(masks) < 0 or max(masks) >> n):
+        raise LevelOutOfRange(f"a mask does not fit into {n} bits")
+    width = (n + 7) // 8
+    raw = np.frombuffer(b"".join([mask.to_bytes(width, "little") for mask in masks]), np.uint8)
+    return np.unpackbits(raw.reshape(-1, width), axis=1, count=n, bitorder="little").view(bool)
 
 
 def _first_unreached(adjacency: np.ndarray) -> int | None:
@@ -139,7 +151,7 @@ def _first_unreached(adjacency: np.ndarray) -> int | None:
 def validate_weight_matrix(raw, tol: float = STOCHASTIC_TOL) -> WeightMatrix:
     """Validate a raw square matrix as a population weight matrix.
 
-    Checks shape, entry range, row stochasticity within ``tol``, and strong
+    Checks shape, finite entries in range, row stochasticity within ``tol``, and strong
     connectivity of the digraph spanned by positive off-diagonal entries
     (self-loops are ignored for connectivity).
 
@@ -160,8 +172,8 @@ def validate_weight_matrix(raw, tol: float = STOCHASTIC_TOL) -> WeightMatrix:
     n = entries.shape[0]
     if n < 2:
         raise NotStochastic("population needs at least two vertices")
-    if (entries < -tol).any() or (entries > 1.0 + tol).any():
-        raise NotStochastic("entries must lie in [0, 1]")
+    if not np.isfinite(entries).all() or (entries < -tol).any() or (entries > 1.0 + tol).any():
+        raise NotStochastic("entries must be finite and lie in [0, 1]")
     row_err = np.abs(entries.sum(axis=1) - 1.0)
     if (row_err > tol).any():
         bad = int(np.argmax(row_err))
@@ -229,10 +241,16 @@ def enumerate_level(n: int, j: int) -> list[Configuration]:
 
     Returned in increasing bitmask order; there are ``C(n, j)`` of them.
     """
+    return [Configuration(mask, n) for mask in level_masks(n, j)]
+
+
+def level_masks(n: int, j: int) -> list[int]:
+    """Bitmasks of the configurations of :func:`enumerate_level`, in the same order."""
     if not 0 <= j <= n:
         raise LevelOutOfRange(f"level {j} outside [0, {n}]")
-    masks = sorted(sum(1 << v for v in subset) for subset in combinations(range(n), j))
-    return [Configuration(mask, n) for mask in masks]
+    bit = [1 << v for v in range(n)]
+    # subsets of the vertices taken in decreasing order come out in decreasing mask order
+    return [sum(map(bit.__getitem__, s)) for s in combinations(range(n - 1, -1, -1), j)][::-1]
 
 
 def complete_graph_weights(n: int) -> WeightMatrix:

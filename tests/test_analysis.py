@@ -9,6 +9,8 @@ from spatialmoran import (
     OutOfRange,
     build_model,
     classic_moran_check,
+    classic_p_minus,
+    classic_p_plus,
     complete_graph_weights,
     fixation_for_initial,
     galanis_case3_initial_weight,
@@ -31,6 +33,7 @@ from spatialmoran import (
     sweep_n2,
     two_vertex_weights,
 )
+from spatialmoran.analysis import STRUCTURAL_TOL
 
 
 class TestMartingaleReport:
@@ -352,3 +355,123 @@ class TestClassicReduction:
     def test_size_guard(self):
         with pytest.raises(OutOfRange):
             classic_moran_check(13, 1.0)
+
+
+def brute_force_rates(model, mask):
+    """``(p_plus, p_minus)`` of one configuration, summed over every ordered (parent, target) pair."""
+    n, r = model.n, model.r
+    W, mu = model.W.entries.tolist(), model.mu.mu.tolist()
+    x = [(mask >> v) & 1 for v in range(n)]
+    denom = 1.0 + (r - 1.0) * sum(mu[v] for v in range(n) if x[v])
+    up = down = 0.0
+    for v in range(n):
+        s = (r if x[v] else 1.0) * mu[v] / denom
+        for u in range(n):
+            if x[v] and not x[u]:
+                up += s * W[v][u]
+            elif x[u] and not x[v]:
+                down += s * W[v][u]
+    return up, down
+
+
+def brute_force_ratio(up, down, r):
+    return abs(down / up - 1.0 / r) if up > 0.0 else float("inf")
+
+
+def diagnostic_models():
+    """Random models at n = 2..9: positive, stationary and zero-entry policies."""
+    rng = np.random.default_rng(808)
+    for n in range(2, 10):
+        W = random_strongly_connected_weights(n, rng)
+        mu = rng.uniform(0.05, 1.0, n)
+        r = float(rng.uniform(0.25, 4.0))
+        yield build_model(W, mu=mu / mu.sum(), r=r)
+        yield build_model(W, mu="stationary", r=r)
+        mu[rng.integers(n)] = 0.0
+        yield build_model(W, mu=mu / mu.sum(), r=r)
+    yield build_model(complete_graph_weights(6), mu="uniform", r=1.7)
+    yield galanis_model(1.0)
+
+
+class TestBatchedDiagnostics:
+    """Each diagnostic against a per-configuration enumeration of (parent, target) pairs."""
+
+    @pytest.fixture(scope="class")
+    def cases(self):
+        out = []
+        for model in diagnostic_models():
+            masks = range(1, (1 << model.n) - 1)
+            out.append((model, {mask: brute_force_rates(model, mask) for mask in masks}))
+        return out
+
+    def test_martingale_report(self, cases):
+        for model, rates in cases:
+            r = model.r
+            report = martingale_report(model)
+            assert list(report.drift) == list(rates) == list(report.exp_drift)
+            drift = {m: up - down for m, (up, down) in rates.items()}
+            exp_drift = {m: r * down + (1.0 - up - down) + up / r - 1.0
+                         for m, (up, down) in rates.items()}
+            for mask in rates:
+                assert abs(report.drift[mask] - drift[mask]) <= 1e-12
+                assert abs(report.exp_drift[mask] - exp_drift[mask]) <= 1e-12
+            assert abs(report.max_abs_drift - max(map(abs, drift.values()))) <= 1e-12
+            assert abs(report.max_abs_exp_drift - max(map(abs, exp_drift.values()))) <= 1e-12
+
+    def test_ratio_constancy(self, cases):
+        zero_up = 0
+        for model, rates in cases:
+            worst = max(brute_force_ratio(up, down, model.r) for up, down in rates.values())
+            value = ratio_constancy(model)
+            if worst == float("inf"):
+                zero_up += 1
+                assert value == float("inf")
+            else:
+                assert abs(value - worst) <= 1e-12 * max(1.0, worst)
+        assert zero_up >= 8  # every zero-entry policy has a configuration with p_plus = 0
+
+    def test_single_mutant_ratio_witness(self, cases):
+        for model, rates in cases:
+            devs = [brute_force_ratio(*rates[1 << v], model.r) for v in range(model.n)]
+            best = max(range(model.n), key=lambda v: (devs[v], -v))
+            mask, deviation = single_mutant_ratio_witness(model)
+            if devs[best] <= 1e-12:  # stationary policy: the mask is a pick among rounding noise
+                assert deviation <= 1e-12 and mask.bit_count() == 1
+                continue
+            assert mask == 1 << best
+            if devs[best] == float("inf"):
+                assert deviation == float("inf")
+            else:
+                assert abs(deviation - devs[best]) <= 1e-12 * max(1.0, devs[best])
+
+    def test_macro_markov_witness(self, cases):
+        lumpable = 0
+        for model, rates in cases:
+            expected = None
+            for level in range(1, model.n):
+                masks = [m for m in rates if m.bit_count() == level]
+                ref = rates[masks[0]]
+                later = [m for m in masks[1:] if abs(rates[m][0] - ref[0]) > STRUCTURAL_TOL
+                         or abs(rates[m][1] - ref[1]) > STRUCTURAL_TOL]
+                if later:
+                    expected = (level, masks[0], later[0])
+                    break
+            result = macro_markov_check(model)
+            assert result.witness == expected
+            assert result.lumpable == (expected is None)
+            lumpable += result.lumpable
+        assert lumpable >= 1
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_classic_moran_check(self, n):
+        for r in (0.5, 1.0, 2.5):
+            model = build_model(complete_graph_weights(n), mu="uniform", r=r)
+            worst = 0.0
+            for mask in range(1, (1 << n) - 1):
+                up, down = brute_force_rates(model, mask)
+                j = mask.bit_count()
+                worst = max(worst, abs(up - classic_p_plus(j, n, r)),
+                            abs(down - classic_p_minus(j, n, r)))
+            value = classic_moran_check(n, r)
+            assert value <= 1e-12 and worst <= 1e-12
+            assert abs(value - worst) <= 1e-12

@@ -63,6 +63,17 @@ class TestExactCommand:
         assert code == 2
         assert doc["error"]["type"] == "NotStochastic"
 
+    @pytest.mark.parametrize("field", ["W", "mu"])
+    def test_non_finite_entry_exits_two(self, capsys, schema, tmp_path, field):
+        doc = {"n": 2, "W": [[0.0, 1.0], [1.0, 0.0]], "mu": [0.5, 0.5], "r": 1}
+        doc[field][0] = [float("nan"), 1.0] if field == "W" else float("nan")
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(doc))
+        assert "NaN" in path.read_text()
+        code, out = run_json(capsys, schema, "exact", "--model", str(path))
+        assert code == 2
+        assert out["error"]["type"] == "NotStochastic"
+
     def test_byte_stable(self, capsys):
         args = ("exact", "--model", "@galanis", "--init", "mask:1")
         _, first = run(capsys, *args)

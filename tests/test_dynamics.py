@@ -3,6 +3,7 @@ import pytest
 
 from spatialmoran import (
     Configuration,
+    LevelOutOfRange,
     TooLarge,
     build_model,
     complete_graph_weights,
@@ -17,7 +18,7 @@ from spatialmoran import (
     transition_kernel,
     two_vertex_weights,
 )
-from spatialmoran.analysis import classic_p_minus, classic_p_plus
+from spatialmoran.analysis import classic_p_minus, classic_p_plus, single_mutant_ratio_witness
 
 
 def brute_force_step(mask, W, mu, r):
@@ -304,3 +305,43 @@ class TestFlipMasses:
         for mask in range(0, 1 << 9, 7):
             assert np.array_equal(flip_masses(model, [mask])[0], batch[mask])
         assert np.array_equal(flip_masses(model, masks[::-1]), batch[::-1])
+
+
+class TestWideMasks:
+    """Masks of a 70-vertex model, beyond the 64 bits of a machine integer."""
+
+    def test_level_rates_match_the_well_mixed_law(self):
+        mask = (1 << 69) | (1 << 64) | (1 << 63) | 0b1011
+        for r in (1.0, 1.5, 0.4):
+            model = build_model(complete_graph_weights(70), mu="uniform", r=r)
+            x = Configuration(mask, 70)
+            assert abs(p_plus(x, model) - classic_p_plus(6, 70, r)) <= 1e-12
+            assert abs(p_minus(x, model) - classic_p_minus(6, 70, r)) <= 1e-12
+
+    def test_single_mutant_witness_at_the_top_vertex(self):
+        # on the complete graph (mu W)_v = 1/n, so for x = e_v the deviation is
+        # |1/n - mu_v| / (r mu_v (1 - 1/n)), largest at the smallest mu_v: vertex 70
+        n, r = 70, 1.5
+        mu = np.linspace(2.0, 1.0, n)
+        mu /= mu.sum()
+        model = build_model(complete_graph_weights(n), mu=mu, r=r)
+        mask, deviation = single_mutant_ratio_witness(model)
+        assert mask == 1 << 69
+        expected = abs(1.0 / n - mu[-1]) / (r * mu[-1] * (1.0 - 1.0 / n))
+        assert abs(deviation - expected) <= 1e-12
+
+    def test_flip_masses_beyond_64_bits(self):
+        model = build_model(complete_graph_weights(70), mu="uniform", r=1.5)
+        mask = (1 << 69) | (1 << 63) | 0b101
+        flips = flip_masses(model, [mask, 1 << 69])
+        assert flips.shape == (2, 70)
+        for row, m in zip(flips, (mask, 1 << 69)):
+            masses, _ = brute_force_step(m, model.W.entries.tolist(), model.mu.mu.tolist(), 1.5)
+            for u in range(70):
+                assert abs(row[u] - masses.get(m ^ (1 << u), 0.0)) <= 1e-12
+
+    def test_mask_wider_than_the_model_is_rejected(self):
+        model = build_model(complete_graph_weights(70), mu="uniform", r=1.5)
+        for bad in (1 << 70, -1):
+            with pytest.raises(LevelOutOfRange):
+                flip_masses(model, [bad])

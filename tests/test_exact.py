@@ -10,6 +10,7 @@ from spatialmoran import (
     TooLarge,
     build_model,
     complete_graph_weights,
+    enumerate_level,
     fixation_for_initial,
     fixation_probabilities,
     galanis_model,
@@ -71,6 +72,13 @@ class TestInitialDistribution:
         alpha = InitialDistribution.level_uniform(4, 2)
         assert len(alpha.atoms) == 6
         assert all(w == pytest.approx(1 / 6) for _, w in alpha.atoms)
+
+    def test_level_uniform_atoms_are_integer_masks_in_level_order(self):
+        for n, j in ((4, 2), (9, 4), (12, 1), (70, 2)):
+            atoms = InitialDistribution.level_uniform(n, j).atoms
+            configs = enumerate_level(n, j)
+            assert atoms == tuple((c.bits, 1.0 / len(configs)) for c in configs)
+            assert all(type(mask) is int for mask, _ in atoms)
 
     def test_level_uniform_bounds_its_atoms(self):
         # C(20, 10) = 184,756 fits; C(1000, 3) = 1.7e8 is refused before enumerating

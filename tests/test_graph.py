@@ -7,6 +7,7 @@ from spatialmoran import (
     LevelOutOfRange,
     NotStochastic,
     NotStronglyConnected,
+    SelectionPolicy,
     complete_graph_weights,
     enumerate_level,
     is_isothermal,
@@ -16,6 +17,7 @@ from spatialmoran import (
     two_vertex_weights,
     validate_weight_matrix,
 )
+from spatialmoran.graph import level_masks, mask_bits
 
 
 class TestValidateWeightMatrix:
@@ -60,6 +62,21 @@ class TestValidateWeightMatrix:
         W = validate_weight_matrix([[0.0, 1.0], [1.0, 0.0]])
         with pytest.raises(ValueError):
             W.entries[0, 0] = 0.5
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_rejected(self, bad):
+        with pytest.raises(NotStochastic):
+            validate_weight_matrix([[bad, 1.0], [1.0, 0.0]])
+        with pytest.raises(NotStochastic):
+            validate_weight_matrix([[0.0, 1.0], [bad, 0.0]])
+
+
+class TestSelectionPolicy:
+    @pytest.mark.parametrize("mu", [[np.nan, 1.0], [1.0, np.nan], [np.inf, 1.0],
+                                    [np.inf, -np.inf], [np.nan, np.nan]])
+    def test_non_finite_entry_rejected(self, mu):
+        with pytest.raises(NotStochastic):
+            SelectionPolicy(np.array(mu))
 
 
 class TestStationaryDistribution:
@@ -170,3 +187,35 @@ class TestEnumerateLevel:
             assert [c.bits for c in level] == sorted(c.bits for c in level)
             seen.extend(c.bits for c in level)
         assert sorted(seen) == list(range(1 << n))
+
+    def test_level_masks_are_the_configurations_in_mask_order(self):
+        for n in range(1, 9):
+            for j in range(n + 1):
+                masks = level_masks(n, j)
+                assert masks == sorted(m for m in range(1 << n) if m.bit_count() == j)
+                assert masks == [c.bits for c in enumerate_level(n, j)]
+        assert level_masks(70, 1) == [1 << v for v in range(70)]
+        with pytest.raises(LevelOutOfRange):
+            level_masks(3, 4)
+
+
+class TestMaskBits:
+    def test_rows_are_the_bits_of_each_mask(self):
+        for n in (1, 5, 8, 9, 16):
+            masks = np.arange(1 << min(n, 10))
+            bits = mask_bits(masks, n)
+            assert bits.shape == (len(masks), n) and bits.dtype == bool
+            expected = [[(m >> v) & 1 == 1 for v in range(n)] for m in masks.tolist()]
+            assert bits.tolist() == expected
+
+    def test_any_width(self):
+        masks = [(1 << 69) | 1, (1 << 64) | (1 << 63), (1 << 70) - 1]
+        bits = mask_bits(masks, 70)
+        assert np.flatnonzero(bits[0]).tolist() == [0, 69]
+        assert np.flatnonzero(bits[1]).tolist() == [63, 64]
+        assert bits[2].all()
+
+    @pytest.mark.parametrize("mask, n", [(-1, 3), (8, 3), (1 << 70, 70), (1 << 72, 70)])
+    def test_mask_outside_the_width_rejected(self, mask, n):
+        with pytest.raises(LevelOutOfRange):
+            mask_bits([0, mask], n)
