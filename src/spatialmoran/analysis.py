@@ -62,8 +62,11 @@ def martingale_report(model: MicSMPModel) -> MartingaleReport:
     Raises :class:`TooLarge` above ``n = 20``, as do :func:`ratio_constancy`
     and :func:`macro_markov_check`.
     """
-    masks, _, pp, pm = _transient_rates(model)
-    r = model.r
+    return _martingale_report(_transient_rates(model), model.r)
+
+
+def _martingale_report(rates, r: float) -> MartingaleReport:
+    masks, _, pp, pm = rates
     drift = pp - pm
     exp_drift = r * pm + (1.0 - pp - pm) + pp / r - 1.0
     return MartingaleReport(
@@ -81,8 +84,12 @@ def ratio_constancy(model: MicSMPModel) -> float:
     the weight matrix.  Configurations with ``p_plus == 0`` (possible only
     for policies with zero entries) contribute ``inf``.
     """
-    _, _, pp, pm = _transient_rates(model)
-    return float(_ratio_deviation(pp, pm, model.r).max())
+    return _ratio_constancy(_transient_rates(model), model.r)
+
+
+def _ratio_constancy(rates, r: float) -> float:
+    _, _, pp, pm = rates
+    return float(_ratio_deviation(pp, pm, r).max())
 
 
 def single_mutant_ratio_witness(model: MicSMPModel) -> tuple[int, float]:
@@ -114,7 +121,11 @@ class MacroMarkovResult:
 
 def macro_markov_check(model: MicSMPModel, tol: float = STRUCTURAL_TOL) -> MacroMarkovResult:
     """Check per-level constancy of the increase/decrease probabilities."""
-    masks, levels, pp, pm = _transient_rates(model)
+    return _macro_markov_check(_transient_rates(model), tol)
+
+
+def _macro_markov_check(rates, tol: float = STRUCTURAL_TOL) -> MacroMarkovResult:
+    masks, levels, pp, pm = rates
     # the lowest mask of level j, 2^j - 1, sits at index 2^j - 2
     ref = (1 << levels) - 2
     differs = (np.abs(pp - pp[ref]) > tol) | (np.abs(pm - pm[ref]) > tol)

@@ -195,7 +195,8 @@ def _level_rates(model: MicSMPModel, masks):
 
 def _flip_totals(flips: np.ndarray) -> np.ndarray:
     """Row sums of :func:`flip_masses`, in vertex order: the mass of leaving each configuration."""
-    return np.cumsum(flips, axis=1)[:, -1]
+    # a copy, so the result does not pin the whole cumulative-sum matrix
+    return np.cumsum(flips, axis=1)[:, -1].copy()
 
 
 def _require_exact_size(n: int) -> None:

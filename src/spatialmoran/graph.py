@@ -127,9 +127,26 @@ def mask_vector(mask: int, n: int) -> np.ndarray:
 def mask_bits(masks, n: int) -> np.ndarray:
     """Expand bitmasks of any width in ``[0, 2^n)`` (else :class:`LevelOutOfRange`) into a
     boolean matrix: ``[k, v]`` is True where vertex ``v + 1`` is a mutant in ``masks[k]``."""
-    masks = masks.tolist() if isinstance(masks, np.ndarray) else [int(mask) for mask in masks]
-    if masks and (min(masks) < 0 or max(masks) >> n):
+    if isinstance(masks, np.ndarray) and masks.dtype.kind == "i":
+        words = np.ascontiguousarray(masks, dtype="<i8").reshape(-1)
+        low, high = (int(words.min()), int(words.max())) if words.size else (0, 0)
+    else:
+        masks = masks.tolist() if isinstance(masks, np.ndarray) else [int(mask) for mask in masks]
+        low, high = (min(masks), max(masks)) if masks else (0, 0)
+        words = None
+    if low < 0 or high >> n:
         raise LevelOutOfRange(f"a mask does not fit into {n} bits")
+    if high >> 63:
+        return _mask_bits_from_bytes(masks, n)
+    if words is None:
+        words = np.array(masks, dtype="<i8")
+    # every mask fits into 63 bits: read the bits straight from little-endian int64 words
+    return np.unpackbits(words.view(np.uint8).reshape(-1, 8), axis=1, count=n,
+                         bitorder="little").view(bool)
+
+
+def _mask_bits_from_bytes(masks: list, n: int) -> np.ndarray:
+    """:func:`mask_bits` of in-range Python ints of any width, one ``int.to_bytes`` each."""
     width = (n + 7) // 8
     raw = np.frombuffer(b"".join([mask.to_bytes(width, "little") for mask in masks]), np.uint8)
     return np.unpackbits(raw.reshape(-1, width), axis=1, count=n, bitorder="little").view(bool)

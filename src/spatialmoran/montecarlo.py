@@ -10,15 +10,20 @@ one-step law including idles and exists to validate that shortcut.
 
 Two walkers sample the same law.  Up to ``n = 12`` (:data:`TABLE_MAX_VERTICES`)
 every transient configuration gets a cumulative sampling table, built up
-front in one :func:`~spatialmoran.dynamics.flip_masses` batch, and a step is
-one bisection; at that size the ``2^n`` tables are small and the fastest
-walk.  Above it the tables would not fit, and the walker follows Gillespie's
-direct method instead: per trajectory it keeps the type vector and the
-unnormalised masses of mutant and of wildtype parents placed onto each
-vertex.  Flipping vertex ``u`` changes only ``u``'s selection weight, so a
-step is O(n) work and nothing is kept per configuration.  The masses are
-recomputed from scratch every :data:`REFRESH_EVENTS` flips, which bounds
-their rounding drift.  There is no vertex limit.
+front in one :func:`~spatialmoran.dynamics.flip_masses` batch, and the
+trials are walked in lockstep, :data:`BLOCK_TRIALS` (``2^14``) at a time: a
+step bisects every walking trial's table row at once, and every fourth step
+one vectorised Philox evaluation draws the next four uniforms of every
+walking trial.  Philox is counter-based, so these are exactly the uniforms
+of the per-trial streams, and the counts for a given seed are bit-identical
+to walking the trials one at a time.  Above ``n = 12`` the tables would not
+fit, and the walker follows Gillespie's direct method instead, one trial at
+a time: per trajectory it keeps the type vector and the unnormalised masses
+of mutant and of wildtype parents placed onto each vertex.  Flipping vertex
+``u`` changes only ``u``'s selection weight, so a step is O(n) work and
+nothing is kept per configuration.  The masses are recomputed from scratch
+every :data:`REFRESH_EVENTS` flips, which bounds their rounding drift.
+There is no vertex limit.
 
 A configuration that can never change (every flip mass zero, possible only
 when the policy has zeros) censors the trajectory that reaches it, in both
@@ -32,7 +37,6 @@ import math
 from bisect import bisect_left
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import accumulate
 
 import numpy as np
 
@@ -44,6 +48,8 @@ from .graph import Configuration, mask_vector
 _CHUNK = 32
 #: Largest vertex count sampled from prebuilt per-configuration tables.
 TABLE_MAX_VERTICES = 12
+#: Trials the table walker advances in lockstep.
+BLOCK_TRIALS = 1 << 14
 #: Flips between from-scratch recomputes of the incremental walker's masses.
 REFRESH_EVENTS = 1000
 
@@ -118,46 +124,156 @@ class _TrialStream:
         return buf.pop()
 
 
+_U64 = np.uint64
+_LOW32 = _U64(0xFFFFFFFF)
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+
+
+def _mulhilo(m: int, x: np.ndarray):
+    """High and low words of the 128-bit products ``m * x``, from 32-bit halves."""
+    m_lo, m_hi = _U64(m & 0xFFFFFFFF), _U64(m >> 32)
+    lo = x & _LOW32
+    hi = x >> _U64(32)
+    carry = m_lo * hi
+    carry += (m_lo * lo) >> _U64(32)
+    lo *= m_hi
+    lo += carry & _LOW32
+    hi *= m_hi
+    carry >>= _U64(32)
+    hi += carry
+    lo >>= _U64(32)
+    hi += lo
+    return hi, _U64(m) * x
+
+
+def _philox_uniforms(seed: int, trials: np.ndarray, block: int) -> np.ndarray:
+    """Uniforms ``4 block .. 4 block + 3`` of each trial's :class:`_TrialStream`, all at once.
+
+    Row ``k`` of the ``(4, len(trials))`` result holds uniform ``4 block + k``:
+    word ``k`` of Philox4x64-10 (Salmon et al., SC'11) at the counter
+    ``(block + 1, 0, 0, trial)`` under the key ``(seed, 0)``, turned into a
+    double as NumPy's ``random()`` turns a word.  ``trials`` is ``uint64``.
+    """
+    c0 = np.full(trials.shape, block + 1, dtype=_U64)
+    c1 = c2 = np.zeros(trials.shape, dtype=_U64)
+    c3 = trials
+    for i in range(10):
+        hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
+        hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
+        hi1 ^= c1
+        hi1 ^= _U64((seed + i * _PHILOX_W[0]) % 2**64)
+        hi0 ^= c3
+        hi0 ^= _U64(i * _PHILOX_W[1] % 2**64)
+        c0, c1, c2, c3 = hi1, lo1, hi0, lo0
+    words = np.stack((c0, c1, c2, c3))
+    words >>= _U64(11)
+    uniforms = words.astype(np.float64)
+    uniforms *= 2.0**-53
+    return uniforms
+
+
 class _Tables:
-    """Cumulative sampling tables for every transient configuration (small ``n``)."""
+    """Cumulative sampling tables of every configuration, walked in lockstep (small ``n``).
+
+    Row ``mask`` of ``cum`` holds the cumulative flip masses of the vertices
+    that can flip, in vertex order (normalised in event mode; closed by the
+    idle mass in faithful mode), padded with 2.0 to a power-of-two width;
+    ``targets`` holds the configuration each entry moves to.  Both are kept
+    flat.  ``live`` is False for the absorbing masks and for masks that never
+    change.
+    """
 
     def __init__(self, model: MicSMPModel, mode: str):
         n = model.n
         self._full = full = (1 << n) - 1
-        # indexed by mask; None for the absorbing masks and for masks that never change
-        self._tables: list = [None] * (full + 1)
-        flips = flip_masses(model, np.arange(1, full)).tolist()
-        for mask, row in enumerate(flips, start=1):
-            targets = [mask ^ (1 << u) for u, p in enumerate(row) if p > 0.0]
-            if not targets:
-                continue
-            cum = list(accumulate(p for p in row if p > 0.0))
-            if mode == "event":
-                total = cum[-1]
-                cum = [c / total for c in cum]
-                cum[-1] = 1.0  # guard the top edge against rounding
-            else:
-                targets.append(mask)  # the idle mass closes the table
-                cum.append(1.0)
-            self._tables[mask] = (cum, targets)
+        # rows of 2^shift >= n + 2 entries, for the branchless bisection of walk()
+        self._shift = shift = (n + 1).bit_length()
+        masks = np.arange(1, full)
+        flips = flip_masses(model, masks)
+        positive = flips > 0.0
+        count = positive.sum(axis=1)
+        # the vertices that can flip first, in vertex order
+        order = np.argsort(~positive, axis=1, kind="stable")
+        cum = np.ones((len(masks), 1 << shift))
+        np.cumsum(np.take_along_axis(np.where(positive, flips, 0.0), order, axis=1),
+                  axis=1, out=cum[:, :n])
+        targets = np.repeat(masks[:, None], 1 << shift, axis=1)
+        targets[:, :n] ^= 1 << order
+        rows = np.arange(len(masks))
+        if mode == "event":
+            cum /= cum[rows, count - 1][:, None]
+            last = count - 1
+        else:
+            last = count
+            targets[rows, last] = masks  # the idle mass closes the table
+        cum[rows, last] = 1.0  # in event mode, guards the top edge against rounding
+        # pads every row (all of a row that never changes) above any uniform
+        cum[np.arange(1 << shift) > last[:, None]] = 2.0
+        self._cum = np.full((full + 1) << shift, 2.0)
+        self._cum[1 << shift:full << shift] = cum.ravel()
+        self._targets = np.zeros((full + 1) << shift, dtype=np.int64)
+        self._targets[1 << shift:full << shift] = targets.ravel()
+        self._live = np.zeros(full + 1, dtype=bool)
+        self._live[1:full] = count > 0
 
-    def walk(self, mask: int, stream: _TrialStream, max_steps: int):
-        full = self._full
-        tables = self._tables
-        next_uniform = stream.next_uniform
-        steps = 0
-        while steps < max_steps:
-            table = tables[mask]
-            if table is None:
-                break  # the configuration never changes
-            cum, targets = table
-            mask = targets[bisect_left(cum, next_uniform())]
-            steps += 1
-            if mask == 0:
-                return Outcome.EXTINCTION, steps
-            if mask == full:
-                return Outcome.FIXATION, steps
-        return Outcome.CENSORED, steps
+    def walk(self, masks: np.ndarray, trials: np.ndarray, seed: int,
+             uniforms: np.ndarray, max_steps: int):
+        """Walk ``trials`` from ``masks`` in lockstep; ``(final masks, steps)``.
+
+        ``uniforms[:, k]`` holds the drawn but unused uniforms of Philox block
+        0 of trial ``trials[k]``; a step takes each walking trial's next one.
+        A final mask that is neither 0 nor full marks a censored trial.
+        """
+        cum, targets, live, shift = self._cum, self._targets, self._live, self._shift
+        halves = [1 << k for k in range(shift - 1, -1, -1)]
+        final = masks.copy()
+        steps = np.zeros(len(masks), dtype=np.int64)
+        walking = np.flatnonzero(live[masks])
+        state, trials, uniforms = masks[walking], trials[walking], uniforms[:, walking]
+        lane, block, step = 0, 1, 0
+        while walking.size and step < max_steps:
+            if lane == len(uniforms):
+                uniforms, lane, block = _philox_uniforms(seed, trials, block), 0, block + 1
+            u = uniforms[lane]
+            # branchless bisection: ``at`` ends on the first entry of the row
+            # not below u, as bisect_left finds it
+            at = state << shift
+            for half in halves:
+                at += (cum.take(at + (half - 1)) < u) * half
+            state = targets.take(at)
+            lane += 1
+            step += 1
+            stop = ~live.take(state)
+            if stop.any():
+                done = walking[stop]
+                final[done] = state[stop]
+                steps[done] = step
+                go = ~stop
+                walking, state, trials, uniforms = (walking[go], state[go], trials[go],
+                                                    uniforms[:, go])
+        final[walking] = state
+        steps[walking] = step
+        return final, steps
+
+    def run(self, alpha_cum, alpha_masks, seed: int, lo: int, hi: int, max_steps: int):
+        """``(fixations, extinctions, censored)`` of trials ``lo..hi-1``, a block at a time."""
+        alpha_cum = np.asarray(alpha_cum)
+        alpha_masks = np.asarray(alpha_masks, dtype=np.int64)
+        fix = ext = 0
+        for first in range(lo, hi, BLOCK_TRIALS):
+            trials = np.arange(first, min(first + BLOCK_TRIALS, hi), dtype=_U64)
+            uniforms = _philox_uniforms(seed, trials, 0)
+            starts = alpha_masks[np.searchsorted(alpha_cum, uniforms[0], "left")]
+            final, _ = self.walk(starts, trials, seed, uniforms[1:], max_steps)
+            fix += int(np.count_nonzero(final == self._full))
+            ext += int(np.count_nonzero(final == 0))
+        return fix, ext, hi - lo - fix - ext
+
+    def outcome(self, mask: int) -> Outcome:
+        if mask == 0:
+            return Outcome.EXTINCTION
+        return Outcome.FIXATION if mask == self._full else Outcome.CENSORED
 
 
 class _Trajectory:
@@ -281,6 +397,11 @@ def simulate_trajectory(model: MicSMPModel, x0: Configuration,
     if x0.is_absorbing:
         raise AbsorbingStart(f"mask {x0.bits:#b} is absorbing")
     sampler = _sampler(model, cfg.mode)
+    if isinstance(sampler, _Tables):
+        trial = np.zeros(1, dtype=_U64)
+        final, steps = sampler.walk(np.array([x0.bits]), trial, cfg.seed,
+                                    _philox_uniforms(cfg.seed, trial, 0), cfg.max_steps)
+        return sampler.outcome(int(final[0])), int(steps[0])
     stream = _TrialStream(cfg.seed)
     stream.position(0)
     return sampler.walk(x0.bits, stream, cfg.max_steps)
@@ -288,6 +409,9 @@ def simulate_trajectory(model: MicSMPModel, x0: Configuration,
 
 def _run_range(sampler, alpha_cum, alpha_masks, seed: int,
                lo: int, hi: int, max_steps: int):
+    """``(fixations, extinctions, censored)`` of trials ``lo..hi-1``."""
+    if isinstance(sampler, _Tables):
+        return sampler.run(alpha_cum, alpha_masks, seed, lo, hi, max_steps)
     stream = _TrialStream(seed)
     fix = ext = cens = 0
     for trial in range(lo, hi):

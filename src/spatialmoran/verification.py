@@ -13,6 +13,10 @@ import numpy as np
 from .analysis import (
     GalanisParams,
     N2Params,
+    _macro_markov_check,
+    _martingale_report,
+    _ratio_constancy,
+    _transient_rates,
     classic_moran_check,
     galanis_case3_initial_weight,
     galanis_model,
@@ -195,8 +199,9 @@ def builtin_suite(seed: int = DEFAULT_SEED, graphs: int = 10) -> dict:
 
 def describe_model(model: MicSMPModel) -> dict:
     """Descriptive diagnostics for a user-supplied model (no pass/fail)."""
-    report = martingale_report(model)
-    macro = macro_markov_check(model)
+    rates = _transient_rates(model)  # one batch for the three diagnostics over all masks
+    report = _martingale_report(rates, model.r)
+    macro = _macro_markov_check(rates)
     mask, dev = single_mutant_ratio_witness(model)
     out = {
         "n": model.n,
@@ -204,7 +209,7 @@ def describe_model(model: MicSMPModel) -> dict:
         "policy_stationarity_gap": model.stationarity_gap(),
         "policy_is_stationary": model.is_stationary(1e-9),
         "isothermal": is_isothermal(model.W),
-        "ratio_constancy": ratio_constancy(model),
+        "ratio_constancy": _ratio_constancy(rates, model.r),
         "single_mutant_ratio_witness": {"mask": mask, "deviation": dev},
         "max_abs_drift": report.max_abs_drift,
         "max_abs_exp_drift": report.max_abs_exp_drift,

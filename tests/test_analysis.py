@@ -34,6 +34,7 @@ from spatialmoran import (
     two_vertex_weights,
 )
 from spatialmoran.analysis import STRUCTURAL_TOL
+from spatialmoran.verification import describe_model
 
 
 class TestMartingaleReport:
@@ -461,6 +462,17 @@ class TestBatchedDiagnostics:
             assert result.lumpable == (expected is None)
             lumpable += result.lumpable
         assert lumpable >= 1
+
+    def test_describe_model_reports_the_public_diagnostics(self, cases):
+        # describe_model shares one batch between the three diagnostics
+        for model, _ in cases:
+            out = describe_model(model)
+            report = martingale_report(model)
+            macro = macro_markov_check(model)
+            assert out["max_abs_drift"] == report.max_abs_drift
+            assert out["max_abs_exp_drift"] == report.max_abs_exp_drift
+            assert out["ratio_constancy"] == ratio_constancy(model)
+            assert out["macro_markov"] == {"lumpable": macro.lumpable, "witness": macro.witness}
 
     @pytest.mark.parametrize("n", range(2, 10))
     def test_classic_moran_check(self, n):

@@ -4,6 +4,7 @@ import scipy.linalg
 
 from spatialmoran import (
     AtomOnAbsorbing,
+    Configuration,
     DegenerateCase,
     InitialDistribution,
     NotStochastic,
@@ -67,6 +68,32 @@ class TestInitialDistribution:
             InitialDistribution(n=3, atoms=((1, 0.4), (2, 0.4)))
         with pytest.raises(NotStochastic):
             InitialDistribution(n=3, atoms=((1, -0.2), (2, 1.2)))
+
+    @pytest.mark.parametrize("n, atoms, error, message", [
+        (3, ((1, 0.5), (9, -1.0), (7, 0.5)), NotStochastic, "mask 0b1001 does not fit into 3 bits"),
+        (3, ((2, 0.5), (1, -1.0), (9, 0.5)), NotStochastic, "negative weight -1.0 on mask 0b1"),
+        (3, ((2, 0.5), (7, 0.0), (0, 0.5), (-1, 0.5)), AtomOnAbsorbing,
+         "initial atom on absorbing mask 0b0"),
+        (3, ((1, 0.4), (7, 0.0), (2, 0.4)), NotStochastic, "initial weights sum to 0.8, expected 1"),
+        (3, (), NotStochastic, "initial weights sum to 0.0, expected 1"),
+        (70, ((1 << 69, 0.5), ((1 << 70) - 1, 0.5)), AtomOnAbsorbing,
+         "initial atom on absorbing mask 0b" + "1" * 70),
+        (70, ((1 << 69, 0.5), (1 << 70, 0.5)), NotStochastic,
+         "mask 0b1" + "0" * 70 + " does not fit into 70 bits"),
+    ])
+    def test_first_bad_atom_is_reported(self, n, atoms, error, message):
+        with pytest.raises(error) as info:
+            InitialDistribution(n=n, atoms=atoms)
+        assert str(info.value) == message
+
+    def test_atoms_keep_their_order_as_ints_and_floats(self):
+        atoms = ((Configuration(4, 3), np.float64(0.25)), (np.int64(1), 0.0), (2, 0.5),
+                 (1, 0.25))
+        alpha = InitialDistribution(n=3, atoms=atoms)
+        assert alpha.atoms == ((4, 0.25), (2, 0.5), (1, 0.25))
+        assert all(type(mask) is int and type(w) is float for mask, w in alpha.atoms)
+        wide = InitialDistribution(n=70, atoms=[(1 << 69, 0.5), (1, 0.5)])
+        assert wide.atoms == ((1 << 69, 0.5), (1, 0.5))
 
     def test_level_uniform(self):
         alpha = InitialDistribution.level_uniform(4, 2)

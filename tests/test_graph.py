@@ -17,7 +17,7 @@ from spatialmoran import (
     two_vertex_weights,
     validate_weight_matrix,
 )
-from spatialmoran.graph import level_masks, mask_bits
+from spatialmoran.graph import _mask_bits_from_bytes, level_masks, mask_bits
 
 
 class TestValidateWeightMatrix:
@@ -214,6 +214,17 @@ class TestMaskBits:
         assert np.flatnonzero(bits[0]).tolist() == [0, 69]
         assert np.flatnonzero(bits[1]).tolist() == [63, 64]
         assert bits[2].all()
+
+    @pytest.mark.parametrize("n", [1, 8, 16, 63, 70])
+    def test_word_view_matches_the_byte_expansion(self, n):
+        # masks of up to 63 bits are read as int64 words, wider ones through int.to_bytes
+        rng = np.random.default_rng(n)
+        top = min(n, 63)
+        masks = [0, (1 << top) - 1] + [int(word) >> (64 - top) for word in
+                                       rng.integers(0, 2**64, 300, dtype=np.uint64)]
+        expected = _mask_bits_from_bytes(masks, n).tolist()
+        assert mask_bits(masks, n).tolist() == expected
+        assert mask_bits(np.array(masks, dtype=np.int64), n).tolist() == expected
 
     @pytest.mark.parametrize("mask, n", [(-1, 3), (8, 3), (1 << 70, 70), (1 << 72, 70)])
     def test_mask_outside_the_width_rejected(self, mask, n):

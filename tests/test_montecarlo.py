@@ -1,5 +1,7 @@
 import math
 import tracemalloc
+from bisect import bisect_left
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from spatialmoran import (
     build_model,
     complete_graph_weights,
     estimate_fixation,
+    flip_masses,
     fixation_for_initial,
     galanis_model,
     moran_rho,
@@ -22,9 +25,12 @@ from spatialmoran import (
     two_vertex_weights,
     validate_weight_matrix,
 )
+from spatialmoran import montecarlo
 from spatialmoran.montecarlo import (
+    BLOCK_TRIALS,
     REFRESH_EVENTS,
     TABLE_MAX_VERTICES,
+    _philox_uniforms,
     _sampler,
     _TrialStream,
     _Walker,
@@ -311,3 +317,137 @@ class TestIncrementalWalker:
         finally:
             tracemalloc.stop()
         assert grown < 64 * 1024
+
+
+def _reference_tables(model, mode):
+    """``{mask: (cumulative masses, targets)}`` as lists, built one configuration at a time."""
+    full = (1 << model.n) - 1
+    tables = {}
+    for mask, row in enumerate(flip_masses(model, np.arange(1, full)).tolist(), start=1):
+        targets = [mask ^ (1 << u) for u, p in enumerate(row) if p > 0.0]
+        if not targets:
+            continue
+        cum = list(accumulate(p for p in row if p > 0.0))
+        if mode == "event":
+            cum = [c / cum[-1] for c in cum]
+            cum[-1] = 1.0
+        else:
+            targets.append(mask)
+            cum.append(1.0)
+        tables[mask] = (cum, targets)
+    return tables
+
+
+def _reference_walk(tables, full, mask, stream, max_steps):
+    """One trajectory by bisection of the list tables, one uniform of ``stream`` per step."""
+    steps = 0
+    while steps < max_steps and mask in tables:
+        cum, targets = tables[mask]
+        mask = targets[bisect_left(cum, stream.next_uniform())]
+        steps += 1
+        if mask == 0:
+            return Outcome.EXTINCTION, steps
+        if mask == full:
+            return Outcome.FIXATION, steps
+    return Outcome.CENSORED, steps
+
+
+def _reference_counts(model, alpha, trials, cfg):
+    """``(fixations, extinctions, censored)``, one trial after another on its own stream."""
+    tables = _reference_tables(model, cfg.mode)
+    full = (1 << model.n) - 1
+    masks = [mask for mask, _ in alpha.atoms]
+    cum = list(accumulate(w for _, w in alpha.atoms))
+    cum[-1] = 1.0
+    stream = _TrialStream(cfg.seed)
+    counts = dict.fromkeys(Outcome, 0)
+    for trial in range(trials):
+        stream.position(trial)
+        start = masks[bisect_left(cum, stream.next_uniform())]
+        counts[_reference_walk(tables, full, start, stream, cfg.max_steps)[0]] += 1
+    return counts[Outcome.FIXATION], counts[Outcome.EXTINCTION], counts[Outcome.CENSORED]
+
+
+def _several_atoms(n, seed):
+    """Up to five transient masks with uneven weights."""
+    rng = np.random.default_rng(seed)
+    masks = sorted({int(m) for m in rng.integers(1, (1 << n) - 1, 5)})
+    weights = rng.uniform(0.1, 1.0, len(masks))
+    return InitialDistribution(n=n, atoms=tuple(zip(masks, (weights / weights.sum()).tolist())))
+
+
+def _counts(result):
+    return result.fixations, result.extinctions, result.censored
+
+
+class TestPhiloxKernel:
+    def test_matches_the_trial_streams(self):
+        trials = [0, 7, 2**32 + 1, 2**40]
+        for seed in (0, 1, 2**63 + 5, 2**64 - 1):
+            stream = _TrialStream(seed)
+            expected = []
+            for trial in trials:
+                stream.position(trial)
+                expected.append([stream.next_uniform() for _ in range(40)])
+            blocks = [_philox_uniforms(seed, np.array(trials, dtype=np.uint64), block)
+                      for block in range(10)]
+            assert np.concatenate(blocks).T.tolist() == expected
+
+
+class TestLockstepWalk:
+    """The table walker against a per-trial walk over the same Philox streams."""
+
+    @pytest.mark.parametrize("n", range(2, TABLE_MAX_VERTICES + 1))
+    @pytest.mark.parametrize("mode", ["event", "faithful"])
+    def test_counts_match_per_trial_walk(self, n, mode, monkeypatch):
+        # blocks of 64 trials: 300 trials end on a part block
+        monkeypatch.setattr(montecarlo, "BLOCK_TRIALS", 64)
+        model = _random_policy_model(n, 100 + n, 1.4)
+        alpha = _several_atoms(n, n)
+        for max_steps in (3, 10**7):
+            cfg = TrajectoryConfig(seed=n, mode=mode, max_steps=max_steps)
+            result = estimate_fixation(model, alpha, 300, cfg)
+            assert _counts(result) == _reference_counts(model, alpha, 300, cfg)
+        assert result.censored == 0
+
+    def test_block_and_a_part(self):
+        model = galanis_model(1.0)
+        alpha = InitialDistribution(n=3, atoms=((0b001, 0.5), (0b110, 0.3), (0b010, 0.2)))
+        trials = BLOCK_TRIALS + 37
+        for mode in ("event", "faithful"):
+            cfg = TrajectoryConfig(seed=2**64 - 1, mode=mode)
+            assert _counts(estimate_fixation(model, alpha, trials, cfg)) == \
+                _reference_counts(model, alpha, trials, cfg)
+
+    def test_configurations_that_never_change(self):
+        # from 0b001 the stuck cycle moves to 0b011 and stays; 0b100 never moves;
+        # 0b010 dies out
+        model = _stuck_cycle(3)
+        alpha = InitialDistribution(n=3, atoms=((0b001, 0.4), (0b010, 0.3), (0b100, 0.3)))
+        for mode in ("event", "faithful"):
+            cfg = TrajectoryConfig(seed=6, mode=mode)
+            result = estimate_fixation(model, alpha, 1000, cfg)
+            assert _counts(result) == _reference_counts(model, alpha, 1000, cfg)
+            assert result.extinctions > 0 and result.censored > 0
+
+    def test_worker_invariant(self):
+        model = _random_policy_model(9, 9, 0.8)
+        alpha = _several_atoms(9, 9)
+        cfg = TrajectoryConfig(seed=11, mode="faithful")
+        result = estimate_fixation(model, alpha, 3001, cfg)
+        assert estimate_fixation(model, alpha, 3001, cfg, workers=2) == result
+        assert _counts(result) == _reference_counts(model, alpha, 3001, cfg)
+
+    @pytest.mark.parametrize("mode", ["event", "faithful"])
+    def test_trajectory_matches_per_trial_walk(self, mode):
+        for n in (2, 3, 7, 12):
+            model = _random_policy_model(n, n, 1.6)
+            tables = _reference_tables(model, mode)
+            for seed in range(10):
+                start = Configuration(1 + seed % ((1 << n) - 2), n)
+                for max_steps in (1, 5, 10**7):
+                    stream = _TrialStream(seed)
+                    stream.position(0)
+                    expected = _reference_walk(tables, (1 << n) - 1, start.bits, stream, max_steps)
+                    cfg = TrajectoryConfig(seed=seed, mode=mode, max_steps=max_steps)
+                    assert simulate_trajectory(model, start, cfg) == expected
