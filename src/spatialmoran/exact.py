@@ -19,9 +19,8 @@ The reference values are the classic well-mixed fixation probabilities
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
-from functools import partial, reduce
+from functools import partial
 
 import numpy as np
 from scipy.sparse import csr_matrix, identity
@@ -70,27 +69,9 @@ class InitialDistribution:
 
     def __post_init__(self):
         full = (1 << self.n) - 1
-        atoms = tuple(self.atoms)
-        masks = [mask for mask, _ in atoms]
-        weights = [weight for _, weight in atoms]
-        # checked in bulk when every atom is a Python int strictly inside (0, full)
-        # with a positive float weight, else atom by atom
-        if (set(map(type, masks)) <= {int} and set(map(type, weights)) <= {float}
-                and (not atoms or 0 < min(masks) and max(masks) < full)
-                and all(map((0.0).__lt__, weights))):
-            total = reduce(operator.add, weights, 0.0)
-        else:
-            atoms, total = self._clean(atoms, full)
-        if abs(total - 1.0) > STOCHASTIC_TOL:
-            raise NotStochastic(f"initial weights sum to {total!r}, expected 1")
-        object.__setattr__(self, "atoms", atoms)
-
-    def _clean(self, atoms: tuple, full: int) -> tuple[tuple, float]:
-        """The atoms as Python ints and floats without zero weights, and their running
-        total; raises on the first atom that fails a check."""
         cleaned = []
         total = 0.0
-        for mask, weight in atoms:
+        for mask, weight in self.atoms:
             mask = mask.bits if isinstance(mask, Configuration) else int(mask)
             weight = float(weight)
             if not 0 <= mask <= full:
@@ -103,7 +84,9 @@ class InitialDistribution:
                 raise AtomOnAbsorbing(f"initial atom on absorbing mask {mask:#b}")
             cleaned.append((mask, weight))
             total += weight
-        return tuple(cleaned), total
+        if abs(total - 1.0) > STOCHASTIC_TOL:
+            raise NotStochastic(f"initial weights sum to {total!r}, expected 1")
+        object.__setattr__(self, "atoms", tuple(cleaned))
 
     @classmethod
     def point_mass(cls, mask: int, n: int) -> "InitialDistribution":

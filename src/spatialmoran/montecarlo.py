@@ -16,7 +16,11 @@ step bisects every walking trial's table row at once, and every fourth step
 one vectorised Philox evaluation draws the next four uniforms of every
 walking trial.  Philox is counter-based, so these are exactly the uniforms
 of the per-trial streams, and the counts for a given seed are bit-identical
-to walking the trials one at a time.  Above ``n = 12`` the tables would not
+to walking the trials one at a time.  A lockstep step costs 0.1-0.2 ms of
+NumPy calls however few trials walk, so a single trajectory, a run of fewer
+than :data:`LOCKSTEP_MIN_TRIALS` trials and the last trials still walking in
+a block go on one at a time, by scalar bisection of the same tables and
+positioned per-trial streams.  Above ``n = 12`` the tables would not
 fit, and the walker follows Gillespie's direct method instead, one trial at
 a time: per trajectory it keeps the type vector and the unnormalised masses
 of mutant and of wildtype parents placed onto each vertex.  Flipping vertex
@@ -37,6 +41,7 @@ import math
 from bisect import bisect_left
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -50,6 +55,8 @@ _CHUNK = 32
 TABLE_MAX_VERTICES = 12
 #: Trials the table walker advances in lockstep.
 BLOCK_TRIALS = 1 << 14
+#: Fewest trials the table walker walks in lockstep; fewer go on one at a time.
+LOCKSTEP_MIN_TRIALS = 256
 #: Flips between from-scratch recomputes of the incremental walker's masses.
 REFRESH_EVENTS = 1000
 
@@ -108,9 +115,12 @@ class _TrialStream:
         self._template["state"]["counter"][:] = 0
         self._buf: list = []
 
-    def position(self, trial: int) -> None:
+    def position(self, trial: int, block: int = 0) -> None:
+        """Move to uniform ``4 block`` of stream ``trial``."""
         template = self._template
-        template["state"]["counter"][3] = trial
+        counter = template["state"]["counter"]
+        counter[0] = block
+        counter[3] = trial
         template["buffer_pos"] = 4  # discard buffered words from the old position
         self._bitgen.state = template
         self._buf = []
@@ -174,7 +184,7 @@ def _philox_uniforms(seed: int, trials: np.ndarray, block: int) -> np.ndarray:
 
 
 class _Tables:
-    """Cumulative sampling tables of every configuration, walked in lockstep (small ``n``).
+    """Cumulative sampling tables of every configuration (small ``n``).
 
     Row ``mask`` of ``cum`` holds the cumulative flip masses of the vertices
     that can flip, in vertex order (normalised in event mode; closed by the
@@ -187,7 +197,7 @@ class _Tables:
     def __init__(self, model: MicSMPModel, mode: str):
         n = model.n
         self._full = full = (1 << n) - 1
-        # rows of 2^shift >= n + 2 entries, for the branchless bisection of walk()
+        # rows of 2^shift >= n + 2 entries, for the branchless bisection of _lockstep()
         self._shift = shift = (n + 1).bit_length()
         masks = np.arange(1, full)
         flips = flip_masses(model, masks)
@@ -217,22 +227,43 @@ class _Tables:
         self._live = np.zeros(full + 1, dtype=bool)
         self._live[1:full] = count > 0
 
-    def walk(self, masks: np.ndarray, trials: np.ndarray, seed: int,
-             uniforms: np.ndarray, max_steps: int):
-        """Walk ``trials`` from ``masks`` in lockstep; ``(final masks, steps)``.
+    @cached_property
+    def _lists(self):
+        """``cum``, ``targets`` and ``live`` as lists, for walks of one trial."""
+        return self._cum.tolist(), self._targets.tolist(), self._live.tolist()
 
-        ``uniforms[:, k]`` holds the drawn but unused uniforms of Philox block
-        0 of trial ``trials[k]``; a step takes each walking trial's next one.
-        A final mask that is neither 0 nor full marks a censored trial.
+    def walk(self, mask: int, stream: _TrialStream, max_steps: int):
+        """One trajectory from ``mask``, one uniform of ``stream`` per step; ``(outcome, steps)``."""
+        mask, steps = self._continue(mask, stream, 0, max_steps)
+        return self.outcome(mask), steps
+
+    def _continue(self, mask: int, stream: _TrialStream, steps: int, max_steps: int):
+        """Walk on from ``mask`` after ``steps`` steps; ``(final mask, steps)``."""
+        cum, targets, live = self._lists
+        shift = self._shift
+        width = 1 << shift
+        next_uniform = stream.next_uniform
+        while steps < max_steps and live[mask]:
+            at = mask << shift
+            mask = targets[bisect_left(cum, next_uniform(), at, at + width)]
+            steps += 1
+        return mask, steps
+
+    def _lockstep(self, masks: np.ndarray, trials: np.ndarray, seed: int,
+                  uniforms: np.ndarray, max_steps: int) -> np.ndarray:
+        """Final masks of ``trials`` walked from ``masks``; censored ones are neither 0 nor full.
+
+        ``uniforms`` holds Philox block 0 of every trial, whose first uniform
+        picked the start.  Once fewer than :data:`LOCKSTEP_MIN_TRIALS` walk,
+        they go on one at a time.
         """
         cum, targets, live, shift = self._cum, self._targets, self._live, self._shift
         halves = [1 << k for k in range(shift - 1, -1, -1)]
         final = masks.copy()
-        steps = np.zeros(len(masks), dtype=np.int64)
         walking = np.flatnonzero(live[masks])
         state, trials, uniforms = masks[walking], trials[walking], uniforms[:, walking]
-        lane, block, step = 0, 1, 0
-        while walking.size and step < max_steps:
+        lane, block, step = 1, 1, 0
+        while walking.size >= LOCKSTEP_MIN_TRIALS and step < max_steps:
             if lane == len(uniforms):
                 uniforms, lane, block = _philox_uniforms(seed, trials, block), 0, block + 1
             u = uniforms[lane]
@@ -244,17 +275,21 @@ class _Tables:
             state = targets.take(at)
             lane += 1
             step += 1
-            stop = ~live.take(state)
-            if stop.any():
-                done = walking[stop]
-                final[done] = state[stop]
-                steps[done] = step
-                go = ~stop
+            go = live.take(state)
+            if not go.all():
+                final[walking[~go]] = state[~go]
                 walking, state, trials, uniforms = (walking[go], state[go], trials[go],
                                                     uniforms[:, go])
         final[walking] = state
-        steps[walking] = step
-        return final, steps
+        if step < max_steps:
+            # uniform 4 (block - 1) + lane of each stream is the next one
+            stream = _TrialStream(seed)
+            for k, trial in enumerate(trials.tolist()):
+                stream.position(trial, block - 1)
+                for _ in range(lane):
+                    stream.next_uniform()
+                final[walking[k]], _ = self._continue(int(state[k]), stream, step, max_steps)
+        return final
 
     def run(self, alpha_cum, alpha_masks, seed: int, lo: int, hi: int, max_steps: int):
         """``(fixations, extinctions, censored)`` of trials ``lo..hi-1``, a block at a time."""
@@ -265,7 +300,7 @@ class _Tables:
             trials = np.arange(first, min(first + BLOCK_TRIALS, hi), dtype=_U64)
             uniforms = _philox_uniforms(seed, trials, 0)
             starts = alpha_masks[np.searchsorted(alpha_cum, uniforms[0], "left")]
-            final, _ = self.walk(starts, trials, seed, uniforms[1:], max_steps)
+            final = self._lockstep(starts, trials, seed, uniforms, max_steps)
             fix += int(np.count_nonzero(final == self._full))
             ext += int(np.count_nonzero(final == 0))
         return fix, ext, hi - lo - fix - ext
@@ -397,11 +432,6 @@ def simulate_trajectory(model: MicSMPModel, x0: Configuration,
     if x0.is_absorbing:
         raise AbsorbingStart(f"mask {x0.bits:#b} is absorbing")
     sampler = _sampler(model, cfg.mode)
-    if isinstance(sampler, _Tables):
-        trial = np.zeros(1, dtype=_U64)
-        final, steps = sampler.walk(np.array([x0.bits]), trial, cfg.seed,
-                                    _philox_uniforms(cfg.seed, trial, 0), cfg.max_steps)
-        return sampler.outcome(int(final[0])), int(steps[0])
     stream = _TrialStream(cfg.seed)
     stream.position(0)
     return sampler.walk(x0.bits, stream, cfg.max_steps)
@@ -410,7 +440,7 @@ def simulate_trajectory(model: MicSMPModel, x0: Configuration,
 def _run_range(sampler, alpha_cum, alpha_masks, seed: int,
                lo: int, hi: int, max_steps: int):
     """``(fixations, extinctions, censored)`` of trials ``lo..hi-1``."""
-    if isinstance(sampler, _Tables):
+    if isinstance(sampler, _Tables) and hi - lo >= LOCKSTEP_MIN_TRIALS:
         return sampler.run(alpha_cum, alpha_masks, seed, lo, hi, max_steps)
     stream = _TrialStream(seed)
     fix = ext = cens = 0

@@ -94,6 +94,9 @@ class TestInitialDistribution:
         assert all(type(mask) is int and type(w) is float for mask, w in alpha.atoms)
         wide = InitialDistribution(n=70, atoms=[(1 << 69, 0.5), (1, 0.5)])
         assert wide.atoms == ((1 << 69, 0.5), (1, 0.5))
+        listed = InitialDistribution(n=3, atoms=[[1, 0.5], [6, 0.5]])
+        assert listed.atoms == ((1, 0.5), (6, 0.5))
+        assert hash(listed) == hash(InitialDistribution(n=3, atoms=((1, 0.5), (6, 0.5))))
 
     def test_level_uniform(self):
         alpha = InitialDistribution.level_uniform(4, 2)

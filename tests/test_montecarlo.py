@@ -28,6 +28,7 @@ from spatialmoran import (
 from spatialmoran import montecarlo
 from spatialmoran.montecarlo import (
     BLOCK_TRIALS,
+    LOCKSTEP_MIN_TRIALS,
     REFRESH_EVENTS,
     TABLE_MAX_VERTICES,
     _philox_uniforms,
@@ -393,6 +394,14 @@ class TestPhiloxKernel:
                       for block in range(10)]
             assert np.concatenate(blocks).T.tolist() == expected
 
+    def test_stream_positioned_at_a_block(self):
+        stream = _TrialStream(5)
+        stream.position(9)
+        draws = [stream.next_uniform() for _ in range(100)]
+        for block in (1, 7, 20):
+            stream.position(9, block)
+            assert [stream.next_uniform() for _ in range(20)] == draws[4 * block:4 * block + 20]
+
 
 class TestLockstepWalk:
     """The table walker against a per-trial walk over the same Philox streams."""
@@ -400,8 +409,10 @@ class TestLockstepWalk:
     @pytest.mark.parametrize("n", range(2, TABLE_MAX_VERTICES + 1))
     @pytest.mark.parametrize("mode", ["event", "faithful"])
     def test_counts_match_per_trial_walk(self, n, mode, monkeypatch):
-        # blocks of 64 trials: 300 trials end on a part block
+        # blocks of 64 trials: 300 trials end on a part block, and the last 7
+        # trials walking in a block go on one at a time
         monkeypatch.setattr(montecarlo, "BLOCK_TRIALS", 64)
+        monkeypatch.setattr(montecarlo, "LOCKSTEP_MIN_TRIALS", 8)
         model = _random_policy_model(n, 100 + n, 1.4)
         alpha = _several_atoms(n, n)
         for max_steps in (3, 10**7):
@@ -409,6 +420,15 @@ class TestLockstepWalk:
             result = estimate_fixation(model, alpha, 300, cfg)
             assert _counts(result) == _reference_counts(model, alpha, 300, cfg)
         assert result.censored == 0
+
+    @pytest.mark.parametrize("mode", ["event", "faithful"])
+    def test_few_trials_match_per_trial_walk(self, mode):
+        model = _random_policy_model(8, 8, 1.2)
+        alpha = _several_atoms(8, 3)
+        for trials in (1, LOCKSTEP_MIN_TRIALS - 1, LOCKSTEP_MIN_TRIALS):
+            cfg = TrajectoryConfig(seed=trials, mode=mode)
+            assert _counts(estimate_fixation(model, alpha, trials, cfg)) == \
+                _reference_counts(model, alpha, trials, cfg)
 
     def test_block_and_a_part(self):
         model = galanis_model(1.0)
