@@ -16,7 +16,8 @@ import numpy as np
 from .dynamics import MicSMPModel, _level_rates, _require_exact_size, build_model
 from .errors import DegenerateCase, DegenerateDenominator, OutOfRange, ZeroDenominator
 from .exact import InitialDistribution, moran_rho
-from .graph import SelectionPolicy, complete_graph_weights, validate_weight_matrix
+from .graph import (SelectionPolicy, complete_graph_weights, two_vertex_weights,
+                    validate_weight_matrix)
 
 #: Threshold for structural equality checks (exact float identities).
 STRUCTURAL_TOL = 1e-12
@@ -119,16 +120,16 @@ class MacroMarkovResult:
     witness: tuple | None
 
 
-def macro_markov_check(model: MicSMPModel, tol: float = STRUCTURAL_TOL) -> MacroMarkovResult:
-    """Check per-level constancy of the increase/decrease probabilities."""
-    return _macro_markov_check(_transient_rates(model), tol)
+def macro_markov_check(model: MicSMPModel) -> MacroMarkovResult:
+    """Check per-level constancy of ``p_plus`` and ``p_minus``, to :data:`STRUCTURAL_TOL`."""
+    return _macro_markov_check(_transient_rates(model))
 
 
-def _macro_markov_check(rates, tol: float = STRUCTURAL_TOL) -> MacroMarkovResult:
+def _macro_markov_check(rates) -> MacroMarkovResult:
     masks, levels, pp, pm = rates
     # the lowest mask of level j, 2^j - 1, sits at index 2^j - 2
     ref = (1 << levels) - 2
-    differs = (np.abs(pp - pp[ref]) > tol) | (np.abs(pm - pm[ref]) > tol)
+    differs = (np.abs(pp - pp[ref]) > STRUCTURAL_TOL) | (np.abs(pm - pm[ref]) > STRUCTURAL_TOL)
     if not differs.any():
         return MacroMarkovResult(True, None)
     level = int(levels[differs].min())
@@ -176,17 +177,20 @@ class N2Params:
             atoms.append((0b01, 1.0 - self.a))
         return InitialDistribution(n=2, atoms=tuple(atoms))
 
-    def model(self, w2: float | None = None) -> MicSMPModel:
-        """Concrete two-vertex model realising the ratio ``c = w1 / w2``."""
-        from .graph import two_vertex_weights
-
-        if w2 is None:
-            w1 = min(1.0, self.c)
-            w2 = w1 / self.c
-        else:
-            w1 = self.c * w2
-        W = two_vertex_weights(w1, w2)
+    def model(self) -> MicSMPModel:
+        """Concrete two-vertex model realising the ratio ``c = w1 / w2``, the larger weight 1."""
+        w1 = min(1.0, self.c)
+        W = two_vertex_weights(w1, w1 / self.c)
         return build_model(W, mu=np.array([self.m, 1.0 - self.m]), r=self.r)
+
+
+def _n2_surface(a, m, c, r):
+    """Two-vertex fixation ``r a (1-m) / d1 + r m (1-a) / d2``, elementwise, with its
+    denominators ``d1 = m c + r (1-m)`` and ``d2 = (1-m)/c + r m``."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        d1 = m * c + r * (1.0 - m)
+        d2 = (1.0 - m) / c + r * m
+        return r * a * (1.0 - m) / d1 + r * m * (1.0 - a) / d2, d1, d2
 
 
 def n2_fixation_closed_form(p: N2Params) -> float:
@@ -194,11 +198,10 @@ def n2_fixation_closed_form(p: N2Params) -> float:
 
     ``r a (1-m) / (m c + r (1-m)) + r m (1-a) / ((1-m)/c + r m)``.
     """
-    d1 = p.m * p.c + p.r * (1.0 - p.m)
-    d2 = (1.0 - p.m) / p.c + p.r * p.m
+    value, d1, d2 = _n2_surface(*np.float64([p.a, p.m, p.c, p.r]))
     if not (d1 > 0.0 and d2 > 0.0 and np.isfinite(d1) and np.isfinite(d2)):
         raise DegenerateDenominator(f"denominators {d1}, {d2} at m={p.m}, c={p.c}, r={p.r}")
-    return p.r * p.a * (1.0 - p.m) / d1 + p.r * p.m * (1.0 - p.a) / d2
+    return float(value)
 
 
 def n2_F(p: N2Params) -> float:
@@ -252,14 +255,9 @@ def sweep_n2(c: float, r: float, grid: int) -> np.ndarray:
     """
     if grid < 2:
         raise OutOfRange(f"grid must be at least 2, got {grid}")
-    a = np.linspace(0.0, 1.0, grid)[:, None]
-    m = np.linspace(0.0, 1.0, grid)[None, :]
-    d1 = m * c + r * (1.0 - m)
-    d2 = (1.0 - m) / c + r * m
-    with np.errstate(divide="ignore", invalid="ignore"):
-        value = r * a * (1.0 - m) / d1 + r * m * (1.0 - a) / d2
-        value = np.where((d1 > 0.0) & (d2 > 0.0), value, np.nan)
-    return value / moran_rho(1, 2, r)
+    axis = np.linspace(0.0, 1.0, grid)
+    value, d1, d2 = _n2_surface(axis[:, None], axis[None, :], c, r)
+    return np.where((d1 > 0.0) & (d2 > 0.0), value, np.nan) / moran_rho(1, 2, r)
 
 
 # ---------------------------------------------------------------------------
@@ -318,11 +316,7 @@ def galanis_case3_residual(g: GalanisParams) -> float:
 
     ``-a1 + a2 (2 - 5 m1 - 2 m2) / (3 (m1 - m2)) + (8 m1 - m2 - 2) / (9 (m1 - m2))``.
     """
-    gap = g.m1 - g.m2
-    if gap == 0.0:
-        raise ZeroDenominator("implicit condition undefined at m1 == m2")
-    return (-g.a1 + g.a2 * (2.0 - 5.0 * g.m1 - 2.0 * g.m2) / (3.0 * gap)
-            + (8.0 * g.m1 - g.m2 - 2.0) / (9.0 * gap))
+    return galanis_case3_initial_weight(g.a2, g.m1, g.m2) - g.a1
 
 
 def galanis_case3_initial_weight(a2: float, m1: float, m2: float) -> float:
@@ -333,9 +327,8 @@ def galanis_case3_initial_weight(a2: float, m1: float, m2: float) -> float:
     return a2 * (2.0 - 5.0 * m1 - 2.0 * m2) / (3.0 * gap) + (8.0 * m1 - m2 - 2.0) / (9.0 * gap)
 
 
-def galanis_moran_condition(g: GalanisParams,
-                            tol: float = SOLVER_TOL) -> tuple[str | None, float]:
-    """Classify whether the parameters force the well-mixed value 1/3.
+def galanis_moran_condition(g: GalanisParams) -> tuple[str | None, float]:
+    """Classify whether the parameters force the well-mixed value 1/3, to :data:`SOLVER_TOL`.
 
     Returns ``(case, residual)`` with ``case`` one of ``"case1"`` (uniform
     initial weights, any policy), ``"case2"`` (``m1 = 2/7`` with
@@ -343,6 +336,7 @@ def galanis_moran_condition(g: GalanisParams,
     ``m1 != m2``), or ``None``.  The reported residual is the implicit
     condition's when defined, else the distance of the closed form from 1/3.
     """
+    tol = SOLVER_TOL
     separated = abs(g.m1 - g.m2) > 1e-9
     residual = (galanis_case3_residual(g) if separated
                 else galanis_neutral_fixation(g) - 1.0 / 3.0)
@@ -360,20 +354,22 @@ def galanis_moran_condition(g: GalanisParams,
 # Well-mixed reduction
 # ---------------------------------------------------------------------------
 
-def classic_p_plus(j: int, n: int, r: float) -> float:
-    """Well-mixed probability of gaining a mutant from ``j`` of ``n``."""
+def _classic_rate(lead: float, j: int, n: int, r: float) -> float:
+    """``lead / (1 + (r-1) j/n) * j/n * (n-j)/n``, zero at the absorbing levels."""
     if not 0 < j < n:
         return 0.0
     frac = j / n
-    return r / (1.0 + (r - 1.0) * frac) * frac * (n - j) / n
+    return lead / (1.0 + (r - 1.0) * frac) * frac * (n - j) / n
+
+
+def classic_p_plus(j: int, n: int, r: float) -> float:
+    """Well-mixed probability of gaining a mutant from ``j`` of ``n``."""
+    return _classic_rate(r, j, n, r)
 
 
 def classic_p_minus(j: int, n: int, r: float) -> float:
     """Well-mixed probability of losing a mutant from ``j`` of ``n``."""
-    if not 0 < j < n:
-        return 0.0
-    frac = j / n
-    return 1.0 / (1.0 + (r - 1.0) * frac) * frac * (n - j) / n
+    return _classic_rate(1.0, j, n, r)
 
 
 def classic_moran_check(n: int, r: float) -> float:

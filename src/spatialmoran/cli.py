@@ -172,8 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument("--mode", default="event", choices=("event", "faithful"))
     p_sim.add_argument("--max-steps", type=int, default=10**7)
-    p_sim.add_argument("--workers", type=int,
-                       default=int(os.environ.get("SPATIALMORAN_WORKERS", "1")))
+    p_sim.add_argument("--workers", type=int, default=1)
     _add_indent_flag(p_sim)
     p_sim.set_defaults(handler=_cmd_simulate)
 

@@ -21,7 +21,7 @@ from .errors import (
     NumericalFailure,
 )
 
-#: Default tolerance for stochasticity and stationarity checks.
+#: Tolerance for stochasticity and stationarity checks.
 STOCHASTIC_TOL = 1e-12
 
 
@@ -165,19 +165,17 @@ def _first_unreached(adjacency: np.ndarray) -> int | None:
     return None
 
 
-def validate_weight_matrix(raw, tol: float = STOCHASTIC_TOL) -> WeightMatrix:
+def validate_weight_matrix(raw) -> WeightMatrix:
     """Validate a raw square matrix as a population weight matrix.
 
-    Checks shape, finite entries in range, row stochasticity within ``tol``, and strong
-    connectivity of the digraph spanned by positive off-diagonal entries
-    (self-loops are ignored for connectivity).
+    Checks shape, finite entries in range, row stochasticity within
+    :data:`STOCHASTIC_TOL`, and strong connectivity of the digraph spanned by
+    positive off-diagonal entries (self-loops are ignored for connectivity).
 
     Parameters
     ----------
     raw : array_like, shape (n, n)
         Candidate weight matrix, ``n >= 2``.
-    tol : float
-        Row-sum tolerance.
 
     Returns
     -------
@@ -189,6 +187,7 @@ def validate_weight_matrix(raw, tol: float = STOCHASTIC_TOL) -> WeightMatrix:
     n = entries.shape[0]
     if n < 2:
         raise NotStochastic("population needs at least two vertices")
+    tol = STOCHASTIC_TOL
     if not np.isfinite(entries).all() or (entries < -tol).any() or (entries > 1.0 + tol).any():
         raise NotStochastic("entries must be finite and lie in [0, 1]")
     row_err = np.abs(entries.sum(axis=1) - 1.0)
@@ -210,8 +209,7 @@ def validate_weight_matrix(raw, tol: float = STOCHASTIC_TOL) -> WeightMatrix:
     return WeightMatrix(entries)
 
 
-def stationary_distribution(W: WeightMatrix,
-                            tol: float = STOCHASTIC_TOL) -> StationaryDistribution:
+def stationary_distribution(W: WeightMatrix) -> StationaryDistribution:
     """Compute the unique stationary distribution of a validated weight matrix.
 
     Solves ``pi @ W = pi`` together with ``sum(pi) = 1`` by replacing one
@@ -222,8 +220,8 @@ def stationary_distribution(W: WeightMatrix,
     Raises
     ------
     NumericalFailure
-        If the fixed-point residual ``max|pi @ W - pi|`` exceeds ``tol`` or a
-        component is not strictly positive.
+        If the fixed-point residual ``max|pi @ W - pi|`` exceeds
+        :data:`STOCHASTIC_TOL` or a component is not strictly positive.
     """
     n = W.n
     A = W.entries.T - np.eye(n)
@@ -241,16 +239,16 @@ def stationary_distribution(W: WeightMatrix,
         pi = np.linalg.lstsq(stacked, rhs, rcond=None)[0]
     pi = pi / pi.sum()
     residual = np.max(np.abs(pi @ W.entries - pi))
-    if residual > tol or np.any(pi <= 0.0):
+    if residual > STOCHASTIC_TOL or np.any(pi <= 0.0):
         raise NumericalFailure(
             f"stationary solve failed: residual {residual:.3e}, min component {pi.min():.3e}"
         )
     return StationaryDistribution(_frozen_array(pi))
 
 
-def is_isothermal(W: WeightMatrix, tol: float = STOCHASTIC_TOL) -> bool:
+def is_isothermal(W: WeightMatrix) -> bool:
     """True iff every column of ``W`` sums to one (doubly stochastic weights)."""
-    return bool(np.max(np.abs(W.column_sums() - 1.0)) <= tol)
+    return bool(np.max(np.abs(W.column_sums() - 1.0)) <= STOCHASTIC_TOL)
 
 
 def enumerate_level(n: int, j: int) -> list[Configuration]:

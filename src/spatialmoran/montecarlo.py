@@ -437,9 +437,13 @@ def simulate_trajectory(model: MicSMPModel, x0: Configuration,
     return sampler.walk(x0.bits, stream, cfg.max_steps)
 
 
-def _run_range(sampler, alpha_cum, alpha_masks, seed: int,
+def _run_range(model: MicSMPModel, mode: str, alpha_cum, alpha_masks, seed: int,
                lo: int, hi: int, max_steps: int):
-    """``(fixations, extinctions, censored)`` of trials ``lo..hi-1``."""
+    """``(fixations, extinctions, censored)`` of trials ``lo..hi-1``.
+
+    Builds its own sampler, so it also serves as the worker-process entry.
+    """
+    sampler = _sampler(model, mode)
     if isinstance(sampler, _Tables) and hi - lo >= LOCKSTEP_MIN_TRIALS:
         return sampler.run(alpha_cum, alpha_masks, seed, lo, hi, max_steps)
     stream = _TrialStream(seed)
@@ -455,13 +459,6 @@ def _run_range(sampler, alpha_cum, alpha_masks, seed: int,
         else:
             cens += 1
     return fix, ext, cens
-
-
-def _run_chunk(args):
-    """Worker-process entry: rebuild the sampler locally and run a trial range."""
-    model, mode, alpha_cum, alpha_masks, seed, lo, hi, max_steps = args
-    return _run_range(_sampler(model, mode), alpha_cum, alpha_masks,
-                      seed, lo, hi, max_steps)
 
 
 def estimate_fixation(model: MicSMPModel, alpha: InitialDistribution, trials: int,
@@ -487,15 +484,14 @@ def estimate_fixation(model: MicSMPModel, alpha: InitialDistribution, trials: in
     alpha_cum[-1] = 1.0
 
     workers = min(workers, trials)
+    bounds = np.linspace(0, trials, workers + 1).astype(int).tolist()
+    ranges = [(model, cfg.mode, alpha_cum, alpha_masks, cfg.seed, lo, hi, cfg.max_steps)
+              for lo, hi in zip(bounds[:-1], bounds[1:])]
     if workers == 1:
-        parts = [_run_range(_sampler(model, cfg.mode), alpha_cum, alpha_masks,
-                            cfg.seed, 0, trials, cfg.max_steps)]
+        parts = [_run_range(*ranges[0])]
     else:
-        bounds = np.linspace(0, trials, workers + 1).astype(int).tolist()
-        chunks = [(model, cfg.mode, alpha_cum, alpha_masks, cfg.seed, lo, hi,
-                   cfg.max_steps) for lo, hi in zip(bounds[:-1], bounds[1:])]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_run_chunk, chunks))
+            parts = list(pool.map(_run_range, *zip(*ranges)))
 
     fixations = sum(p[0] for p in parts)
     extinctions = sum(p[1] for p in parts)

@@ -5,7 +5,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from spatialmoran import moran_rho, transition_kernel, galanis_model
+from spatialmoran import moran_rho, montecarlo, transition_kernel, galanis_model
 from spatialmoran.cli import main
 
 
@@ -128,6 +128,19 @@ class TestSimulateCommand:
             doc["manifest"]["arguments"] = []  # only the echoed argv differs
             docs.append(doc)
         assert docs[0] == docs[1] == docs[2]
+
+    def test_worker_environment_variable_is_ignored(self, capsys, schema, monkeypatch):
+        # a malformed value once made build_parser raise ValueError for every subcommand
+        def no_pool(*args, **kwargs):
+            raise AssertionError("simulate without --workers must run in-process")
+
+        monkeypatch.setenv("SPATIALMORAN_WORKERS", "abc")
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", no_pool)
+        assert run_json(capsys, schema, "exact", "--model", "@galanis")[0] == 0
+        code, doc = run_json(capsys, schema, "simulate", "--model", "@galanis",
+                             "--init", "mask:1", "--trials", "10")
+        assert code == 0
+        assert doc["trials"] == 10
 
 
 class TestSweepCommand:
