@@ -40,7 +40,7 @@ model = build_model(W, mu=perturbed, r=2.0)
 report = fixation_probabilities(model)
 print(f"perturbed policy mu = {np.round(perturbed, 4)}")
 print(f"  stationarity gap ||mu W - mu||      = {model.stationarity_gap():.3e}")
-print(f"  worst per-level fixation deviation  = {max(report.per_level_deviation.values()):.3e}")
+print(f"  worst per-level fixation deviation  = {report.per_level_deviation.max():.3e}")
 print(f"  ratio constancy deviation           = {ratio_constancy(model):.3e}")
 mask, dev = single_mutant_ratio_witness(model)
 print(f"  single-mutant witness: mask {mask:#0{n + 2}b} deviates by {dev:.3e}")

@@ -29,7 +29,7 @@ for n in (3, 5, 7):
     worst = 0.0
     for r in (0.5, 1.0, 2.0):
         report = fixation_probabilities(build_model(W, mu="uniform", r=r))
-        worst = max(worst, max(report.per_level_deviation.values()))
+        worst = max(worst, report.per_level_deviation.max())
     print(f"       uniform selection, r in (1/2, 1, 2): worst fixation deviation {worst:.2e}")
 
 print()

@@ -44,15 +44,16 @@ def _ratio_deviation(pp: np.ndarray, pm: np.ndarray, r: float) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class MartingaleReport:
-    """Drift diagnostics per transient configuration.
+    """Drift diagnostics per configuration, as arrays of length ``2^n`` indexed by mask.
 
     ``drift[mask] = p_plus - p_minus`` vanishes for stationary selection at
     neutral fitness; ``exp_drift[mask] = r p_minus + (1 - p_plus - p_minus)
     + p_plus / r - 1`` vanishes for stationary selection at every fitness.
+    Both are 0 at the absorbing masks 0 and ``2^n - 1``, which never move.
     """
 
-    drift: dict
-    exp_drift: dict
+    drift: np.ndarray
+    exp_drift: np.ndarray
     max_abs_drift: float
     max_abs_exp_drift: float
 
@@ -67,15 +68,11 @@ def martingale_report(model: MicSMPModel) -> MartingaleReport:
 
 
 def _martingale_report(rates, r: float) -> MartingaleReport:
-    masks, _, pp, pm = rates
+    pp, pm = np.pad(rates[2], 1), np.pad(rates[3], 1)  # no move out of masks 0 and 2^n - 1
     drift = pp - pm
     exp_drift = r * pm + (1.0 - pp - pm) + pp / r - 1.0
-    return MartingaleReport(
-        drift=dict(zip(masks.tolist(), drift.tolist())),
-        exp_drift=dict(zip(masks.tolist(), exp_drift.tolist())),
-        max_abs_drift=float(np.abs(drift).max()),
-        max_abs_exp_drift=float(np.abs(exp_drift).max()),
-    )
+    return MartingaleReport(drift, exp_drift, float(np.abs(drift).max()),
+                            float(np.abs(exp_drift).max()))
 
 
 def ratio_constancy(model: MicSMPModel) -> float:
@@ -166,8 +163,7 @@ class N2Params:
             raise OutOfRange(f"initial weight a={self.a} outside [0, 1]")
         if not 0.0 <= self.m <= 1.0:
             raise OutOfRange(f"selection weight m={self.m} outside [0, 1]")
-        if self.c <= 0.0 or self.r <= 0.0:
-            raise OutOfRange(f"c and r must be positive, got c={self.c}, r={self.r}")
+        _require_positive(self.c, self.r)
 
     def initial_distribution(self) -> InitialDistribution:
         atoms = []
@@ -182,6 +178,11 @@ class N2Params:
         w1 = min(1.0, self.c)
         W = two_vertex_weights(w1, w1 / self.c)
         return build_model(W, mu=np.array([self.m, 1.0 - self.m]), r=self.r)
+
+
+def _require_positive(c: float, r: float) -> None:
+    if not (c > 0.0 and r > 0.0):
+        raise OutOfRange(f"c and r must be positive, got c={c}, r={r}")
 
 
 def _n2_surface(a, m, c, r):
@@ -255,6 +256,7 @@ def sweep_n2(c: float, r: float, grid: int) -> np.ndarray:
     """
     if grid < 2:
         raise OutOfRange(f"grid must be at least 2, got {grid}")
+    _require_positive(c, r)
     axis = np.linspace(0.0, 1.0, grid)
     value, d1, d2 = _n2_surface(axis[:, None], axis[None, :], c, r)
     return np.where((d1 > 0.0) & (d2 > 0.0), value, np.nan) / moran_rho(1, 2, r)

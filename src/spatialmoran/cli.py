@@ -64,11 +64,11 @@ def _cmd_exact(args, argv) -> int:
     model = _load(args)
     alpha = parse_init_spec(args.init, model.n) if args.init else None
     report = fixation_probabilities(model, alpha=alpha)
+    deviation = report.per_level_deviation.tolist()
     doc = {
         "manifest": _manifest("exact", argv, None),
-        "rho": [{"mask": mask, "value": report.rho[mask]}
-                for mask in sorted(report.rho)],
-        "deviation": {str(j): v for j, v in sorted(report.per_level_deviation.items())},
+        "rho": [{"mask": mask, "value": value} for mask, value in enumerate(report.rho.tolist())],
+        "deviation": {str(j): deviation[j] for j in range(1, model.n)},
         "moran": {str(j): moran_rho(j, model.n, model.r) for j in range(1, model.n)},
         "solver": {"method": report.solver.method,
                    "iterations": report.solver.iterations,

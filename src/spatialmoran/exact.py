@@ -3,14 +3,12 @@
 Idle steps do not change which absorbing state is hit, so the transient
 fixation probabilities solve ``A h = b`` with ``A = I - J``,
 ``J[x, x ^ (1 << u)] = f_xu / d_x``, ``f`` the flip masses of
-:func:`~spatialmoran.dynamics.flip_masses` and ``d_x = sum_u f_xu``.  One
-path serves every ``n <= 20``, the one size bound: dense LU up to ``n = 10``
-(``solver.method == "dense"``) and restarted GMRES (Saad & Schultz 1986) on a
-CSR matrix above (``"iterative"``).  Both also solve ``A T = 1``, the expected
-number of jumps to absorption (Kemeny & Snell, *Finite Markov Chains*).
-``A`` is a nonsingular M-matrix, so ``||A^-1||_inf = max T``, which certifies
-the max-norm error of ``h``: ``solver.residual`` is that bound, and a solve
-whose bound exceeds 1e-10 raises :class:`NumericalFailure`.
+:func:`~spatialmoran.dynamics.flip_masses` and ``d_x = sum_u f_xu``.
+:func:`_certified_solve` serves every ``n <= 20``, the one size bound: dense
+LU up to ``n = 10`` (``solver.method == "dense"``) and restarted GMRES (Saad &
+Schultz 1986) above (``"iterative"``).  It also solves ``A T = 1``, the
+expected number of jumps to absorption (Kemeny & Snell, *Finite Markov
+Chains*), whose maximum certifies the max-norm error of ``h``.
 
 The reference values are the classic well-mixed fixation probabilities
 ``rho_i = i/n`` for neutral fitness and ``(1 - r^-i) / (1 - r^-n)`` otherwise.
@@ -32,8 +30,8 @@ from .graph import STOCHASTIC_TOL, Configuration, level_masks, mask_bits
 
 #: Largest certified max-norm error of the returned fixation probabilities.
 SOLVE_RESIDUAL_TOL = 1e-10
-#: Largest ``n`` solved by dense LU; GMRES is faster above it.
-_DENSE_MAX_N = 10
+#: Most rows solved by dense LU, the transient masks of ``n = 10``; GMRES is faster above.
+_DENSE_MAX_ROWS = 2**10 - 2
 #: Most atoms :meth:`InitialDistribution.level_uniform` enumerates; every level
 #: of an exact-size model fits, since ``C(20, 10) = 184,756``.
 MAX_LEVEL_ATOMS = 10**6
@@ -114,15 +112,17 @@ class SolverInfo:
 class FixationReport:
     """Fixation probabilities per configuration plus well-mixed reference deviations.
 
-    ``rho`` maps every bitmask to its fixation probability (0 at the empty
-    mask, 1 at the full mask).  ``per_level_deviation[j]`` is the largest
-    ``|rho_x - rho_j(reference)|`` over configurations with ``j`` mutants.
+    ``rho`` is an array of length ``2^n``: ``rho[mask]`` is the fixation
+    probability of configuration ``mask`` (0 at the empty mask, 1 at the full
+    mask).  ``per_level_deviation`` has length ``n + 1``: entry ``j`` is the
+    largest ``|rho_x - rho_j(reference)|`` over configurations with ``j``
+    mutants, 0 at the absorbing levels 0 and ``n``.
     """
 
     n: int
     r: float
-    rho: dict
-    per_level_deviation: dict
+    rho: np.ndarray
+    per_level_deviation: np.ndarray
     solver: SolverInfo
     rho_alpha: float | None = None
 
@@ -143,44 +143,49 @@ def _jump_system(model: MicSMPModel, n: int):
     return rows, targets[rows, flipped] - 1, jump[rows, flipped], rhs
 
 
-def _solve_dense(rows, cols, jump, rhs):
-    A = np.eye(len(rhs))
-    A[rows, cols] = -jump
-    return A, np.linalg.solve(A, rhs), 1
+def _certified_solve(rows, cols, jump, rhs, terms: int):
+    """Solve ``(I - J) X = rhs`` for ``rhs = [b, 1]``, with ``J[rows, cols] = jump``.
 
-
-def _solve_gmres(rows, cols, jump, rhs):
-    m = len(rhs)
-    A = identity(m, format="csr") - csr_matrix((jump, (rows, cols)), shape=(m, m))
-    steps = []
-    solve = partial(gmres, A, restart=50, maxiter=200, callback=steps.append,
-                    callback_type="pr_norm")
-    h = solve(rhs[:, 0], atol=1e-13, rtol=0.0)[0]
-    T = solve(rhs[:, 1], atol=0.0, rtol=1e-8)[0]  # T only has to bound ||A^-1||
-    return A, np.column_stack((h, T)), len(steps)
-
-
-def _certified_bound(A, X, rhs, n: int) -> float:
-    """``max T / (1 - ||1 - A T||) * ||b - A h||`` in max-norms, for ``X = [h, T]``.
-
-    It holds because ``A^-1 >= 0`` and ``A^-1 1 = T + A^-1 (1 - A T)``.  The
-    slack covers rounding in ``A``, ``b`` and the residuals, whose rows sum at
-    most ``n + 2`` terms, each at most 1 per unit of the solution.
+    Dense LU up to :data:`_DENSE_MAX_ROWS` rows, restarted GMRES on a CSR
+    matrix above.  ``X = [h, T]`` and the :class:`SolverInfo` carry the bound
+    ``max T / (1 - ||1 - A T||) * ||b - A h||`` on ``||h - A^-1 b||`` in
+    max-norms, for ``A = I - J``.  It holds for any nonsingular M-matrix, since
+    ``A^-1 >= 0`` and ``A^-1 1 = T + A^-1 (1 - A T)``; swapping ``rows`` and
+    ``cols`` solves with ``A^T``.  The slack covers rounding in ``A``, ``rhs``
+    and the residuals, whose rows sum at most ``terms`` terms, each at most 1
+    per unit of the solution.  Raises :class:`NumericalFailure` when the bound
+    exceeds :data:`SOLVE_RESIDUAL_TOL`.
     """
+    m = len(rhs)
+    if m <= _DENSE_MAX_ROWS:
+        A = np.eye(m)
+        A[rows, cols] -= jump
+        X, method, iterations = np.linalg.solve(A, rhs), "dense", 1
+    else:
+        A = identity(m, format="csr") - csr_matrix((jump, (rows, cols)), shape=(m, m))
+        steps = []
+        solve = partial(gmres, A, restart=50, maxiter=200, callback=steps.append,
+                        callback_type="pr_norm")
+        h = solve(rhs[:, 0], atol=1e-13, rtol=0.0)[0]
+        T = solve(rhs[:, 1], atol=0.0, rtol=1e-8)[0]  # T only has to bound ||A^-1||
+        X, method, iterations = np.column_stack((h, T)), "iterative", len(steps)
     residual = np.abs(rhs - A @ X).max(axis=0)
-    slack = 4 * (n + 2) * _EPS
+    slack = 4 * terms * _EPS
     t_max = float(np.abs(X[:, 1]).max())
     drift = float(residual[1]) + slack * (1.0 + t_max)
     if not drift < 1.0:
         raise NumericalFailure(f"absorption-time residual {drift:.3e} leaves the error unbounded")
-    return t_max / (1.0 - drift) * (float(residual[0]) + slack)
+    bound = t_max / (1.0 - drift) * (float(residual[0]) + slack)
+    if not bound <= SOLVE_RESIDUAL_TOL:
+        raise NumericalFailure(f"certified error bound {bound:.3e} above {SOLVE_RESIDUAL_TOL:g}")
+    return X, SolverInfo(method, iterations, bound)
 
 
 def fixation_probabilities(model: MicSMPModel,
                            alpha: InitialDistribution | None = None) -> FixationReport:
     """Solve the absorbing chain for every configuration's fixation probability.
 
-    Dense LU up to ``n = 10``, GMRES above; both certified (module docstring).
+    Dense LU up to ``n = 10``, GMRES above; both certified (:func:`_certified_solve`).
     When ``alpha`` is given, the report carries ``rho_alpha = sum alpha(x) rho_x``.
 
     Raises :class:`TooLarge` above ``n = 20``, :class:`DegenerateCase` when
@@ -191,31 +196,23 @@ def fixation_probabilities(model: MicSMPModel,
     _require_exact_size(n)
     if alpha is not None and alpha.n != n:
         raise NotStochastic("initial distribution dimension mismatch")
-    *entries, rhs = _jump_system(model, n)
-    method, solve = ("dense", _solve_dense) if n <= _DENSE_MAX_N else ("iterative", _solve_gmres)
-    A, X, iterations = solve(*entries, rhs)
-    bound = _certified_bound(A, X, rhs, n)
+    X, solver = _certified_solve(*_jump_system(model, n), terms=n + 2)
     h = X[:, 0]
-    if not bound <= SOLVE_RESIDUAL_TOL:
-        raise NumericalFailure(f"certified error bound {bound:.3e} above {SOLVE_RESIDUAL_TOL:g}")
-    if h.min() < -bound or h.max() > 1.0 + bound:
+    if h.min() < -solver.residual or h.max() > 1.0 + solver.residual:
         raise NumericalFailure("fixation probabilities escape [0, 1]")
 
-    full = (1 << n) - 1
-    values = h.clip(0.0, 1.0)
-    rho = {0: 0.0, full: 1.0, **dict(zip(range(1, full), values.tolist()))}
-    levels = mask_bits(np.arange(1, full), n).sum(axis=1)
+    rho = np.concatenate(([0.0], h.clip(0.0, 1.0), [1.0]))
+    levels = mask_bits(np.arange(1 << n), n).sum(axis=1)
     reference = np.array([moran_rho(j, n, model.r) for j in range(n + 1)])
-    worst = np.zeros(n + 1)
-    np.maximum.at(worst, levels, np.abs(values - reference[levels]))
-    deviation = dict(zip(range(1, n), worst[1:n].tolist()))
+    deviation = np.zeros(n + 1)
+    np.maximum.at(deviation, levels, np.abs(rho - reference[levels]))
 
     rho_alpha = None
     if alpha is not None:
         rho_alpha = float(sum(w * rho[mask] for mask, w in alpha.atoms))
 
     return FixationReport(n=n, r=model.r, rho=rho, per_level_deviation=deviation,
-                          solver=SolverInfo(method, iterations, bound), rho_alpha=rho_alpha)
+                          solver=solver, rho_alpha=rho_alpha)
 
 
 def fixation_for_initial(model: MicSMPModel, alpha: InitialDistribution) -> float:

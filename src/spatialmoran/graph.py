@@ -263,9 +263,8 @@ def level_masks(n: int, j: int) -> list[int]:
     """Bitmasks of the configurations of :func:`enumerate_level`, in the same order."""
     if not 0 <= j <= n:
         raise LevelOutOfRange(f"level {j} outside [0, {n}]")
-    bit = [1 << v for v in range(n)]
     # subsets of the vertices taken in decreasing order come out in decreasing mask order
-    return [sum(map(bit.__getitem__, s)) for s in combinations(range(n - 1, -1, -1), j)][::-1]
+    return [sum(s) for s in combinations([1 << v for v in range(n - 1, -1, -1)], j)][::-1]
 
 
 def complete_graph_weights(n: int) -> WeightMatrix:

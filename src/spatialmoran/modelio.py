@@ -50,7 +50,10 @@ def builtin_model(name: str) -> dict:
         return {"n": 3, "W": [list(row) for row in GALANIS_WEIGHTS],
                 "mu": "stationary", "r": 1.0}
     if body.startswith("complete:"):
-        n = int(body.split(":", 1)[1])
+        try:
+            n = int(body.split(":", 1)[1])
+        except ValueError as exc:
+            raise InputError(f"expected @complete:n with an integer n, got {name!r}") from exc
         W = complete_graph_weights(n)
         return {"n": n, "W": W.entries.tolist(), "mu": "uniform", "r": 1.0}
     if body.startswith("n2:"):
@@ -132,8 +135,8 @@ def parse_init_spec(spec: str, n: int) -> InitialDistribution:
     if kind == "atoms":
         try:
             pairs = json.loads(rest.replace("(", "[").replace(")", "]"))
-        except json.JSONDecodeError as exc:
+            atoms = tuple((int(mask), parse_number(weight)) for mask, weight in pairs)
+        except (TypeError, ValueError, OverflowError) as exc:  # bad JSON or bad pairs
             raise InputError(f"cannot parse atoms {rest!r}") from exc
-        atoms = tuple((int(mask), parse_number(weight)) for mask, weight in pairs)
         return InitialDistribution(n=n, atoms=atoms)
     raise InputError(f"unknown initial specification {spec!r}")

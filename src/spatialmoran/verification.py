@@ -59,13 +59,13 @@ def _stationary_and_isothermal(rng, graphs: int):
         residual = max(residual, float(np.max(np.abs(pi.pi @ W.entries - pi.pi))))
         for r in _R_SET:
             report = fixation_probabilities(build_model(W, mu=pi.pi, r=r))
-            fixation_dev = max(fixation_dev, max(report.per_level_deviation.values()))
+            fixation_dev = max(fixation_dev, report.per_level_deviation.max())
         D = random_doubly_stochastic(n, rng)
         if not is_isothermal(D):
             iso_dev = float("inf")
         for r in _R_SET:
             report = fixation_probabilities(build_model(D, mu="uniform", r=r))
-            iso_dev = max(iso_dev, max(report.per_level_deviation.values()))
+            iso_dev = max(iso_dev, report.per_level_deviation.max())
     return residual, fixation_dev, iso_dev
 
 
@@ -216,8 +216,8 @@ def describe_model(model: MicSMPModel) -> dict:
         "macro_markov": {"lumpable": macro.lumpable, "witness": macro.witness},
     }
     try:
-        fix = fixation_probabilities(model)
-        out["moran_deviation"] = {str(k): v for k, v in fix.per_level_deviation.items()}
+        deviation = fixation_probabilities(model).per_level_deviation.tolist()
+        out["moran_deviation"] = {str(j): deviation[j] for j in range(1, model.n)}
         out["moran_reference"] = {str(j): moran_rho(j, model.n, model.r)
                                   for j in range(1, model.n)}
     except SpatialMoranError as exc:

@@ -243,3 +243,20 @@ class TestVerifyCommand:
         for s, _, p in triples:
             sums[int(s)] = sums.get(int(s), 0.0) + float(p)
         assert all(abs(v - 1.0) <= 1e-12 for v in sums.values())
+
+
+@pytest.mark.parametrize("argv, error", [
+    (("exact", "--model", "@complete:abc"), "InputError"),
+    (("exact", "--model", "@galanis", "--init", "atoms:[(1,0.5),(2)]"), "InputError"),
+    (("exact", "--model", "@galanis", "--init", 'atoms:[("x",1)]'), "InputError"),
+    (("exact", "--model", "@galanis", "--init", "atoms:[(1,0.5,3)]"), "InputError"),
+    (("sweep", "--c", "2", "--r", "0"), "OutOfRange"),
+    (("sweep", "--c", "2", "--r", "-1"), "OutOfRange"),
+    (("sweep", "--c", "0", "--r", "2"), "OutOfRange"),
+    (("sweep", "--c", "-1", "--r", "2"), "OutOfRange"),
+    (("sweep", "--c", "nan", "--r", "2"), "OutOfRange"),
+])
+def test_malformed_input_exits_two_with_its_type(capsys, schema, argv, error):
+    code, doc = run_json(capsys, schema, *argv)
+    assert code == 2
+    assert doc["error"]["type"] == error
