@@ -9,6 +9,7 @@ fixation probability admits a rational closed form.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,8 +17,8 @@ import numpy as np
 from .dynamics import MicSMPModel, _level_rates, _require_exact_size, build_model
 from .errors import DegenerateCase, DegenerateDenominator, OutOfRange, ZeroDenominator
 from .exact import InitialDistribution, moran_rho
-from .graph import (SelectionPolicy, complete_graph_weights, two_vertex_weights,
-                    validate_weight_matrix)
+from .graph import (SelectionPolicy, WeightMatrix, complete_graph_weights,
+                    two_vertex_weights, validate_weight_matrix)
 
 #: Threshold for structural equality checks (exact float identities).
 STRUCTURAL_TOL = 1e-12
@@ -174,15 +175,19 @@ class N2Params:
         return InitialDistribution(n=2, atoms=tuple(atoms))
 
     def model(self) -> MicSMPModel:
-        """Concrete two-vertex model realising the ratio ``c = w1 / w2``, the larger weight 1."""
-        w1 = min(1.0, self.c)
-        W = two_vertex_weights(w1, w1 / self.c)
-        return build_model(W, mu=np.array([self.m, 1.0 - self.m]), r=self.r)
+        """Concrete two-vertex model realising the ratio ``c = w1 / w2``."""
+        return build_model(_n2_weights(self.c), mu=np.array([self.m, 1.0 - self.m]), r=self.r)
+
+
+def _n2_weights(c: float) -> WeightMatrix:
+    """Two-vertex weights with cross-weight ratio ``c = w1 / w2``, the larger weight 1."""
+    w1 = min(1.0, c)
+    return two_vertex_weights(w1, w1 / c)
 
 
 def _require_positive(c: float, r: float) -> None:
-    if not (c > 0.0 and r > 0.0):
-        raise OutOfRange(f"c and r must be positive, got c={c}, r={r}")
+    if not (0.0 < c < math.inf and 0.0 < r < math.inf):
+        raise OutOfRange(f"c and r must be positive and finite, got c={c}, r={r}")
 
 
 def _n2_surface(a, m, c, r):

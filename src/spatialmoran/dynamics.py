@@ -57,8 +57,7 @@ class MicSMPModel:
     w_mu: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.r <= 0.0 or not np.isfinite(self.r):
-            raise NotStochastic(f"fitness must be positive and finite, got {self.r}")
+        _require_fitness(np.array([self.r]))
         if self.mu.n != self.W.n:
             raise NotStochastic(
                 f"policy length {self.mu.n} does not match vertex count {self.W.n}"
@@ -160,27 +159,35 @@ def flip_masses(model: MicSMPModel, masks) -> np.ndarray:
 
     Every sum runs over the vertices in a fixed order, by elementwise
     operations and cumulative sums (no BLAS), so a row is bitwise the same in
-    any batch.
+    any batch, and in any stack of :func:`_flip_masses`.
     """
-    n, mu, r = model.n, model.mu.mu, model.r
+    return _flip_masses(model.W.entries[None], model.mu.mu[None], np.array([model.r]), masks)[0]
+
+
+def _flip_masses(W: np.ndarray, mu: np.ndarray, r: np.ndarray, masks) -> np.ndarray:
+    """:func:`flip_masses` of ``k`` models with the same ``n`` at once: weights ``W`` of
+    shape ``(k, n, n)``, policies ``mu`` ``(k, n)`` and fitnesses ``r`` ``(k,)`` give
+    an array of shape ``(k, len(masks), n)``."""
+    k, n = mu.shape
     bits = mask_bits(masks, n)
-    W = model.W.entries
-    out = np.empty(bits.shape)
-    for lo in range(0, len(bits), _MASK_BLOCK):
-        # vertex-major blocks: x[v, k] is True where vertex v + 1 is a mutant
-        x = np.ascontiguousarray(bits[lo:lo + _MASK_BLOCK].T)
-        z = (x * mu[:, None]).cumsum(axis=0)[-1]
-        sel = np.where(x, r, 1.0) * mu[:, None] / (1.0 + (r - 1.0) * z)
+    out = np.empty((k,) + bits.shape)
+    r = r[:, None, None]
+    step = max(1, _MASK_BLOCK // k)
+    for lo in range(0, len(bits), step):
+        # vertex-major blocks: x[v, j] is True where vertex v + 1 is a mutant
+        x = np.ascontiguousarray(bits[lo:lo + step].T)
+        z = (x * mu[:, :, None]).cumsum(axis=1)[:, -1:]
+        sel = np.where(x, r, 1.0) * mu[:, :, None] / (1.0 + (r - 1.0) * z)
         # selection mass of mutant parents, [0], and of wildtype parents, [1]
-        parents = np.empty((2,) + x.shape)
+        parents = np.empty((2,) + sel.shape)
         np.multiply(sel, x, out=parents[0])
         np.subtract(sel, parents[0], out=parents[1])
-        # placed[0, u] (placed[1, u]): mass of mutant (wildtype) parents placed onto u
+        # placed[0, i, u] (placed[1, i, u]): mass of mutant (wildtype) parents placed onto u
         placed = np.zeros(parents.shape)
         term = np.empty(parents.shape)
         for v in range(n):
-            placed += np.multiply(W[v][:, None], parents[:, v, None, :], out=term)
-        out[lo:lo + x.shape[1]] = np.where(x, placed[1], placed[0]).T
+            placed += np.multiply(W[:, v, :, None], parents[:, :, v, None, :], out=term)
+        out[:, lo:lo + x.shape[1]] = np.where(x, placed[1], placed[0]).transpose(0, 2, 1)
     return out
 
 
@@ -196,7 +203,13 @@ def _level_rates(model: MicSMPModel, masks):
 def _flip_totals(flips: np.ndarray) -> np.ndarray:
     """Row sums of :func:`flip_masses`, in vertex order: the mass of leaving each configuration."""
     # a copy, so the result does not pin the whole cumulative-sum matrix
-    return np.cumsum(flips, axis=1)[:, -1].copy()
+    return np.cumsum(flips, axis=-1)[..., -1].copy()
+
+
+def _require_fitness(r: np.ndarray) -> None:
+    bad = ~((r > 0.0) & np.isfinite(r))
+    if bad.any():
+        raise NotStochastic(f"fitness must be positive and finite, got {r[bad.argmax()]}")
 
 
 def _require_exact_size(n: int) -> None:

@@ -10,6 +10,11 @@ Schultz 1986) above (``"iterative"``).  It also solves ``A T = 1``, the
 expected number of jumps to absorption (Kemeny & Snell, *Finite Markov
 Chains*), whose maximum certifies the max-norm error of ``h``.
 
+The solve has a leading model axis: :func:`_fixation_stack` solves ``k``
+models with the same ``n`` by one stacked LU and certifies each of them, and
+:func:`fixation_probabilities` is its ``k = 1`` call.  Each model's ``rho``
+and bound are bitwise those of its solve alone.
+
 The reference values are the classic well-mixed fixation probabilities
 ``rho_i = i/n`` for neutral fitness and ``(1 - r^-i) / (1 - r^-n)`` otherwise.
 """
@@ -24,9 +29,10 @@ import numpy as np
 from scipy.sparse import csr_matrix, identity
 from scipy.sparse.linalg import gmres
 
-from .dynamics import MicSMPModel, _flip_totals, _require_exact_size, flip_masses
+from .dynamics import (MicSMPModel, _flip_masses, _flip_totals, _require_exact_size,
+                       _require_fitness)
 from .errors import AtomOnAbsorbing, DegenerateCase, NotStochastic, NumericalFailure, TooLarge
-from .graph import STOCHASTIC_TOL, Configuration, level_masks, mask_bits
+from .graph import STOCHASTIC_TOL, Configuration, _require_policies, level_masks, mask_bits
 
 #: Largest certified max-norm error of the returned fixation probabilities.
 SOLVE_RESIDUAL_TOL = 1e-10
@@ -44,7 +50,9 @@ def moran_rho(i: int, n: int, r: float) -> float:
 
     Neutral fitness (``|r - 1| <= 1e-12``) gives ``i / n``; otherwise
     ``(1 - r^-i) / (1 - r^-n)``, evaluated through ``expm1``/``log1p`` so the
-    near-neutral regime does not cancel catastrophically.
+    near-neutral regime does not cancel catastrophically.  Where that form
+    fails, it falls back: ``log r`` once ``r - 1`` rounds to -1, and
+    ``r^(n-i) (1 - r^i) / (1 - r^n)`` once ``r^-n`` overflows.
     """
     if not 0 <= i <= n:
         raise NotStochastic(f"mutant count {i} outside [0, {n}]")
@@ -54,8 +62,11 @@ def moran_rho(i: int, n: int, r: float) -> float:
         return 1.0
     if abs(r - 1.0) <= _NEUTRAL_TOL:
         return i / n
-    log_r = math.log1p(r - 1.0)
-    return math.expm1(-i * log_r) / math.expm1(-n * log_r)
+    log_r = math.log1p(r - 1.0) if r - 1.0 != -1.0 else math.log(r)
+    try:
+        return math.expm1(-i * log_r) / math.expm1(-n * log_r)
+    except OverflowError:
+        return math.exp((n - i) * log_r) * math.expm1(i * log_r) / math.expm1(n * log_r)
 
 
 @dataclass(frozen=True)
@@ -127,58 +138,115 @@ class FixationReport:
     rho_alpha: float | None = None
 
 
-def _jump_system(model: MicSMPModel, n: int):
-    """Off-diagonal entries ``(rows, cols, jump)`` of ``J`` and the right-hand sides ``[b, 1]``."""
+def _jump_system(W: np.ndarray, mu: np.ndarray, r: np.ndarray):
+    """``(rows, cols, jump, rhs)`` of ``k`` models with the same ``n``: ``J_i[rows, cols] =
+    jump[i]`` off the diagonal, and the right-hand sides ``rhs[i] = [b_i, 1]``."""
+    k, n = mu.shape
     full = (1 << n) - 1
     masks = np.arange(1, full)
-    flips = flip_masses(model, masks)
+    flips = _flip_masses(W, mu, r, masks)
     leave = _flip_totals(flips)
-    if leave.min() <= 0.0:
-        raise DegenerateCase(f"configuration {int(masks[leave.argmin()]):#b} can never change")
-    jump = flips / leave[:, None]
+    stuck = leave.min(axis=1) <= 0.0
+    if stuck.any():
+        i = int(stuck.argmax())
+        raise DegenerateCase(f"{_model_label(i, k)}configuration "
+                             f"{int(masks[leave[i].argmin()]):#b} can never change")
+    jump = flips / leave[:, :, None]
     targets = masks[:, None] ^ (1 << np.arange(n))
-    rhs = np.ones((len(masks), 2))
-    rhs[:, 0] = np.where(targets == full, jump, 0.0).sum(axis=1)
+    rhs = np.ones((k, len(masks), 2))
+    rhs[:, :, 0] = np.where(targets == full, jump, 0.0).sum(axis=2)
     rows, flipped = np.nonzero((targets != 0) & (targets != full))
-    return rows, targets[rows, flipped] - 1, jump[rows, flipped], rhs
+    return rows, targets[rows, flipped] - 1, jump[:, rows, flipped], rhs
+
+
+def _model_label(i: int, k: int) -> str:
+    """Names model ``i`` in an error message about a stack of ``k > 1`` models."""
+    return f"model {i}: " if k > 1 else ""
 
 
 def _certified_solve(rows, cols, jump, rhs, terms: int):
-    """Solve ``(I - J) X = rhs`` for ``rhs = [b, 1]``, with ``J[rows, cols] = jump``.
+    """Solve ``(I - J_i) X_i = [b_i, 1]`` for ``k`` systems of ``m`` rows, ``J_i[rows, cols]
+    = jump[i]``; ``jump`` has shape ``(k, len(rows))`` and ``rhs`` ``(k, m, 2)``.
 
-    Dense LU up to :data:`_DENSE_MAX_ROWS` rows, restarted GMRES on a CSR
-    matrix above.  ``X = [h, T]`` and the :class:`SolverInfo` carry the bound
-    ``max T / (1 - ||1 - A T||) * ||b - A h||`` on ``||h - A^-1 b||`` in
-    max-norms, for ``A = I - J``.  It holds for any nonsingular M-matrix, since
-    ``A^-1 >= 0`` and ``A^-1 1 = T + A^-1 (1 - A T)``; swapping ``rows`` and
-    ``cols`` solves with ``A^T``.  The slack covers rounding in ``A``, ``rhs``
-    and the residuals, whose rows sum at most ``terms`` terms, each at most 1
-    per unit of the solution.  Raises :class:`NumericalFailure` when the bound
-    exceeds :data:`SOLVE_RESIDUAL_TOL`.
+    Up to :data:`_DENSE_MAX_ROWS` rows, one stacked LU per chunk of at most
+    ``_DENSE_MAX_ROWS^2`` entries; above, restarted GMRES on CSR, per system.
+    ``X[i] = [h_i, T_i]`` and the :class:`SolverInfo` of each system carry the
+    bound ``max T / (1 - ||1 - A T||) * ||b - A h||`` on ``||h - A^-1 b||`` in
+    max-norms, for ``A = I - J_i``.  It holds for any nonsingular M-matrix,
+    since ``A^-1 >= 0`` and ``A^-1 1 = T + A^-1 (1 - A T)``; swapping ``rows``
+    and ``cols`` solves with ``A^T``.  The slack covers rounding in ``A``,
+    ``rhs`` and the residuals, whose rows sum at most ``terms`` terms, each at
+    most 1 per unit of the solution.  Raises :class:`NumericalFailure`, naming
+    the system when ``k > 1``, when a bound exceeds :data:`SOLVE_RESIDUAL_TOL`.
+    Each system's solution and bound are bitwise those of its solve alone.
     """
-    m = len(rhs)
+    k, m = rhs.shape[:2]
+    X = np.empty_like(rhs)
+    residual = np.empty((k, 2))
+    iterations = [1] * k
     if m <= _DENSE_MAX_ROWS:
-        A = np.eye(m)
-        A[rows, cols] -= jump
-        X, method, iterations = np.linalg.solve(A, rhs), "dense", 1
+        method = "dense"
+        step = max(1, _DENSE_MAX_ROWS**2 // m**2)
+        for lo in range(0, k, step):
+            chunk = slice(lo, lo + step)
+            A = np.zeros((len(rhs[chunk]), m, m))
+            A[:, range(m), range(m)] = 1.0
+            A[:, rows, cols] -= jump[chunk]
+            X[chunk] = np.linalg.solve(A, rhs[chunk])
+            residual[chunk] = np.abs(rhs[chunk] - A @ X[chunk]).max(axis=1)
     else:
-        A = identity(m, format="csr") - csr_matrix((jump, (rows, cols)), shape=(m, m))
-        steps = []
-        solve = partial(gmres, A, restart=50, maxiter=200, callback=steps.append,
-                        callback_type="pr_norm")
-        h = solve(rhs[:, 0], atol=1e-13, rtol=0.0)[0]
-        T = solve(rhs[:, 1], atol=0.0, rtol=1e-8)[0]  # T only has to bound ||A^-1||
-        X, method, iterations = np.column_stack((h, T)), "iterative", len(steps)
-    residual = np.abs(rhs - A @ X).max(axis=0)
+        method = "iterative"
+        for i in range(k):
+            steps = []
+            A = identity(m, format="csr") - csr_matrix((jump[i], (rows, cols)), shape=(m, m))
+            solve = partial(gmres, A, restart=50, maxiter=200, callback=steps.append,
+                            callback_type="pr_norm")
+            X[i, :, 0] = solve(rhs[i, :, 0], atol=1e-13, rtol=0.0)[0]
+            X[i, :, 1] = solve(rhs[i, :, 1], atol=0.0, rtol=1e-8)[0]  # T only bounds ||A^-1||
+            residual[i] = np.abs(rhs[i] - A @ X[i]).max(axis=0)
+            iterations[i] = len(steps)
     slack = 4 * terms * _EPS
-    t_max = float(np.abs(X[:, 1]).max())
-    drift = float(residual[1]) + slack * (1.0 + t_max)
-    if not drift < 1.0:
-        raise NumericalFailure(f"absorption-time residual {drift:.3e} leaves the error unbounded")
-    bound = t_max / (1.0 - drift) * (float(residual[0]) + slack)
-    if not bound <= SOLVE_RESIDUAL_TOL:
-        raise NumericalFailure(f"certified error bound {bound:.3e} above {SOLVE_RESIDUAL_TOL:g}")
-    return X, SolverInfo(method, iterations, bound)
+    t_max = np.abs(X[:, :, 1]).max(axis=1)
+    drift = residual[:, 1] + slack * (1.0 + t_max)
+    unbounded = ~(drift < 1.0)
+    if unbounded.any():
+        i = int(unbounded.argmax())
+        raise NumericalFailure(f"{_model_label(i, k)}absorption-time residual "
+                               f"{drift[i]:.3e} leaves the error unbounded")
+    bound = t_max / (1.0 - drift) * (residual[:, 0] + slack)
+    failed = ~(bound <= SOLVE_RESIDUAL_TOL)
+    if failed.any():
+        i = int(failed.argmax())
+        raise NumericalFailure(f"{_model_label(i, k)}certified error bound {bound[i]:.3e} "
+                               f"above {SOLVE_RESIDUAL_TOL:g}")
+    return X, [SolverInfo(method, it, b) for it, b in zip(iterations, bound.tolist())]
+
+
+def _fixation_stack(W: np.ndarray, mu: np.ndarray, r: np.ndarray):
+    """``rho`` ``(k, 2^n)`` by mask and a :class:`SolverInfo` each, for ``k`` models with
+    the same ``n``: validated weights ``W`` ``(k, n, n)`` (a broadcast view will do),
+    policies ``mu`` ``(k, n)`` and fitnesses ``r`` ``(k,)``, which get the checks of
+    ``SelectionPolicy`` and ``MicSMPModel``.  Row ``i`` is bitwise
+    :func:`fixation_probabilities` of model ``i``; errors name the model when ``k > 1``.
+    """
+    k, n = mu.shape
+    if W.shape != (k, n, n) or r.shape != (k,):
+        raise NotStochastic(f"a stack of {k} policies of length {n} needs weights of shape "
+                            f"{(k, n, n)} and {k} fitnesses, got {W.shape} and {r.shape}")
+    _require_exact_size(n)
+    _require_policies(mu)
+    _require_fitness(r)
+    X, solvers = _certified_solve(*_jump_system(W, mu, r), terms=n + 2)
+    h = X[:, :, 0]
+    bound = np.array([solver.residual for solver in solvers])
+    escaped = (h.min(axis=1) < -bound) | (h.max(axis=1) > 1.0 + bound)
+    if escaped.any():
+        raise NumericalFailure(f"{_model_label(int(escaped.argmax()), k)}"
+                               "fixation probabilities escape [0, 1]")
+    rho = np.zeros((k, 1 << n))
+    rho[:, 1:-1] = h.clip(0.0, 1.0)
+    rho[:, -1] = 1.0
+    return rho, solvers
 
 
 def fixation_probabilities(model: MicSMPModel,
@@ -187,6 +255,7 @@ def fixation_probabilities(model: MicSMPModel,
 
     Dense LU up to ``n = 10``, GMRES above; both certified (:func:`_certified_solve`).
     When ``alpha`` is given, the report carries ``rho_alpha = sum alpha(x) rho_x``.
+    :func:`_fixation_stack` solves many models of one size at once.
 
     Raises :class:`TooLarge` above ``n = 20``, :class:`DegenerateCase` when
     some transient configuration can never change, and
@@ -196,23 +265,25 @@ def fixation_probabilities(model: MicSMPModel,
     _require_exact_size(n)
     if alpha is not None and alpha.n != n:
         raise NotStochastic("initial distribution dimension mismatch")
-    X, solver = _certified_solve(*_jump_system(model, n), terms=n + 2)
-    h = X[:, 0]
-    if h.min() < -solver.residual or h.max() > 1.0 + solver.residual:
-        raise NumericalFailure("fixation probabilities escape [0, 1]")
-
-    rho = np.concatenate(([0.0], h.clip(0.0, 1.0), [1.0]))
-    levels = mask_bits(np.arange(1 << n), n).sum(axis=1)
-    reference = np.array([moran_rho(j, n, model.r) for j in range(n + 1)])
-    deviation = np.zeros(n + 1)
-    np.maximum.at(deviation, levels, np.abs(rho - reference[levels]))
-
+    (rho,), (solver,) = _fixation_stack(model.W.entries[None], model.mu.mu[None],
+                                        np.array([model.r]))
     rho_alpha = None
     if alpha is not None:
         rho_alpha = float(sum(w * rho[mask] for mask, w in alpha.atoms))
 
-    return FixationReport(n=n, r=model.r, rho=rho, per_level_deviation=deviation,
+    return FixationReport(n=n, r=model.r, rho=rho,
+                          per_level_deviation=_per_level_deviation(rho, model.r),
                           solver=solver, rho_alpha=rho_alpha)
+
+
+def _per_level_deviation(rho: np.ndarray, r: float) -> np.ndarray:
+    """:attr:`FixationReport.per_level_deviation` of ``rho``, indexed by mask, at fitness ``r``."""
+    n = len(rho).bit_length() - 1
+    levels = mask_bits(np.arange(1 << n), n).sum(axis=1)
+    reference = np.array([moran_rho(j, n, r) for j in range(n + 1)])
+    deviation = np.zeros(n + 1)
+    np.maximum.at(deviation, levels, np.abs(rho - reference[levels]))
+    return deviation
 
 
 def fixation_for_initial(model: MicSMPModel, alpha: InitialDistribution) -> float:

@@ -71,17 +71,24 @@ class SelectionPolicy:
         mu = _frozen_array(self.mu)
         if mu.ndim != 1:
             raise NotStochastic("selection policy must be a vector")
-        if not np.isfinite(mu).all():
-            raise NotStochastic("selection policy entries must be finite")
-        if np.any(mu < -STOCHASTIC_TOL) or abs(mu.sum() - 1.0) > STOCHASTIC_TOL:
-            raise NotStochastic(
-                f"selection policy must be a probability vector, got sum {float(mu.sum())!r}"
-            )
+        _require_policies(mu[None])
         object.__setattr__(self, "mu", mu)
 
     @property
     def n(self) -> int:
         return self.mu.shape[0]
+
+
+def _require_policies(mu: np.ndarray) -> None:
+    """:class:`SelectionPolicy`'s checks on every row of a ``(k, n)`` stack of policies."""
+    if not np.isfinite(mu).all():
+        raise NotStochastic("selection policy entries must be finite")
+    sums = mu.sum(axis=1)
+    bad = (mu < -STOCHASTIC_TOL).any(axis=1) | (np.abs(sums - 1.0) > STOCHASTIC_TOL)
+    if bad.any():
+        raise NotStochastic(
+            f"selection policy must be a probability vector, got sum {float(sums[bad.argmax()])!r}"
+        )
 
 
 @dataclass(frozen=True)

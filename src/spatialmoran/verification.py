@@ -11,10 +11,13 @@ from __future__ import annotations
 import numpy as np
 
 from .analysis import (
+    GALANIS_WEIGHTS,
     GalanisParams,
     N2Params,
     _macro_markov_check,
     _martingale_report,
+    _n2_surface,
+    _n2_weights,
     _ratio_constancy,
     _transient_rates,
     classic_moran_check,
@@ -25,16 +28,16 @@ from .analysis import (
     macro_markov_check,
     martingale_report,
     n2_F,
-    n2_fixation_closed_form,
     n2_moran_selection,
     ratio_constancy,
     single_mutant_ratio_witness,
 )
 from .dynamics import MicSMPModel, build_model
 from .errors import OutOfRange, SpatialMoranError, ZeroDenominator
-from .exact import fixation_for_initial, fixation_probabilities, moran_rho
+from .exact import _fixation_stack, _per_level_deviation, fixation_probabilities, moran_rho
 from .generators import random_doubly_stochastic, random_strongly_connected_weights
-from .graph import complete_graph_weights, is_isothermal, stationary_distribution
+from .graph import (WeightMatrix, complete_graph_weights, is_isothermal,
+                    stationary_distribution, validate_weight_matrix)
 
 DEFAULT_SEED = 20260811
 _R_SET = (0.5, 1.0, 2.0)
@@ -57,16 +60,20 @@ def _stationary_and_isothermal(rng, graphs: int):
         W = random_strongly_connected_weights(n, rng)
         pi = stationary_distribution(W)
         residual = max(residual, float(np.max(np.abs(pi.pi @ W.entries - pi.pi))))
-        for r in _R_SET:
-            report = fixation_probabilities(build_model(W, mu=pi.pi, r=r))
-            fixation_dev = max(fixation_dev, report.per_level_deviation.max())
+        fixation_dev = max(fixation_dev, _moran_deviation(W, pi.pi))
         D = random_doubly_stochastic(n, rng)
         if not is_isothermal(D):
             iso_dev = float("inf")
-        for r in _R_SET:
-            report = fixation_probabilities(build_model(D, mu="uniform", r=r))
-            iso_dev = max(iso_dev, report.per_level_deviation.max())
+        iso_dev = max(iso_dev, _moran_deviation(D, np.full(n, 1.0 / n)))
     return residual, fixation_dev, iso_dev
+
+
+def _moran_deviation(W: WeightMatrix, mu: np.ndarray) -> float:
+    """Largest per-level deviation of ``(W, mu)`` over :data:`_R_SET`, in one stacked solve."""
+    n, k = W.n, len(_R_SET)
+    rho, _ = _fixation_stack(np.broadcast_to(W.entries, (k, n, n)), np.tile(mu, (k, 1)),
+                             np.array(_R_SET))
+    return max(float(_per_level_deviation(row, r).max()) for row, r in zip(rho, _R_SET))
 
 
 def _martingale_and_ratio(rng, graphs: int):
@@ -95,16 +102,21 @@ def _martingale_and_ratio(rng, graphs: int):
     return drift_dev, exp_dev, ratio_dev, witness_floor, witness
 
 
-def _n2_suite(rng) -> float:
-    worst = 0.0
+def _n2_grid_deviation() -> float:
+    """The two-vertex surface against one stacked solve of its 3 x 3 x 11 x 11 grid over
+    ``(c, r, a, m)``; the start puts weight ``a`` on mask 0b10 and ``1 - a`` on 0b01."""
+    c_set = (0.5, 1.0, 2.0)
     grid = np.linspace(0.0, 1.0, 11)
-    for c in (0.5, 1.0, 2.0):
-        for r in (0.5, 1.0, 2.0):
-            for a in grid:
-                for m in grid:
-                    p = N2Params(a=float(a), m=float(m), c=c, r=r)
-                    exact = fixation_for_initial(p.model(), p.initial_distribution())
-                    worst = max(worst, abs(n2_fixation_closed_form(p) - exact))
+    which, r, a, m = (axis.ravel() for axis in
+                      np.meshgrid(range(len(c_set)), (0.5, 1.0, 2.0), grid, grid, indexing="ij"))
+    weights = np.stack([_n2_weights(c).entries for c in c_set])
+    rho, _ = _fixation_stack(weights[which], np.column_stack((m, 1.0 - m)), r)
+    exact = a * rho[:, 0b10] + (1.0 - a) * rho[:, 0b01]
+    return float(np.abs(_n2_surface(a, m, np.take(c_set, which), r)[0] - exact).max())
+
+
+def _n2_suite(rng) -> float:
+    worst = _n2_grid_deviation()
     found = 0
     while found < 50:
         r = float(rng.uniform(0.25, 4.0))
@@ -122,16 +134,27 @@ def _n2_suite(rng) -> float:
     return worst
 
 
-def _galanis_suite(rng) -> float:
-    pi = stationary_distribution(galanis_model(1.0).W).pi
+def _galanis_policy_deviation(rng) -> float:
+    """The stationary distribution, and the neutral closed form against one stacked solve
+    of 50 draws of ``(a1, a2, m1, m2)``; the start puts ``a1``, ``a2`` and
+    ``1 - a1 - a2`` on masks 0b010, 0b100 and 0b001, in that order."""
+    W = validate_weight_matrix(GALANIS_WEIGHTS)
+    pi = stationary_distribution(W).pi
     worst = float(np.max(np.abs(pi - np.array([2.0 / 7.0, 2.0 / 7.0, 3.0 / 7.0]))))
-    for _ in range(50):
-        a1, a2 = rng.dirichlet(np.ones(3))[:2]
-        m1, m2 = rng.dirichlet(np.ones(3))[:2]
-        g = GalanisParams(a1=a1, a2=a2, m1=m1, m2=m2)
-        exact = fixation_for_initial(galanis_model(1.0, mu=g.policy()),
-                                     g.initial_distribution())
-        worst = max(worst, abs(galanis_neutral_fixation(g) - exact))
+    draws = np.empty((50, 4))
+    for row in draws:
+        row[:2] = rng.dirichlet(np.ones(3))[:2]
+        row[2:] = rng.dirichlet(np.ones(3))[:2]
+    a1, a2, m1, m2 = draws.T
+    rho, _ = _fixation_stack(np.broadcast_to(W.entries, (len(draws), 3, 3)),
+                             np.column_stack((m1, m2, 1.0 - m1 - m2)), np.ones(len(draws)))
+    exact = a1 * rho[:, 0b010] + a2 * rho[:, 0b100] + (1.0 - a1 - a2) * rho[:, 0b001]
+    closed = [galanis_neutral_fixation(GalanisParams(*row)) for row in draws.tolist()]
+    return max(worst, float(np.abs(np.array(closed) - exact).max()))
+
+
+def _galanis_suite(rng) -> float:
+    worst = _galanis_policy_deviation(rng)
     for _ in range(10):
         # one sample from each forced-value family
         m = rng.dirichlet(np.ones(3))

@@ -56,6 +56,12 @@ class TestExactCommand:
         assert code == 0
         assert "rho_alpha" not in doc
 
+    def test_fitness_below_double_resolution_is_solved(self, capsys, schema):
+        # r - 1 rounds to -1 here, where log1p(r - 1) is undefined
+        code, doc = run_json(capsys, schema, "exact", "--model", "@galanis", "--r", "1e-17")
+        assert code == 0
+        assert doc["moran"]["1"] == pytest.approx(1e-34, rel=1e-12)
+
     def test_malformed_matrix_exits_two(self, capsys, schema, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"n": 2, "W": [[0.5, 0.6], [0.5, 0.5]], "r": 1}))
@@ -255,6 +261,9 @@ class TestVerifyCommand:
     (("sweep", "--c", "0", "--r", "2"), "OutOfRange"),
     (("sweep", "--c", "-1", "--r", "2"), "OutOfRange"),
     (("sweep", "--c", "nan", "--r", "2"), "OutOfRange"),
+    (("sweep", "--c", "inf", "--r", "2", "--grid", "3"), "OutOfRange"),
+    (("sweep", "--c", "1", "--r", "inf", "--grid", "3"), "OutOfRange"),
+    (("sweep", "--c", "1", "--r", "nan", "--grid", "3"), "OutOfRange"),
 ])
 def test_malformed_input_exits_two_with_its_type(capsys, schema, argv, error):
     code, doc = run_json(capsys, schema, *argv)

@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -8,6 +11,7 @@ from spatialmoran import (
     DegenerateCase,
     InitialDistribution,
     NotStochastic,
+    NumericalFailure,
     TooLarge,
     build_model,
     complete_graph_weights,
@@ -23,8 +27,9 @@ from spatialmoran import (
     two_vertex_weights,
     validate_weight_matrix,
 )
+from spatialmoran import exact
 from spatialmoran.analysis import N2Params, n2_fixation_closed_form
-from spatialmoran.exact import _certified_solve
+from spatialmoran.exact import _certified_solve, _fixation_stack
 
 
 class TestMoranRho:
@@ -55,6 +60,21 @@ class TestMoranRho:
     def test_monotone_in_start_count(self):
         values = [moran_rho(i, 8, 2.0) for i in range(9)]
         assert all(a < b for a, b in zip(values, values[1:]))
+
+    @pytest.mark.parametrize("i, n, r", [(1, 3, 1e-17), (2, 3, 1e-17), (1, 5, 2.0**-60),
+                                         (1, 2000, 0.7), (1999, 2000, 0.7), (10, 1000, 0.5),
+                                         (1, 200, 0.01)])
+    def test_extreme_fitness_matches_the_rational_value(self, i, n, r):
+        # r - 1 rounds to -1 below 2^-53, and r^-n overflows once -n log r > 709
+        q = Fraction(r)
+        expected = float((1 - q**-i) / (1 - q**-n))
+        assert moran_rho(i, n, r) == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    def test_ordinary_fitness_keeps_the_log1p_form(self):
+        rng = np.random.default_rng(12)
+        for r, n in zip(rng.uniform(0.25, 4.0, 300), rng.integers(2, 21, 300)):
+            i, log_r = int(rng.integers(1, n)), math.log1p(r - 1.0)
+            assert moran_rho(i, int(n), r) == math.expm1(-i * log_r) / math.expm1(-n * log_r)
 
 
 class TestInitialDistribution:
@@ -298,9 +318,69 @@ class TestCertifiedSolve:
         rhs = np.ones((N - 1, 2))
         rhs[:, 0] = 0.0
         rhs[-1, 0] = up
-        X, solver = _certified_solve(rows, cols, jump, rhs, terms=4)
-        error = np.abs(X[:, 0] - [moran_rho(i, N, r) for i in range(1, N)]).max()
+        X, (solver,) = _certified_solve(rows, cols, jump[None], rhs[None], terms=4)
+        error = np.abs(X[0, :, 0] - [moran_rho(i, N, r) for i in range(1, N)]).max()
         assert error <= solver.residual <= 1e-10
+
+
+class TestFixationStack:
+    @staticmethod
+    def family(n, k, rng):
+        """k models at n vertices: random weights, positive policies, fitnesses in [0.25, 4]."""
+        W = np.stack([random_strongly_connected_weights(n, rng).entries for _ in range(k)])
+        mu = rng.uniform(0.2, 1.0, (k, n))
+        mu /= mu.sum(axis=1, keepdims=True)
+        return W, mu, rng.uniform(0.25, 4.0, k)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_rows_are_bitwise_the_per_model_solves(self, n):
+        rng = np.random.default_rng(100 + n)
+        W, mu, r = self.family(n, 7, rng)
+        rho, solvers = _fixation_stack(W, mu, r)
+        for i in range(len(r)):
+            report = fixation_probabilities(build_model(validate_weight_matrix(W[i]), mu[i], r[i]))
+            assert np.array_equal(rho[i], report.rho)
+            assert solvers[i] == report.solver
+
+    def test_chunks_are_bitwise_one_stack(self, monkeypatch):
+        W, mu, r = self.family(4, 9, np.random.default_rng(7))
+        whole = _fixation_stack(W, mu, r)
+        # 20^2 entries per chunk hold two systems of 14 rows: the nine solve in five chunks
+        monkeypatch.setattr(exact, "_DENSE_MAX_ROWS", 20)
+        chunked = _fixation_stack(W, mu, r)
+        assert np.array_equal(whole[0], chunked[0]) and whole[1] == chunked[1]
+
+    def test_a_model_that_never_changes_is_named(self):
+        # only vertex 1 reproduces, onto vertex 2: mutants on 1 and 2 stay forever
+        cycle = [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]
+        mu = np.full((4, 3), 1.0 / 3.0)
+        mu[2] = (1.0, 0.0, 0.0)
+        with pytest.raises(DegenerateCase, match="^model 2: configuration 0b11 can never change"):
+            _fixation_stack(np.broadcast_to(cycle, (4, 3, 3)), mu, np.ones(4))
+
+    def test_every_bound_is_checked(self, monkeypatch):
+        W, mu, r = self.family(5, 6, np.random.default_rng(8))
+        bounds = np.array([solver.residual for solver in _fixation_stack(W, mu, r)[1]])
+        worst = int(bounds.argmax())
+        monkeypatch.setattr(exact, "SOLVE_RESIDUAL_TOL", float(np.sort(bounds)[-2]))
+        with pytest.raises(NumericalFailure, match=f"^model {worst}: certified error bound"):
+            _fixation_stack(W, mu, r)
+
+    @pytest.mark.parametrize("shapes", [((3, 3, 3), (3, 4), (3,)), ((3, 4, 4), (2, 4), (3,)),
+                                        ((3, 4, 4), (3, 4), (2,)), ((3, 3, 4), (3, 3), (3,))])
+    def test_mismatched_sizes_are_rejected(self, shapes):
+        W, mu, r = (np.full(shape, 1.0 / shape[-1]) for shape in shapes)
+        with pytest.raises(NotStochastic, match="a stack of"):
+            _fixation_stack(W, mu, r)
+
+    def test_policies_and_fitnesses_are_checked(self):
+        W, mu, r = self.family(3, 4, np.random.default_rng(9))
+        bad_mu = mu.copy()
+        bad_mu[1, 0] += 0.1
+        with pytest.raises(NotStochastic, match="probability vector"):
+            _fixation_stack(W, bad_mu, r)
+        with pytest.raises(NotStochastic, match="fitness must be positive and finite"):
+            _fixation_stack(W, mu, np.array([1.0, 2.0, np.inf, 1.0]))
 
 
 class TestFixationForInitial:
