@@ -8,7 +8,9 @@ fixation probabilities solve ``A h = b`` with ``A = I - J``,
 LU up to ``n = 10`` (``solver.method == "dense"``) and restarted GMRES (Saad &
 Schultz 1986) above (``"iterative"``).  It also solves ``A T = 1``, the
 expected number of jumps to absorption (Kemeny & Snell, *Finite Markov
-Chains*), whose maximum certifies the max-norm error of ``h``.
+Chains*), whose maximum certifies the max-norm error of ``h``.  GMRES solves
+``T`` first and stops on ``h`` once that certificate is met: a stationary
+policy makes ``rho`` constant on each level, and each takes about ``n`` steps.
 
 The solve has a leading model axis: :func:`_fixation_stack` solves ``k``
 models with the same ``n`` by one stacked LU and certifies each of them, and
@@ -176,8 +178,14 @@ def _certified_solve(rows, cols, jump, rhs, terms: int):
     since ``A^-1 >= 0`` and ``A^-1 1 = T + A^-1 (1 - A T)``; swapping ``rows``
     and ``cols`` solves with ``A^T``.  The slack covers rounding in ``A``,
     ``rhs`` and the residuals, whose rows sum at most ``terms`` terms, each at
-    most 1 per unit of the solution.  Raises :class:`NumericalFailure`, naming
-    the system when ``k > 1``, when a bound exceeds :data:`SOLVE_RESIDUAL_TOL`.
+    most 1 per unit of the solution.  GMRES solves ``T`` first, then ``h`` to
+    the max-norm residual ``tau`` that puts the bound at ``SOLVE_RESIDUAL_TOL /
+    10``, less the slack (at least the slack): a first pass aims at the 2-norm
+    ``tau sqrt(m)``, and a miss resumes from ``h``, at most twice, aiming at
+    ``||r||_2 tau / (2 ||r||_inf)``; ``iterations`` counts every pass's steps.
+    Raises :class:`NumericalFailure`, naming the system when ``k > 1``, when
+    ``||1 - A T||`` reaches 1 (before solving for ``h``) or a bound exceeds
+    :data:`SOLVE_RESIDUAL_TOL`.
     Each system's solution and bound are bitwise those of its solve alone.
     """
     k, m = rhs.shape[:2]
@@ -196,15 +204,14 @@ def _certified_solve(rows, cols, jump, rhs, terms: int):
             residual[chunk] = np.abs(rhs[chunk] - A @ X[chunk]).max(axis=1)
     else:
         method = "iterative"
-        for i in range(k):
-            steps = []
-            A = identity(m, format="csr") - csr_matrix((jump[i], (rows, cols)), shape=(m, m))
-            solve = partial(gmres, A, restart=50, maxiter=200, callback=steps.append,
-                            callback_type="pr_norm")
-            X[i, :, 0] = solve(rhs[i, :, 0], atol=1e-13, rtol=0.0)[0]
-            X[i, :, 1] = solve(rhs[i, :, 1], atol=0.0, rtol=1e-8)[0]  # T only bounds ||A^-1||
-            residual[i] = np.abs(rhs[i] - A @ X[i]).max(axis=0)
-            iterations[i] = len(steps)
+        systems = [identity(m, format="csr") - csr_matrix((jump[i], (rows, cols)), shape=(m, m))
+                   for i in range(k)]
+        steps = [[] for _ in range(k)]
+        solve = partial(gmres, restart=50, maxiter=200, callback_type="pr_norm")
+        for i, A in enumerate(systems):
+            X[i, :, 1] = solve(A, rhs[i, :, 1], atol=0.0, rtol=1e-8,  # T only bounds ||A^-1||
+                               callback=steps[i].append)[0]
+            residual[i, 1] = np.abs(rhs[i, :, 1] - A @ X[i, :, 1]).max()
     slack = 4 * terms * _EPS
     t_max = np.abs(X[:, :, 1]).max(axis=1)
     drift = residual[:, 1] + slack * (1.0 + t_max)
@@ -213,6 +220,18 @@ def _certified_solve(rows, cols, jump, rhs, terms: int):
         i = int(unbounded.argmax())
         raise NumericalFailure(f"{_model_label(i, k)}absorption-time residual "
                                f"{drift[i]:.3e} leaves the error unbounded")
+    if method == "iterative":
+        tau = np.maximum(SOLVE_RESIDUAL_TOL * (1.0 - drift) / (10.0 * t_max) - slack, slack)
+        for i, A in enumerate(systems):
+            h, atol = None, tau[i] * math.sqrt(m)  # a residual of tau in every row
+            for _ in range(3):  # one pass, and at most two resumed from h
+                h = solve(A, rhs[i, :, 0], x0=h, atol=atol, rtol=0.0,
+                          callback=steps[i].append)[0]
+                res = np.abs(rhs[i, :, 0] - A @ h)
+                if res.max() <= tau[i]:
+                    break
+                atol = math.sqrt(res @ res) * tau[i] / (2.0 * res.max())
+            X[i, :, 0], residual[i, 0], iterations[i] = h, res.max(), len(steps[i])
     bound = t_max / (1.0 - drift) * (residual[:, 0] + slack)
     failed = ~(bound <= SOLVE_RESIDUAL_TOL)
     if failed.any():

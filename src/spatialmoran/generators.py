@@ -31,15 +31,17 @@ def random_doubly_stochastic(n: int, rng: np.random.Generator) -> WeightMatrix:
     """Random doubly stochastic weights by alternating row/column normalisation.
 
     Starts from a strictly positive random matrix, so the normalisation
-    converges geometrically and the result is strongly connected.  After
-    :data:`_SINKHORN_SWEEPS` sweeps a final pass normalises rows exactly; a
-    residual column-sum error above :data:`STOCHASTIC_TOL` raises
-    :class:`NumericalFailure`.
+    converges geometrically and the result is strongly connected.  Sweeps stop
+    once a column pass leaves every row sum within ``n`` ulps of 1, or after
+    :data:`_SINKHORN_SWEEPS`; a final pass normalises rows exactly, and a
+    column-sum error above :data:`STOCHASTIC_TOL` raises :class:`NumericalFailure`.
     """
     mass = rng.uniform(0.1, 1.0, (n, n))
     for _ in range(_SINKHORN_SWEEPS):
         mass /= mass.sum(axis=1, keepdims=True)
         mass /= mass.sum(axis=0, keepdims=True)
+        if np.abs(mass.sum(axis=1) - 1.0).max() <= n * np.finfo(float).eps:
+            break
     mass /= mass.sum(axis=1, keepdims=True)
     column_error = float(np.max(np.abs(mass.sum(axis=0) - 1.0)))
     if column_error > STOCHASTIC_TOL:

@@ -307,6 +307,62 @@ class TestCertifiedSolve:
                         for mask in range(1 << n))
             assert error <= report.solver.residual <= 1e-10
 
+    @staticmethod
+    def recorded_gmres(monkeypatch, result=None):
+        """Record the ``x0`` of every GMRES call; return ``result(b)`` instead when given."""
+        calls, original = [], exact.gmres
+
+        def gmres(A, b, x0=None, **options):
+            calls.append(x0)
+            return (result(b), 0) if result else original(A, b, x0=x0, **options)
+
+        monkeypatch.setattr(exact, "gmres", gmres)
+        return calls
+
+    @pytest.mark.parametrize("model", ["stationary", "ring"])
+    def test_stationary_solves_stop_near_n_steps(self, model):
+        # rho is constant on each level, so the Krylov space closes after about n steps;
+        # a 2-norm target below MGS-GMRES's rounding floor would spin on to the restart
+        if model == "ring":
+            n, W = 15, ring_weights(15, 0.9)
+        else:
+            n, rng = 14, np.random.default_rng(14)
+            W = rng.uniform(0.2, 1.0, (n, n))
+            W = validate_weight_matrix(W / W.sum(axis=1, keepdims=True))
+        report = fixation_probabilities(build_model(W, mu="stationary", r=3.0))
+        assert report.solver.method == "iterative"
+        assert report.solver.iterations <= 2 * n + 4
+        assert report.solver.residual <= 1e-11
+
+    def test_a_missed_target_resumes_from_h(self, monkeypatch):
+        calls = self.recorded_gmres(monkeypatch)
+        rng = np.random.default_rng(11)
+        W = random_strongly_connected_weights(11, rng)
+        mu = rng.uniform(0.2, 1.0, 11)
+        mu /= mu.sum()
+        report = fixation_probabilities(build_model(W, mu=mu, r=2.0))
+        assert calls[0] is None and calls[1] is None  # T, then the first pass for h
+        assert any(x0 is not None for x0 in calls[2:])  # the first pass missed tau
+        rows, cols, jump, rhs = exact._jump_system(W.entries[None], mu[None], np.array([2.0]))
+        A = np.eye(len(rhs[0]))
+        A[rows, cols] -= jump[0]
+        h = np.linalg.solve(A, rhs[0, :, 0])
+        assert np.abs(report.rho[1:-1] - h).max() <= report.solver.residual <= 1e-11
+
+    def test_unbounded_absorption_time_raises_before_h(self, monkeypatch):
+        calls = self.recorded_gmres(monkeypatch, result=np.zeros_like)  # T = 0: ||1 - A T|| = 1
+        model = build_model(complete_graph_weights(11), mu="uniform", r=2.0)
+        with pytest.raises(NumericalFailure, match="absorption-time residual"):
+            fixation_probabilities(model)
+        assert calls == [None]
+
+    def test_a_target_below_rounding_fails_the_bound(self, monkeypatch):
+        # tau less the slack is negative here; GMRES aims at the slack instead
+        monkeypatch.setattr(exact, "_DENSE_MAX_ROWS", 2)
+        monkeypatch.setattr(exact, "SOLVE_RESIDUAL_TOL", 1e-16)
+        with pytest.raises(NumericalFailure, match="certified error bound"):
+            fixation_probabilities(galanis_model(2.0))
+
     @pytest.mark.parametrize("N, r", [(3, 2.0), (100, 1.5), (300, 1.0), (1000, 0.7)])
     def test_complete_graph_birth_death_chain(self, N, r):
         # the mutant count of @complete:N rises with probability r / (1 + r) per jump;
