@@ -182,7 +182,8 @@ def _certified_solve(rows, cols, jump, rhs, terms: int):
     the max-norm residual ``tau`` that puts the bound at ``SOLVE_RESIDUAL_TOL /
     10``, less the slack (at least the slack): a first pass aims at the 2-norm
     ``tau sqrt(m)``, and a miss resumes from ``h``, at most twice, aiming at
-    ``||r||_2 tau / (2 ||r||_inf)``; ``iterations`` counts every pass's steps.
+    ``||r||_2 tau / (2 ||r||_inf)``, unless a pass ran out of restarts;
+    ``iterations`` counts every pass's steps.
     Raises :class:`NumericalFailure`, naming the system when ``k > 1``, when
     ``||1 - A T||`` reaches 1 (before solving for ``h``) or a bound exceeds
     :data:`SOLVE_RESIDUAL_TOL`.
@@ -225,10 +226,10 @@ def _certified_solve(rows, cols, jump, rhs, terms: int):
         for i, A in enumerate(systems):
             h, atol = None, tau[i] * math.sqrt(m)  # a residual of tau in every row
             for _ in range(3):  # one pass, and at most two resumed from h
-                h = solve(A, rhs[i, :, 0], x0=h, atol=atol, rtol=0.0,
-                          callback=steps[i].append)[0]
+                h, info = solve(A, rhs[i, :, 0], x0=h, atol=atol, rtol=0.0,
+                                callback=steps[i].append)
                 res = np.abs(rhs[i, :, 0] - A @ h)
-                if res.max() <= tau[i]:
+                if res.max() <= tau[i] or info > 0:  # met, or GMRES ran out of restarts
                     break
                 atol = math.sqrt(res @ res) * tau[i] / (2.0 * res.max())
             X[i, :, 0], residual[i, 0], iterations[i] = h, res.max(), len(steps[i])

@@ -8,26 +8,34 @@ state-changing transitions (idle steps keep the configuration and therefore
 cannot affect which absorbing state is hit); faithful mode samples the
 one-step law including idles and exists to validate that shortcut.
 
-Two walkers sample the same law.  Up to ``n = 12`` (:data:`TABLE_MAX_VERTICES`)
-every transient configuration gets a cumulative sampling table, built up
-front in one :func:`~spatialmoran.dynamics.flip_masses` batch, and the
-trials are walked in lockstep, :data:`BLOCK_TRIALS` (``2^14``) at a time: a
-step bisects every walking trial's table row at once, and every fourth step
-one vectorised Philox evaluation draws the next four uniforms of every
-walking trial.  Philox is counter-based, so these are exactly the uniforms
+Two walkers sample the same law, and one block driver runs both.  Trials
+go in blocks of :data:`BLOCK_TRIALS` (``2^14``), fewer where a block's
+``(trials, n)`` arrays would pass 2^20 entries.  One vectorised Philox
+evaluation draws uniform 0 of every trial, which picks its start; later ones
+draw the next four uniforms of every walking trial, or several times four
+when few walk.  Philox is counter-based, so these are exactly the uniforms
 of the per-trial streams, and the counts for a given seed are bit-identical
-to walking the trials one at a time.  A lockstep step costs 0.1-0.2 ms of
-NumPy calls however few trials walk, so a single trajectory, a run of fewer
-than :data:`LOCKSTEP_MIN_TRIALS` trials and the last trials still walking in
-a block go on one at a time, by scalar bisection of the same tables and
-positioned per-trial streams.  Above ``n = 12`` the tables would not
-fit, and the walker follows Gillespie's direct method instead, one trial at
-a time: per trajectory it keeps the type vector and the unnormalised masses
-of mutant and of wildtype parents placed onto each vertex.  Flipping vertex
-``u`` changes only ``u``'s selection weight, so a step is O(n) work and
-nothing is kept per configuration.  The masses are recomputed from scratch
-every :data:`REFRESH_EVENTS` flips, which bounds their rounding drift.
-There is no vertex limit.
+to walking the trials one at a time.  A lockstep step costs a fixed number
+of NumPy calls however few trials walk, so once fewer than a walker's
+hand-off size walk (a single trajectory, a short run, the tail of a block),
+they go on one at a time, on streams positioned where the block left them.
+
+Up to ``n = 12`` (:data:`TABLE_MAX_VERTICES`) every transient configuration
+gets a cumulative sampling table, built up front in one
+:func:`~spatialmoran.dynamics.flip_masses` batch; a step bisects every
+walking trial's table row at once (hand-off :data:`LOCKSTEP_MIN_TRIALS`).
+Above ``n = 12`` the tables would not fit, and the walker follows
+Gillespie's direct method instead: per trajectory it keeps the type vector
+and the unnormalised masses of mutant and of wildtype parents placed onto
+each vertex.  Flipping vertex ``u`` changes only ``u``'s selection weight,
+so a step is O(n) work and nothing is kept per configuration.  A lockstep
+step is one row-wise cumulative sum, one row-wise bisection with the
+midpoints of NumPy's ``searchsorted`` and one row update (hand-off
+:data:`WALKER_LOCKSTEP_MIN_TRIALS`).  The masses are recomputed from scratch
+every :data:`REFRESH_EVENTS` flips, which bounds their rounding drift.  That
+recompute, a pick the rounding guard doubts and a configuration that can
+never change take the one-trial step, so a lockstep walk is bitwise the walk
+of each trial alone.  There is no vertex limit.
 
 A configuration that can never change (every flip mass zero, possible only
 when the policy has zeros) censors the trajectory that reaches it, in both
@@ -38,10 +46,12 @@ from __future__ import annotations
 
 import enum
 import math
+import os
 from bisect import bisect_left
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -57,6 +67,13 @@ TABLE_MAX_VERTICES = 12
 BLOCK_TRIALS = 1 << 14
 #: Fewest trials the table walker walks in lockstep; fewer go on one at a time.
 LOCKSTEP_MIN_TRIALS = 256
+#: Fewest trials the incremental walker walks in lockstep; fewer go on one at a time.
+WALKER_LOCKSTEP_MIN_TRIALS = 32
+#: Most entries of a block's ``(trials, n)`` arrays: 8 MiB per float array.
+_BLOCK_ENTRIES = 1 << 20
+#: Fewest Philox counters one evaluation takes, drawing blocks ahead when few
+#: trials walk: an evaluation costs about 300 NumPy calls however few they are.
+_PHILOX_COUNTERS = 1 << 10
 #: Flips between from-scratch recomputes of the incremental walker's masses.
 REFRESH_EVENTS = 1000
 
@@ -157,16 +174,18 @@ def _mulhilo(m: int, x: np.ndarray):
     return hi, _U64(m) * x
 
 
-def _philox_uniforms(seed: int, trials: np.ndarray, block: int) -> np.ndarray:
-    """Uniforms ``4 block .. 4 block + 3`` of each trial's :class:`_TrialStream`, all at once.
+def _philox_uniforms(seed: int, trials: np.ndarray, block: int, blocks: int = 1) -> np.ndarray:
+    """Uniforms ``4 block .. 4 (block + blocks) - 1`` of each trial's :class:`_TrialStream`.
 
-    Row ``k`` of the ``(4, len(trials))`` result holds uniform ``4 block + k``:
-    word ``k`` of Philox4x64-10 (Salmon et al., SC'11) at the counter
-    ``(block + 1, 0, 0, trial)`` under the key ``(seed, 0)``, turned into a
-    double as NumPy's ``random()`` turns a word.  ``trials`` is ``uint64``.
+    Row ``k`` of the ``(4 blocks, len(trials))`` result holds uniform
+    ``4 block + k``: word ``k % 4`` of Philox4x64-10 (Salmon et al., SC'11) at
+    the counter ``(block + k // 4 + 1, 0, 0, trial)`` under the key
+    ``(seed, 0)``, turned into a double as NumPy's ``random()`` turns a word.
+    ``trials`` is ``uint64``.
     """
-    c0 = np.full(trials.shape, block + 1, dtype=_U64)
-    c1 = c2 = np.zeros(trials.shape, dtype=_U64)
+    c0 = np.repeat(np.arange(block + 1, block + blocks + 1, dtype=_U64)[:, None],
+                   len(trials), axis=1)
+    c1 = c2 = np.zeros_like(c0)
     c3 = trials
     for i in range(10):
         hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
@@ -176,11 +195,15 @@ def _philox_uniforms(seed: int, trials: np.ndarray, block: int) -> np.ndarray:
         hi0 ^= c3
         hi0 ^= _U64(i * _PHILOX_W[1] % 2**64)
         c0, c1, c2, c3 = hi1, lo1, hi0, lo0
-    words = np.stack((c0, c1, c2, c3))
+    words = np.stack((c0, c1, c2, c3), axis=1).reshape(4 * blocks, len(trials))
     words >>= _U64(11)
     uniforms = words.astype(np.float64)
     uniforms *= 2.0**-53
     return uniforms
+
+
+#: Outcome of each fate code of a lockstep step; code 0 marks a trial still walking.
+_OUTCOMES = (None, Outcome.FIXATION, Outcome.EXTINCTION, Outcome.CENSORED)
 
 
 class _Tables:
@@ -190,15 +213,16 @@ class _Tables:
     that can flip, in vertex order (normalised in event mode; closed by the
     idle mass in faithful mode), padded with 2.0 to a power-of-two width;
     ``targets`` holds the configuration each entry moves to.  Both are kept
-    flat.  ``live`` is False for the absorbing masks and for masks that never
-    change.
+    flat.  ``fate`` is the fate code (index into ``_OUTCOMES``) of each mask:
+    0 for the masks that walk on, 3 for those that never change.
     """
 
     def __init__(self, model: MicSMPModel, mode: str):
         n = model.n
         self._full = full = (1 << n) - 1
-        # rows of 2^shift >= n + 2 entries, for the branchless bisection of _lockstep()
+        # rows of 2^shift >= n + 2 entries, for the branchless bisection of step()
         self._shift = shift = (n + 1).bit_length()
+        self._halves = [1 << k for k in range(shift - 1, -1, -1)]
         masks = np.arange(1, full)
         flips = flip_masses(model, masks)
         positive = flips > 0.0
@@ -224,13 +248,18 @@ class _Tables:
         self._cum[1 << shift:full << shift] = cum.ravel()
         self._targets = np.zeros((full + 1) << shift, dtype=np.int64)
         self._targets[1 << shift:full << shift] = targets.ravel()
-        self._live = np.zeros(full + 1, dtype=bool)
-        self._live[1:full] = count > 0
+        self._fate = np.full(full + 1, 3, dtype=np.int8)
+        self._fate[0], self._fate[full] = 2, 1
+        self._fate[1:full][count > 0] = 0
+
+    @property
+    def handoff(self) -> int:
+        return LOCKSTEP_MIN_TRIALS
 
     @cached_property
     def _lists(self):
-        """``cum``, ``targets`` and ``live`` as lists, for walks of one trial."""
-        return self._cum.tolist(), self._targets.tolist(), self._live.tolist()
+        """``cum``, ``targets`` and ``fate`` as lists, for walks of one trial."""
+        return self._cum.tolist(), self._targets.tolist(), self._fate.tolist()
 
     def walk(self, mask: int, stream: _TrialStream, max_steps: int):
         """One trajectory from ``mask``, one uniform of ``stream`` per step; ``(outcome, steps)``."""
@@ -239,76 +268,66 @@ class _Tables:
 
     def _continue(self, mask: int, stream: _TrialStream, steps: int, max_steps: int):
         """Walk on from ``mask`` after ``steps`` steps; ``(final mask, steps)``."""
-        cum, targets, live = self._lists
+        cum, targets, fate = self._lists
         shift = self._shift
         width = 1 << shift
         next_uniform = stream.next_uniform
-        while steps < max_steps and live[mask]:
+        while steps < max_steps and not fate[mask]:
             at = mask << shift
             mask = targets[bisect_left(cum, next_uniform(), at, at + width)]
             steps += 1
         return mask, steps
 
-    def _lockstep(self, masks: np.ndarray, trials: np.ndarray, seed: int,
-                  uniforms: np.ndarray, max_steps: int) -> np.ndarray:
-        """Final masks of ``trials`` walked from ``masks``; censored ones are neither 0 nor full.
+    def begin(self, alpha_masks, picks: np.ndarray):
+        """Lockstep state ``[masks]`` of trials starting on atoms ``picks``, and their fates."""
+        masks = np.asarray(alpha_masks, dtype=np.int64)[picks]
+        return [masks], self._fate.take(masks)
 
-        ``uniforms`` holds Philox block 0 of every trial, whose first uniform
-        picked the start.  Once fewer than :data:`LOCKSTEP_MIN_TRIALS` walk,
-        they go on one at a time.
-        """
-        cum, targets, live, shift = self._cum, self._targets, self._live, self._shift
-        halves = [1 << k for k in range(shift - 1, -1, -1)]
-        final = masks.copy()
-        walking = np.flatnonzero(live[masks])
-        state, trials, uniforms = masks[walking], trials[walking], uniforms[:, walking]
-        lane, block, step = 1, 1, 0
-        while walking.size >= LOCKSTEP_MIN_TRIALS and step < max_steps:
-            if lane == len(uniforms):
-                uniforms, lane, block = _philox_uniforms(seed, trials, block), 0, block + 1
-            u = uniforms[lane]
-            # branchless bisection: ``at`` ends on the first entry of the row
-            # not below u, as bisect_left finds it
-            at = state << shift
-            for half in halves:
-                at += (cum.take(at + (half - 1)) < u) * half
-            state = targets.take(at)
-            lane += 1
-            step += 1
-            go = live.take(state)
-            if not go.all():
-                final[walking[~go]] = state[~go]
-                walking, state, trials, uniforms = (walking[go], state[go], trials[go],
-                                                    uniforms[:, go])
-        final[walking] = state
-        if step < max_steps:
-            # uniform 4 (block - 1) + lane of each stream is the next one
-            stream = _TrialStream(seed)
-            for k, trial in enumerate(trials.tolist()):
-                stream.position(trial, block - 1)
-                for _ in range(lane):
-                    stream.next_uniform()
-                final[walking[k]], _ = self._continue(int(state[k]), stream, step, max_steps)
-        return final
+    def step(self, state, u: np.ndarray) -> np.ndarray:
+        """One step of every trial in ``state``, on uniforms ``u``; returns the fate codes."""
+        (masks,) = state
+        cum = self._cum
+        # branchless bisection: ``at`` ends on the first entry of the row
+        # not below u, as bisect_left finds it
+        at = masks << self._shift
+        for half in self._halves:
+            at += (cum.take(at + (half - 1)) < u) * half
+        masks[:] = self._targets.take(at)
+        return self._fate.take(masks)
 
-    def run(self, alpha_cum, alpha_masks, seed: int, lo: int, hi: int, max_steps: int):
-        """``(fixations, extinctions, censored)`` of trials ``lo..hi-1``, a block at a time."""
-        alpha_cum = np.asarray(alpha_cum)
-        alpha_masks = np.asarray(alpha_masks, dtype=np.int64)
-        fix = ext = 0
-        for first in range(lo, hi, BLOCK_TRIALS):
-            trials = np.arange(first, min(first + BLOCK_TRIALS, hi), dtype=_U64)
-            uniforms = _philox_uniforms(seed, trials, 0)
-            starts = alpha_masks[np.searchsorted(alpha_cum, uniforms[0], "left")]
-            final = self._lockstep(starts, trials, seed, uniforms, max_steps)
-            fix += int(np.count_nonzero(final == self._full))
-            ext += int(np.count_nonzero(final == 0))
-        return fix, ext, hi - lo - fix - ext
+    def resume(self, state, k: int, stream: _TrialStream, steps: int, max_steps: int):
+        """Walk trial ``k`` of ``state`` on alone after ``steps`` steps; its outcome."""
+        return self.outcome(self._continue(int(state[0][k]), stream, steps, max_steps)[0])
 
     def outcome(self, mask: int) -> Outcome:
         if mask == 0:
             return Outcome.EXTINCTION
         return Outcome.FIXATION if mask == self._full else Outcome.CENSORED
+
+
+def _searchsorted_rows(cum: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """Flat index into ``cum`` of ``np.searchsorted(cum[i], target[i], "right")`` for every row.
+
+    The bisection takes NumPy's midpoints, so it picks the same entry where a
+    row is not sorted: rounding residues can leave a flip mass slightly
+    negative, so that ``cum`` dips, and there counting the entries up to
+    ``target`` may pick another.
+    """
+    m, n = cum.shape
+    flat = cum.ravel()
+    lo = np.arange(0, m * n, n)
+    hi = lo + n
+    # a search of n entries takes floor(log2(n + 1)) or ceil(log2(n + 1)) halvings,
+    # so only the last of these steps can meet a row already done
+    done_before = (n + 1).bit_length() - 1
+    for depth in range(n.bit_length()):
+        mid = (lo + hi) >> 1  # on flat indices, as lo + (hi - lo) // 2 on a row
+        right = flat.take(mid, mode="clip") <= target
+        if depth >= done_before:
+            right &= lo < hi
+        lo = np.where(right, mid + 1, lo)
+        hi = np.where(right, hi, mid)
+    return lo
 
 
 class _Trajectory:
@@ -330,9 +349,14 @@ class _Walker:
         self._n = model.n
         self._event = mode == "event"
         self._mu, self._r, self._W = mu, r, model.W.entries
-        # rows[u]: change of the masses when vertex u turns mutant
-        self._rows = np.stack((r * model.w_mu, -model.w_mu), axis=1)
-        self._dweight = ((r - 1.0) * mu).tolist()
+        # rows[u]: change of the masses when vertex u turns mutant; row n + u,
+        # when it turns wildtype.  Likewise for the selection weight.
+        rows = np.stack((r * model.w_mu, -model.w_mu), axis=1)
+        self._signed_rows = np.concatenate((rows, -rows))
+        self._rows = self._signed_rows[:self._n]
+        dweight = (r - 1.0) * mu
+        self._signed_dweight = np.concatenate((dweight, -dweight))
+        self._dweight = self._signed_dweight[:self._n]
         # bound on the rounding residue REFRESH_EVENTS updates leave on a zero mass
         scale = max(r, 1.0) * float(np.max(mu @ self._W))
         self._guard = 4.0 * REFRESH_EVENTS * np.finfo(float).eps * scale
@@ -413,6 +437,83 @@ class _Walker:
     def walk(self, mask: int, stream: _TrialStream, max_steps: int):
         return self.advance(self.start(mask), stream, max_steps)
 
+    @property
+    def handoff(self) -> int:
+        return WALKER_LOCKSTEP_MIN_TRIALS
+
+    def begin(self, alpha_masks, picks: np.ndarray):
+        """Lockstep state of trials starting on atoms ``picks``, and their fates.
+
+        The state is the :class:`_Trajectory` fields, each stacked along a
+        leading trial axis (each atom's start is computed once, by
+        :meth:`start`), then the scratch arrays of :meth:`step`, so that a
+        step allocates no array of ``trials x n`` entries.
+        """
+        atoms, inverse = np.unique(picks, return_inverse=True)
+        starts = [self.start(alpha_masks[atom]) for atom in atoms.tolist()]
+        state = [np.array([getattr(traj, name) for traj in starts])[inverse.ravel()]
+                 for name in _Trajectory.__slots__]
+        state += [np.empty((len(picks), self._n)), np.empty((len(picks), self._n)),
+                  np.empty_like(state[1])]
+        return state, np.zeros(len(picks), dtype=np.int8)
+
+    def _row(self, state, k: int) -> _Trajectory:
+        """Trial ``k`` of ``state``; its type vector and masses are views."""
+        traj = _Trajectory()
+        traj.x, traj.masses = state[0][k], state[1][k]
+        traj.weight, traj.mutants, traj.since = (a[k].item() for a in state[2:5])
+        return traj
+
+    def step(self, state, u: np.ndarray) -> np.ndarray:
+        """One step of every trial in ``state``, on uniforms ``u``; returns the fate codes.
+
+        Bitwise :meth:`advance`'s step on each row.  A row whose masses are
+        due a refresh, whose pick the rounding guard doubts, or whose
+        configuration can never change takes that step through :meth:`advance`.
+        """
+        x, masses, weight, mutants, since, flips, cum, delta = state
+        m, n = x.shape
+        np.copyto(flips, masses[:, 0])
+        np.copyto(flips, masses[:, 1], where=x)
+        np.cumsum(flips, axis=1, out=cum)
+        total = cum[:, -1]
+        target = u * (total if self._event else weight)
+        at = _searchsorted_rows(cum, target)
+        hit = target < total
+        doubtful = np.where(hit, flips.ravel().take(at, mode="clip"), total) <= self._guard
+        alone = doubtful & (since > 0)
+        alone |= since >= REFRESH_EVENTS
+        alone |= total == 0.0
+        go = hit & ~alone
+        # where a row flips, ``at`` is the flat index of its vertex v; turned says
+        # whether v was a mutant, and row turned n + v of the signed tables applies.
+        # a + (-b) is a - b in IEEE arithmetic: bitwise advance's -= and +=
+        turned = x.ravel().take(at, mode="clip")
+        signed = turned * n + (at - np.arange(0, m * n, n))
+        self._signed_rows.take(signed, axis=0, out=delta, mode="clip")
+        np.add(masses, delta, out=masses, where=go[:, None, None])
+        np.add(weight, self._signed_dweight.take(signed, mode="clip"), out=weight, where=go)
+        np.add(mutants, 1 - 2 * turned.astype(np.int64), out=mutants, where=go)
+        since += go
+        x.ravel()[at[go]] = ~turned[go]
+        stuck = []
+        for k in np.flatnonzero(alone).tolist():
+            traj = self._row(state, k)
+            # a stream of the one uniform of this step
+            _, steps = self.advance(traj, SimpleNamespace(next_uniform=[u[k]].pop), 1)
+            weight[k], mutants[k], since[k] = traj.weight, traj.mutants, traj.since
+            if steps == 0:  # the configuration never changes
+                stuck.append(k)
+        fate = np.zeros(m, dtype=np.int8)
+        fate[mutants == n] = 1
+        fate[mutants == 0] = 2
+        fate[stuck] = 3
+        return fate
+
+    def resume(self, state, k: int, stream: _TrialStream, steps: int, max_steps: int):
+        """Walk trial ``k`` of ``state`` on alone after ``steps`` steps; its outcome."""
+        return self.advance(self._row(state, k), stream, max_steps - steps)[0]
+
 
 def _sampler(model: MicSMPModel, mode: str):
     if model.n <= TABLE_MAX_VERTICES:
@@ -439,26 +540,48 @@ def simulate_trajectory(model: MicSMPModel, x0: Configuration,
 
 def _run_range(model: MicSMPModel, mode: str, alpha_cum, alpha_masks, seed: int,
                lo: int, hi: int, max_steps: int):
-    """``(fixations, extinctions, censored)`` of trials ``lo..hi-1``.
+    """``(fixations, extinctions, censored)`` of trials ``lo..hi-1``, in lockstep blocks.
 
     Builds its own sampler, so it also serves as the worker-process entry.
+    Uniform 0 of each trial's stream picks its start, and step ``s`` takes uniform ``s``.
     """
     sampler = _sampler(model, mode)
-    if isinstance(sampler, _Tables) and hi - lo >= LOCKSTEP_MIN_TRIALS:
-        return sampler.run(alpha_cum, alpha_masks, seed, lo, hi, max_steps)
-    stream = _TrialStream(seed)
-    fix = ext = cens = 0
-    for trial in range(lo, hi):
-        stream.position(trial)
-        mask = alpha_masks[bisect_left(alpha_cum, stream.next_uniform())]
-        outcome, _ = sampler.walk(mask, stream, max_steps)
-        if outcome is Outcome.FIXATION:
-            fix += 1
-        elif outcome is Outcome.EXTINCTION:
-            ext += 1
-        else:
-            cens += 1
-    return fix, ext, cens
+    block = max(1, min(BLOCK_TRIALS, _BLOCK_ENTRIES // model.n))
+    counts = np.zeros(len(_OUTCOMES), dtype=np.int64)
+    for first in range(lo, hi, block):
+        trials = np.arange(first, min(first + block, hi), dtype=_U64)
+        uniforms = _philox_uniforms(seed, trials, 0).T
+        state, fate = sampler.begin(alpha_masks, np.searchsorted(alpha_cum, uniforms[:, 0]))
+        walking, step, lane = len(trials), 0, 1  # the next step takes uniform step + 1
+        while True:
+            if fate.any():
+                counts += np.bincount(fate, minlength=len(_OUTCOMES))
+                # compact: the walking trials behind the new end fill the holes before it
+                go = fate == 0
+                walking = int(np.count_nonzero(go))
+                holes, movers = np.flatnonzero(~go[:walking]), np.flatnonzero(go[walking:])
+                for a in (trials, uniforms, *state):
+                    a[holes] = a[walking + movers]
+            if walking < sampler.handoff or step == max_steps:
+                break
+            if lane == uniforms.shape[1]:  # uniform step + 1 starts a Philox block
+                blocks = max(1, _PHILOX_COUNTERS // walking)
+                uniforms = _philox_uniforms(seed, trials[:walking], (step + 1) // 4, blocks).T
+                lane = 0
+            fate = sampler.step([a[:walking] for a in state], uniforms[:walking, lane])
+            lane += 1
+            step += 1
+        if step == max_steps:
+            counts[_OUTCOMES.index(Outcome.CENSORED)] += walking
+            continue
+        # uniform step + 1 of each stream is the next one
+        stream = _TrialStream(seed)
+        for k, trial in enumerate(trials[:walking].tolist()):
+            stream.position(trial, (step + 1) // 4)
+            for _ in range((step + 1) % 4):
+                stream.next_uniform()
+            counts[_OUTCOMES.index(sampler.resume(state, k, stream, step, max_steps))] += 1
+    return tuple(counts[1:].tolist())
 
 
 def estimate_fixation(model: MicSMPModel, alpha: InitialDistribution, trials: int,
@@ -467,7 +590,8 @@ def estimate_fixation(model: MicSMPModel, alpha: InitialDistribution, trials: in
 
     Each trial draws its start from ``alpha`` and walks to absorption.  The
     per-trial streams depend only on ``(cfg.seed, trial index)``, so the
-    result is identical for any ``workers`` value.
+    result is identical for any ``workers`` value.  At most as many worker
+    processes start as the process may use CPUs.
     """
     if trials < 1:
         raise OutOfRange(f"need at least one trial, got {trials}")
@@ -483,7 +607,8 @@ def estimate_fixation(model: MicSMPModel, alpha: InitialDistribution, trials: in
         alpha_cum.append(acc)
     alpha_cum[-1] = 1.0
 
-    workers = min(workers, trials)
+    usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(workers, trials, usable or 1)
     bounds = np.linspace(0, trials, workers + 1).astype(int).tolist()
     ranges = [(model, cfg.mode, alpha_cum, alpha_masks, cfg.seed, lo, hi, cfg.max_steps)
               for lo, hi in zip(bounds[:-1], bounds[1:])]

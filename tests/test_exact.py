@@ -356,6 +356,26 @@ class TestCertifiedSolve:
             fixation_probabilities(model)
         assert calls == [None]
 
+    def test_a_pass_out_of_restarts_is_the_last(self, monkeypatch):
+        # every pass on h stops after one restart of two steps, short of its target:
+        # the bound check raises after that pass, with no pass resumed from h
+        passes, original = [], exact.gmres
+
+        def gmres(A, b, x0=None, **options):
+            if not passes:  # A T = 1 as usual
+                passes.append("T")
+                return original(A, b, x0=x0, **options)
+            passes.append("h")
+            h, info = original(A, b, x0=x0, **{**options, "restart": 2, "maxiter": 1})
+            assert info > 0
+            return h, info
+
+        monkeypatch.setattr(exact, "gmres", gmres)
+        model = build_model(complete_graph_weights(11), mu="uniform", r=2.0)
+        with pytest.raises(NumericalFailure, match="certified error bound"):
+            fixation_probabilities(model)
+        assert passes == ["T", "h"]
+
     def test_a_target_below_rounding_fails_the_bound(self, monkeypatch):
         # tau less the slack is negative here; GMRES aims at the slack instead
         monkeypatch.setattr(exact, "_DENSE_MAX_ROWS", 2)

@@ -1,6 +1,8 @@
 import math
+import os
 import tracemalloc
 from bisect import bisect_left
+from functools import partial
 from itertools import accumulate
 
 import numpy as np
@@ -31,8 +33,10 @@ from spatialmoran.montecarlo import (
     LOCKSTEP_MIN_TRIALS,
     REFRESH_EVENTS,
     TABLE_MAX_VERTICES,
+    WALKER_LOCKSTEP_MIN_TRIALS,
     _philox_uniforms,
     _sampler,
+    _searchsorted_rows,
     _TrialStream,
     _Walker,
 )
@@ -285,8 +289,9 @@ class TestIncrementalWalker:
         model = _random_policy_model(16, 16, 1.3)
         alpha = InitialDistribution.level_uniform(16, 2)
         cfg = TrajectoryConfig(seed=8)
-        assert estimate_fixation(model, alpha, 300, cfg) == \
-            estimate_fixation(model, alpha, 300, cfg, workers=2)
+        result = estimate_fixation(model, alpha, 300, cfg)
+        assert estimate_fixation(model, alpha, 300, cfg, workers=2) == result
+        assert _counts(result) == _walker_counts(model, alpha, 300, cfg)[0]
 
     @pytest.mark.parametrize("mode", ["event", "faithful"])
     def test_agrees_with_exact_solver(self, mode):
@@ -353,20 +358,30 @@ def _reference_walk(tables, full, mask, stream, max_steps):
     return Outcome.CENSORED, steps
 
 
-def _reference_counts(model, alpha, trials, cfg):
-    """``(fixations, extinctions, censored)``, one trial after another on its own stream."""
-    tables = _reference_tables(model, cfg.mode)
-    full = (1 << model.n) - 1
+def _per_trial_counts(walk, alpha, trials, cfg):
+    """``(fixations, extinctions, censored)`` and the most steps of a trial, one trial
+    after another on its own stream; ``walk(start, stream, max_steps)`` walks one."""
     masks = [mask for mask, _ in alpha.atoms]
     cum = list(accumulate(w for _, w in alpha.atoms))
     cum[-1] = 1.0
     stream = _TrialStream(cfg.seed)
     counts = dict.fromkeys(Outcome, 0)
+    longest = 0
     for trial in range(trials):
         stream.position(trial)
         start = masks[bisect_left(cum, stream.next_uniform())]
-        counts[_reference_walk(tables, full, start, stream, cfg.max_steps)[0]] += 1
-    return counts[Outcome.FIXATION], counts[Outcome.EXTINCTION], counts[Outcome.CENSORED]
+        outcome, steps = walk(start, stream, cfg.max_steps)
+        counts[outcome] += 1
+        longest = max(longest, steps)
+    return (counts[Outcome.FIXATION], counts[Outcome.EXTINCTION],
+            counts[Outcome.CENSORED]), longest
+
+
+def _reference_counts(model, alpha, trials, cfg):
+    """``(fixations, extinctions, censored)`` by bisection of the list tables."""
+    tables = _reference_tables(model, cfg.mode)
+    walk = partial(_reference_walk, tables, (1 << model.n) - 1)
+    return _per_trial_counts(walk, alpha, trials, cfg)[0]
 
 
 def _several_atoms(n, seed):
@@ -390,9 +405,12 @@ class TestPhiloxKernel:
             for trial in trials:
                 stream.position(trial)
                 expected.append([stream.next_uniform() for _ in range(40)])
-            blocks = [_philox_uniforms(seed, np.array(trials, dtype=np.uint64), block)
-                      for block in range(10)]
+            counters = np.array(trials, dtype=np.uint64)
+            blocks = [_philox_uniforms(seed, counters, block) for block in range(10)]
             assert np.concatenate(blocks).T.tolist() == expected
+            # several blocks in one evaluation
+            assert np.array_equal(_philox_uniforms(seed, counters, 3, 6),
+                                  np.concatenate(blocks[3:9]))
 
     def test_stream_positioned_at_a_block(self):
         stream = _TrialStream(5)
@@ -471,3 +489,152 @@ class TestLockstepWalk:
                     expected = _reference_walk(tables, (1 << n) - 1, start.bits, stream, max_steps)
                     cfg = TrajectoryConfig(seed=seed, mode=mode, max_steps=max_steps)
                     assert simulate_trajectory(model, start, cfg) == expected
+
+
+def _walker_counts(model, alpha, trials, cfg):
+    """Counts and the most steps of a trial, by :meth:`_Walker.walk`, one trial at a time."""
+    return _per_trial_counts(_Walker(model, cfg.mode).walk, alpha, trials, cfg)
+
+
+class TestLockstepWalker:
+    """The incremental walker in lockstep against its per-trial walk over the same streams."""
+
+    @staticmethod
+    def small_blocks(monkeypatch, handoff=8):
+        # blocks of 64 trials: 300 trials end on a part block, and the last
+        # trials walking in a block go on one at a time
+        monkeypatch.setattr(montecarlo, "BLOCK_TRIALS", 64)
+        monkeypatch.setattr(montecarlo, "WALKER_LOCKSTEP_MIN_TRIALS", handoff)
+
+    @pytest.mark.parametrize("n", [13, 16, 30])
+    @pytest.mark.parametrize("mode", ["event", "faithful"])
+    def test_counts_match_per_trial_walk(self, n, mode, monkeypatch):
+        self.small_blocks(monkeypatch)
+        dips = []
+        searchsorted_rows = montecarlo._searchsorted_rows
+
+        def recorded(cum, target):
+            dips.append(int((np.diff(cum, axis=1) < 0.0).any(axis=1).sum()))
+            return searchsorted_rows(cum, target)
+
+        monkeypatch.setattr(montecarlo, "_searchsorted_rows", recorded)
+        model = _random_policy_model(n, 100 + n, 1.4)
+        alpha = _several_atoms(n, n)
+        for max_steps in (3, 10**7):
+            cfg = TrajectoryConfig(seed=n, mode=mode, max_steps=max_steps)
+            result = estimate_fixation(model, alpha, 300, cfg)
+            assert _counts(result) == _walker_counts(model, alpha, 300, cfg)[0]
+        assert result.censored == 0
+        assert sum(dips) > 0  # rows whose cum dips below a negative rounding residue
+
+    @pytest.mark.parametrize("mode", ["event", "faithful"])
+    def test_rounding_guard_acts_in_lockstep(self, mode, monkeypatch):
+        self.small_blocks(monkeypatch)
+        residues = []
+        advance = _Walker.advance
+
+        def recorded(self, traj, stream, max_steps):
+            flips = np.where(traj.x, traj.masses[1], traj.masses[0])
+            outcome, steps = advance(self, traj, stream, max_steps)
+            if max_steps == 1 and steps == 0 and flips.any():
+                # a lockstep row the guard stopped: its masses were rounding
+                # residues on a configuration that never changes
+                residues.append(flips.min())
+            return outcome, steps
+
+        monkeypatch.setattr(_Walker, "advance", recorded)
+        model = _residue_model()
+        alpha = InitialDistribution.point_mass(0b1001, 13)
+        cfg = TrajectoryConfig(seed=3, mode=mode)
+        result = estimate_fixation(model, alpha, 1000, cfg)
+        assert residues
+        assert _counts(result) == _walker_counts(model, alpha, 1000, cfg)[0]
+        assert result.extinctions > 0 and result.censored > 0
+
+    @pytest.mark.parametrize("mode", ["event", "faithful"])
+    def test_never_changing_configuration_censors(self, mode, monkeypatch):
+        self.small_blocks(monkeypatch)
+        model = _stuck_cycle(16)
+        alpha = InitialDistribution(n=16, atoms=((0b1, 0.5), (0b10, 0.3), (0b100, 0.2)))
+        cfg = TrajectoryConfig(seed=6, mode=mode)
+        result = estimate_fixation(model, alpha, 300, cfg)
+        assert _counts(result) == _walker_counts(model, alpha, 300, cfg)[0]
+        assert result.censored > 0
+
+    def test_refresh_inside_lockstep(self, monkeypatch):
+        # a hand-off below one trial keeps every trial in lockstep to the end
+        self.small_blocks(monkeypatch, handoff=1)
+        model = build_model(complete_graph_weights(40), mu="uniform", r=1.0)
+        alpha = InitialDistribution.point_mass((1 << 20) - 1, 40)
+        cfg = TrajectoryConfig(seed=5)
+        counts, longest = _walker_counts(model, alpha, 150, cfg)
+        assert longest > REFRESH_EVENTS  # event mode: every step is a flip
+        assert _counts(estimate_fixation(model, alpha, 150, cfg)) == counts
+
+    def test_masks_wider_than_int64(self):
+        model = build_model(complete_graph_weights(70), mu="uniform", r=1.5)
+        alpha = InitialDistribution(n=70, atoms=(((1 << 69) | (1 << 64), 0.5), (0b111, 0.5)))
+        trials = 2 * WALKER_LOCKSTEP_MIN_TRIALS
+        cfg = TrajectoryConfig(seed=70)
+        assert _counts(estimate_fixation(model, alpha, trials, cfg)) == \
+            _walker_counts(model, alpha, trials, cfg)[0]
+
+    def test_complete_graph_against_moran(self):
+        n, r, trials = 200, 1.5, 300
+        model = build_model(complete_graph_weights(n), mu="uniform", r=r)
+        result = estimate_fixation(model, InitialDistribution.point_mass(1, n), trials,
+                                   TrajectoryConfig(seed=200))
+        exact = moran_rho(1, n, r)
+        assert result.censored == 0
+        assert abs(result.frequency - exact) <= 4 * math.sqrt(exact * (1 - exact) / trials)
+
+
+class TestSearchsortedRows:
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 37, 63, 64])
+    def test_picks_as_numpy_on_unsorted_rows(self, n):
+        # cumulative sums of steps of either sign dip, as a row of flip masses
+        # with rounding residues can; some targets sit exactly on an entry
+        rng = np.random.default_rng(n)
+        cum = np.cumsum(rng.normal(0.2, 1.0, (500, n)), axis=1)
+        target = rng.uniform(cum.min(), cum.max(), 500)
+        target[::5] = cum[::5, rng.integers(0, n)]
+        expected = [int(np.searchsorted(row, t, "right")) for row, t in zip(cum, target)]
+        assert (_searchsorted_rows(cum, target) - n * np.arange(500)).tolist() == expected
+        if n > 2:
+            assert ((cum <= target[:, None]).sum(axis=1) != expected).any()
+
+
+class TestWorkerCount:
+    @pytest.mark.parametrize("affinity, cpu_count, started", [
+        ({0, 1, 2}, 8, [3]),  # the CPUs this process may run on
+        (None, 3, [3]),  # no sched_getaffinity
+        (None, None, []),  # nothing known: one worker, in this process
+    ])
+    def test_capped_at_usable_cpus(self, affinity, cpu_count, started, monkeypatch):
+        pools = []
+
+        class Recorder:
+            """Records the worker count and maps in this process."""
+
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", Recorder)
+        if affinity is None:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        else:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+        cfg = TrajectoryConfig(seed=5)
+        result = estimate_fixation(galanis_model(1.0), GALANIS_SINGLE, 300, cfg, workers=300)
+        assert pools == started
+        assert result == estimate_fixation(galanis_model(1.0), GALANIS_SINGLE, 300, cfg)
