@@ -8,17 +8,22 @@ state-changing transitions (idle steps keep the configuration and therefore
 cannot affect which absorbing state is hit); faithful mode samples the
 one-step law including idles and exists to validate that shortcut.
 
-Two walkers sample the same law, and one block driver runs both.  Trials
-go in blocks of :data:`BLOCK_TRIALS` (``2^14``), fewer where a block's
-``(trials, n)`` arrays would pass 2^20 entries.  One vectorised Philox
-evaluation draws uniform 0 of every trial, which picks its start; later ones
-draw the next four uniforms of every walking trial, or several times four
-when few walk.  Philox is counter-based, so these are exactly the uniforms
-of the per-trial streams, and the counts for a given seed are bit-identical
-to walking the trials one at a time.  A lockstep step costs a fixed number
-of NumPy calls however few trials walk, so once fewer than a walker's
-hand-off size walk (a single trajectory, a short run, the tail of a block),
-they go on one at a time, on streams positioned where the block left them.
+Two samplers draw from the same law, and one block driver runs both.  Each
+offers the same four members: ``begin`` builds the state of a batch of
+trials, one row each; ``step`` advances every row of a state one step in
+lockstep; ``resume`` walks one row on alone, one uniform of a per-trial
+stream per step; and ``handoff`` is the fewest walking trials worth a
+lockstep step.  Trials go in blocks of :data:`BLOCK_TRIALS` (``2^14``),
+fewer where a block's ``(trials, n)`` arrays would pass 2^20 entries.  One
+vectorised Philox evaluation draws uniform 0 of every trial, which picks its
+start; later ones draw the next four uniforms of every walking trial, or
+several times four when few walk.  Philox is counter-based, so these are
+exactly the uniforms of the per-trial streams, and the counts for a given
+seed are bit-identical to walking the trials one at a time.  A lockstep step
+costs a fixed number of NumPy calls however few trials walk, so once fewer
+than ``handoff`` walk (the tail of a block, a short run) each goes on through
+``resume``, on its stream positioned where the block left it.  A single
+trajectory is a state of one row, walked by ``resume`` from the start.
 
 Up to ``n = 12`` (:data:`TABLE_MAX_VERTICES`) every transient configuration
 gets a cumulative sampling table, built up front in one
@@ -34,8 +39,8 @@ midpoints of NumPy's ``searchsorted`` and one row update (hand-off
 :data:`WALKER_LOCKSTEP_MIN_TRIALS`).  The masses are recomputed from scratch
 every :data:`REFRESH_EVENTS` flips, which bounds their rounding drift.  That
 recompute, a pick the rounding guard doubts and a configuration that can
-never change take the one-trial step, so a lockstep walk is bitwise the walk
-of each trial alone.  There is no vertex limit.
+never change take the row's step through ``resume``, so a lockstep walk is
+bitwise the walk of each trial alone.  There is no vertex limit.
 
 A configuration that can never change (every flip mass zero, possible only
 when the policy has zeros) censors the trajectory that reaches it, in both
@@ -46,6 +51,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 import os
 from bisect import bisect_left
 from concurrent.futures import ProcessPoolExecutor
@@ -58,7 +64,7 @@ import numpy as np
 from .dynamics import MicSMPModel, flip_masses
 from .errors import AbsorbingStart, NotStochastic, OutOfRange
 from .exact import InitialDistribution
-from .graph import Configuration, mask_vector
+from .graph import Configuration, mask_bits
 
 _CHUNK = 32
 #: Largest vertex count sampled from prebuilt per-configuration tables.
@@ -78,6 +84,14 @@ _PHILOX_COUNTERS = 1 << 10
 REFRESH_EVENTS = 1000
 
 
+def _integer(name: str, value) -> int:
+    """``value`` as a plain int: Python and NumPy integers pass, else :class:`OutOfRange`."""
+    try:
+        return int(operator.index(value))
+    except TypeError:
+        raise OutOfRange(f"{name} must be an integer, got {value!r}") from None
+
+
 class Outcome(enum.Enum):
     FIXATION = "fixation"
     EXTINCTION = "extinction"
@@ -93,11 +107,13 @@ class TrajectoryConfig:
     mode: str = "event"  # "event" | "faithful"
 
     def __post_init__(self):
+        for name in ("seed", "max_steps"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
         if self.max_steps < 1:
             raise OutOfRange(f"max_steps must be >= 1, got {self.max_steps}")
         if self.mode not in ("event", "faithful"):
             raise OutOfRange(f"mode must be 'event' or 'faithful', got {self.mode!r}")
-        if not 0 <= int(self.seed) < 2**64:
+        if not 0 <= self.seed < 2**64:
             raise OutOfRange("seed must fit into 64 unsigned bits")
 
 
@@ -219,7 +235,7 @@ class _Tables:
 
     def __init__(self, model: MicSMPModel, mode: str):
         n = model.n
-        self._full = full = (1 << n) - 1
+        full = (1 << n) - 1
         # rows of 2^shift >= n + 2 entries, for the branchless bisection of step()
         self._shift = shift = (n + 1).bit_length()
         self._halves = [1 << k for k in range(shift - 1, -1, -1)]
@@ -261,23 +277,6 @@ class _Tables:
         """``cum``, ``targets`` and ``fate`` as lists, for walks of one trial."""
         return self._cum.tolist(), self._targets.tolist(), self._fate.tolist()
 
-    def walk(self, mask: int, stream: _TrialStream, max_steps: int):
-        """One trajectory from ``mask``, one uniform of ``stream`` per step; ``(outcome, steps)``."""
-        mask, steps = self._continue(mask, stream, 0, max_steps)
-        return self.outcome(mask), steps
-
-    def _continue(self, mask: int, stream: _TrialStream, steps: int, max_steps: int):
-        """Walk on from ``mask`` after ``steps`` steps; ``(final mask, steps)``."""
-        cum, targets, fate = self._lists
-        shift = self._shift
-        width = 1 << shift
-        next_uniform = stream.next_uniform
-        while steps < max_steps and not fate[mask]:
-            at = mask << shift
-            mask = targets[bisect_left(cum, next_uniform(), at, at + width)]
-            steps += 1
-        return mask, steps
-
     def begin(self, alpha_masks, picks: np.ndarray):
         """Lockstep state ``[masks]`` of trials starting on atoms ``picks``, and their fates."""
         masks = np.asarray(alpha_masks, dtype=np.int64)[picks]
@@ -295,14 +294,24 @@ class _Tables:
         masks[:] = self._targets.take(at)
         return self._fate.take(masks)
 
-    def resume(self, state, k: int, stream: _TrialStream, steps: int, max_steps: int):
-        """Walk trial ``k`` of ``state`` on alone after ``steps`` steps; its outcome."""
-        return self.outcome(self._continue(int(state[0][k]), stream, steps, max_steps)[0])
+    def resume(self, state, k: int, stream: _TrialStream, max_steps: int):
+        """Walk trial ``k`` of ``state`` on alone, one uniform of ``stream`` per step.
 
-    def outcome(self, mask: int) -> Outcome:
-        if mask == 0:
-            return Outcome.EXTINCTION
-        return Outcome.FIXATION if mask == self._full else Outcome.CENSORED
+        Takes up to ``max_steps`` steps and writes the trial's mask back;
+        ``(outcome, steps)``, censored if not absorbed.
+        """
+        cum, targets, fate = self._lists
+        shift = self._shift
+        width = 1 << shift
+        next_uniform = stream.next_uniform
+        (masks,) = state
+        mask, steps = int(masks[k]), 0
+        while steps < max_steps and not fate[mask]:
+            at = mask << shift
+            mask = targets[bisect_left(cum, next_uniform(), at, at + width)]
+            steps += 1
+        masks[k] = mask
+        return _OUTCOMES[fate[mask]] or Outcome.CENSORED, steps
 
 
 def _searchsorted_rows(cum: np.ndarray, target: np.ndarray) -> np.ndarray:
@@ -330,19 +339,15 @@ def _searchsorted_rows(cum: np.ndarray, target: np.ndarray) -> np.ndarray:
     return lo
 
 
-class _Trajectory:
-    """State of one incremental walk.
-
-    ``masses[0, u]`` (``masses[1, u]``) is the unnormalised mass of mutant
-    (wildtype) parents placing offspring onto ``u``; ``weight`` is the total
-    selection weight, which normalises both.
-    """
-
-    __slots__ = ("x", "masses", "weight", "mutants", "since")
-
-
 class _Walker:
-    """Incremental walker of Gillespie's direct method (large ``n``)."""
+    """Incremental walker of Gillespie's direct method (large ``n``).
+
+    Row ``k`` of a state is one trajectory: its type vector ``x``; its
+    ``masses``, where ``masses[0, u]`` (``masses[1, u]``) is the unnormalised
+    mass of mutant (wildtype) parents placing offspring onto ``u``; its total
+    selection ``weight``, which normalises both; its count of ``mutants``; and
+    the flips ``since`` its masses were last recomputed.
+    """
 
     def __init__(self, model: MicSMPModel, mode: str):
         mu, r = model.mu.mu, model.r
@@ -353,10 +358,8 @@ class _Walker:
         # when it turns wildtype.  Likewise for the selection weight.
         rows = np.stack((r * model.w_mu, -model.w_mu), axis=1)
         self._signed_rows = np.concatenate((rows, -rows))
-        self._rows = self._signed_rows[:self._n]
         dweight = (r - 1.0) * mu
         self._signed_dweight = np.concatenate((dweight, -dweight))
-        self._dweight = self._signed_dweight[:self._n]
         # bound on the rounding residue REFRESH_EVENTS updates leave on a zero mass
         scale = max(r, 1.0) * float(np.max(mu @ self._W))
         self._guard = 4.0 * REFRESH_EVENTS * np.finfo(float).eps * scale
@@ -368,24 +371,84 @@ class _Walker:
         masses[1] = (self._mu - mutant_mu) @ self._W
         return 1.0 + (self._r - 1.0) * float(mutant_mu.sum())
 
-    def start(self, mask: int) -> _Trajectory:
-        traj = _Trajectory()
-        traj.x = mask_vector(mask, self._n) > 0.0
-        traj.mutants = int(traj.x.sum())
-        traj.masses = np.empty((2, self._n))
-        traj.weight = self.refresh(traj.x, traj.masses)
-        traj.since = 0
-        return traj
+    @property
+    def handoff(self) -> int:
+        return WALKER_LOCKSTEP_MIN_TRIALS
 
-    def advance(self, traj: _Trajectory, stream: _TrialStream, max_steps: int):
-        """Take up to ``max_steps`` steps; ``(outcome, steps)``, censored if not absorbed."""
+    def begin(self, alpha_masks, picks: np.ndarray):
+        """Lockstep state of trials starting on atoms ``picks``, and their fates.
+
+        The state is ``x``, ``masses``, ``weight``, ``mutants`` and ``since``,
+        each along a leading trial axis (each atom's masses are computed once,
+        by :meth:`refresh`), then the scratch arrays of :meth:`step`, so that a
+        step allocates no array of ``trials x n`` entries.
+        """
+        atoms, inverse = np.unique(picks, return_inverse=True)
+        x = mask_bits([alpha_masks[atom] for atom in atoms.tolist()], self._n)
+        masses = np.empty((len(atoms), 2, self._n))
+        weight = np.array([self.refresh(row, out) for row, out in zip(x, masses)])
+        since = np.zeros(len(atoms), dtype=np.int64)
+        inverse = inverse.ravel()
+        state = [a[inverse] for a in (x, masses, weight, x.sum(axis=1), since)]
+        state += [np.empty((len(picks), self._n)), np.empty((len(picks), self._n)),
+                  np.empty_like(state[1])]
+        return state, np.zeros(len(picks), dtype=np.int8)
+
+    def step(self, state, u: np.ndarray) -> np.ndarray:
+        """One step of every trial in ``state``, on uniforms ``u``; returns the fate codes.
+
+        Bitwise :meth:`resume`'s step on each row.  A row whose masses are
+        due a refresh, whose pick the rounding guard doubts, or whose
+        configuration can never change takes that step through :meth:`resume`.
+        """
+        x, masses, weight, mutants, since, flips, cum, delta = state
+        m, n = x.shape
+        np.copyto(flips, masses[:, 0])
+        np.copyto(flips, masses[:, 1], where=x)
+        np.cumsum(flips, axis=1, out=cum)
+        total = cum[:, -1]
+        target = u * (total if self._event else weight)
+        at = _searchsorted_rows(cum, target)
+        hit = target < total
+        doubtful = np.where(hit, flips.ravel().take(at, mode="clip"), total) <= self._guard
+        alone = doubtful & (since > 0)
+        alone |= since >= REFRESH_EVENTS
+        alone |= total == 0.0
+        go = hit & ~alone
+        # where a row flips, ``at`` is the flat index of its vertex v; turned says
+        # whether v was a mutant, and row turned n + v of the signed tables applies
+        turned = x.ravel().take(at, mode="clip")
+        signed = turned * n + (at - np.arange(0, m * n, n))
+        self._signed_rows.take(signed, axis=0, out=delta, mode="clip")
+        np.add(masses, delta, out=masses, where=go[:, None, None])
+        np.add(weight, self._signed_dweight.take(signed, mode="clip"), out=weight, where=go)
+        np.add(mutants, 1 - 2 * turned.astype(np.int64), out=mutants, where=go)
+        since += go
+        x.ravel()[at[go]] = ~turned[go]
+        stuck = []
+        for k in np.flatnonzero(alone).tolist():
+            # a stream of the one uniform of this step
+            if self.resume(state, k, SimpleNamespace(next_uniform=[u[k]].pop), 1)[1] == 0:
+                stuck.append(k)  # the configuration never changes
+        fate = np.zeros(m, dtype=np.int8)
+        fate[mutants == n] = 1
+        fate[mutants == 0] = 2
+        fate[stuck] = 3
+        return fate
+
+    def resume(self, state, k: int, stream: _TrialStream, max_steps: int):
+        """Walk trial ``k`` of ``state`` on alone, one uniform of ``stream`` per step.
+
+        Takes up to ``max_steps`` steps and writes the trial's row back;
+        ``(outcome, steps)``, censored if not absorbed.
+        """
         n, event, guard = self._n, self._event, self._guard
-        rows, dweight = self._rows, self._dweight
+        signed_rows, signed_dweight = self._signed_rows, self._signed_dweight
         where = np.where
         next_uniform = stream.next_uniform
-        x, masses = traj.x, traj.masses
+        x, masses = state[0][k], state[1][k]
         toward, away = masses
-        weight, mutants, since = traj.weight, traj.mutants, traj.since
+        weight, mutants, since = (a[k].item() for a in state[2:5])
         outcome = Outcome.CENSORED
         steps = 0
         while steps < max_steps:
@@ -415,104 +478,17 @@ class _Walker:
                     break
                 continue
             since += 1
-            if x[u]:
-                masses -= rows[u]
-                weight -= dweight[u]
-                mutants -= 1
-                x[u] = False
-                if mutants == 0:
-                    outcome = Outcome.EXTINCTION
-                    break
-            else:
-                masses += rows[u]
-                weight += dweight[u]
-                mutants += 1
-                x[u] = True
-                if mutants == n:
-                    outcome = Outcome.FIXATION
-                    break
-        traj.weight, traj.mutants, traj.since = weight, mutants, since
+            turned = x[u]
+            x[u] = not turned
+            signed = u + n if turned else u
+            masses += signed_rows[signed]
+            weight += signed_dweight[signed]
+            mutants += -1 if turned else 1
+            if mutants == 0 or mutants == n:
+                outcome = Outcome.FIXATION if mutants else Outcome.EXTINCTION
+                break
+        state[2][k], state[3][k], state[4][k] = weight, mutants, since
         return outcome, steps
-
-    def walk(self, mask: int, stream: _TrialStream, max_steps: int):
-        return self.advance(self.start(mask), stream, max_steps)
-
-    @property
-    def handoff(self) -> int:
-        return WALKER_LOCKSTEP_MIN_TRIALS
-
-    def begin(self, alpha_masks, picks: np.ndarray):
-        """Lockstep state of trials starting on atoms ``picks``, and their fates.
-
-        The state is the :class:`_Trajectory` fields, each stacked along a
-        leading trial axis (each atom's start is computed once, by
-        :meth:`start`), then the scratch arrays of :meth:`step`, so that a
-        step allocates no array of ``trials x n`` entries.
-        """
-        atoms, inverse = np.unique(picks, return_inverse=True)
-        starts = [self.start(alpha_masks[atom]) for atom in atoms.tolist()]
-        state = [np.array([getattr(traj, name) for traj in starts])[inverse.ravel()]
-                 for name in _Trajectory.__slots__]
-        state += [np.empty((len(picks), self._n)), np.empty((len(picks), self._n)),
-                  np.empty_like(state[1])]
-        return state, np.zeros(len(picks), dtype=np.int8)
-
-    def _row(self, state, k: int) -> _Trajectory:
-        """Trial ``k`` of ``state``; its type vector and masses are views."""
-        traj = _Trajectory()
-        traj.x, traj.masses = state[0][k], state[1][k]
-        traj.weight, traj.mutants, traj.since = (a[k].item() for a in state[2:5])
-        return traj
-
-    def step(self, state, u: np.ndarray) -> np.ndarray:
-        """One step of every trial in ``state``, on uniforms ``u``; returns the fate codes.
-
-        Bitwise :meth:`advance`'s step on each row.  A row whose masses are
-        due a refresh, whose pick the rounding guard doubts, or whose
-        configuration can never change takes that step through :meth:`advance`.
-        """
-        x, masses, weight, mutants, since, flips, cum, delta = state
-        m, n = x.shape
-        np.copyto(flips, masses[:, 0])
-        np.copyto(flips, masses[:, 1], where=x)
-        np.cumsum(flips, axis=1, out=cum)
-        total = cum[:, -1]
-        target = u * (total if self._event else weight)
-        at = _searchsorted_rows(cum, target)
-        hit = target < total
-        doubtful = np.where(hit, flips.ravel().take(at, mode="clip"), total) <= self._guard
-        alone = doubtful & (since > 0)
-        alone |= since >= REFRESH_EVENTS
-        alone |= total == 0.0
-        go = hit & ~alone
-        # where a row flips, ``at`` is the flat index of its vertex v; turned says
-        # whether v was a mutant, and row turned n + v of the signed tables applies.
-        # a + (-b) is a - b in IEEE arithmetic: bitwise advance's -= and +=
-        turned = x.ravel().take(at, mode="clip")
-        signed = turned * n + (at - np.arange(0, m * n, n))
-        self._signed_rows.take(signed, axis=0, out=delta, mode="clip")
-        np.add(masses, delta, out=masses, where=go[:, None, None])
-        np.add(weight, self._signed_dweight.take(signed, mode="clip"), out=weight, where=go)
-        np.add(mutants, 1 - 2 * turned.astype(np.int64), out=mutants, where=go)
-        since += go
-        x.ravel()[at[go]] = ~turned[go]
-        stuck = []
-        for k in np.flatnonzero(alone).tolist():
-            traj = self._row(state, k)
-            # a stream of the one uniform of this step
-            _, steps = self.advance(traj, SimpleNamespace(next_uniform=[u[k]].pop), 1)
-            weight[k], mutants[k], since[k] = traj.weight, traj.mutants, traj.since
-            if steps == 0:  # the configuration never changes
-                stuck.append(k)
-        fate = np.zeros(m, dtype=np.int8)
-        fate[mutants == n] = 1
-        fate[mutants == 0] = 2
-        fate[stuck] = 3
-        return fate
-
-    def resume(self, state, k: int, stream: _TrialStream, steps: int, max_steps: int):
-        """Walk trial ``k`` of ``state`` on alone after ``steps`` steps; its outcome."""
-        return self.advance(self._row(state, k), stream, max_steps - steps)[0]
 
 
 def _sampler(model: MicSMPModel, mode: str):
@@ -533,9 +509,10 @@ def simulate_trajectory(model: MicSMPModel, x0: Configuration,
     if x0.is_absorbing:
         raise AbsorbingStart(f"mask {x0.bits:#b} is absorbing")
     sampler = _sampler(model, cfg.mode)
+    state, _ = sampler.begin([x0.bits], np.zeros(1, np.intp))
     stream = _TrialStream(cfg.seed)
     stream.position(0)
-    return sampler.walk(x0.bits, stream, cfg.max_steps)
+    return sampler.resume(state, 0, stream, cfg.max_steps)
 
 
 def _run_range(model: MicSMPModel, mode: str, alpha_cum, alpha_masks, seed: int,
@@ -580,7 +557,7 @@ def _run_range(model: MicSMPModel, mode: str, alpha_cum, alpha_masks, seed: int,
             stream.position(trial, (step + 1) // 4)
             for _ in range((step + 1) % 4):
                 stream.next_uniform()
-            counts[_OUTCOMES.index(sampler.resume(state, k, stream, step, max_steps))] += 1
+            counts[_OUTCOMES.index(sampler.resume(state, k, stream, max_steps - step)[0])] += 1
     return tuple(counts[1:].tolist())
 
 
@@ -593,6 +570,7 @@ def estimate_fixation(model: MicSMPModel, alpha: InitialDistribution, trials: in
     result is identical for any ``workers`` value.  At most as many worker
     processes start as the process may use CPUs.
     """
+    trials, workers = _integer("trials", trials), _integer("workers", workers)
     if trials < 1:
         raise OutOfRange(f"need at least one trial, got {trials}")
     if workers < 1:

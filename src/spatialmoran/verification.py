@@ -182,6 +182,8 @@ def builtin_suite(seed: int = DEFAULT_SEED, graphs: int = 10) -> dict:
 
     Returns ``{check_name: {"pass": bool, "max_deviation": float, ...}}``.
     """
+    if graphs < 1:
+        raise OutOfRange(f"need at least one random graph per family, got {graphs}")
     rng = np.random.default_rng(seed)
     checks: dict[str, dict] = {}
 

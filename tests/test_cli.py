@@ -219,6 +219,12 @@ class TestVerifyCommand:
         assert code == 2
         assert doc["error"]["type"] == "TooLarge"
 
+    @pytest.mark.parametrize("graphs", ["0", "-1"])
+    def test_graphs_below_one_exits_two(self, capsys, schema, graphs):
+        code, doc = run_json(capsys, schema, "verify", "--graphs", graphs)
+        assert code == 2
+        assert doc["error"]["type"] == "OutOfRange"
+
     def test_failed_builtin_suite_exits_one(self, capsys, monkeypatch):
         import spatialmoran.cli as cli_module
 

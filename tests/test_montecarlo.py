@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import tracemalloc
@@ -52,6 +53,43 @@ class TestTrajectoryConfig:
             TrajectoryConfig(mode="jump")
         with pytest.raises(OutOfRange):
             TrajectoryConfig(seed=-1)
+
+
+class TestIntegerArguments:
+    """Python and NumPy integers pass and are stored as ints; anything else is out of range."""
+
+    def test_fractional_seed_rejected(self):
+        # 1.5 would key the lockstep Philox kernel, but lone trials would run on seed 1
+        for seed in (1.5, "1"):
+            with pytest.raises(OutOfRange):
+                TrajectoryConfig(seed=seed)
+
+    def test_fractional_max_steps_rejected(self):
+        # lockstep blocks stop at step == max_steps, which 2.5 never meets
+        for max_steps in (2.5, "3"):
+            with pytest.raises(OutOfRange):
+                TrajectoryConfig(max_steps=max_steps)
+
+    def test_fractional_trials_rejected(self):
+        with pytest.raises(OutOfRange):
+            estimate_fixation(galanis_model(1.0), GALANIS_SINGLE, 10.5, TrajectoryConfig())
+
+    def test_fractional_workers_rejected(self):
+        with pytest.raises(OutOfRange):
+            estimate_fixation(galanis_model(1.0), GALANIS_SINGLE, 10, TrajectoryConfig(),
+                              workers=1.5)
+
+    @pytest.mark.parametrize("integer", [np.int64, np.uint64])
+    def test_numpy_integers_pass_as_ints(self, integer):
+        model = galanis_model(1.0)
+        expected = estimate_fixation(model, GALANIS_SINGLE, 300, TrajectoryConfig(seed=5,
+                                                                                   max_steps=3))
+        cfg = TrajectoryConfig(seed=integer(5), max_steps=integer(3))
+        assert type(cfg.seed) is int and type(cfg.max_steps) is int
+        result = estimate_fixation(model, GALANIS_SINGLE, integer(300), cfg, workers=integer(1))
+        assert result == expected
+        assert type(result.seed) is int and type(result.trials) is int
+        assert json.loads(json.dumps(result.seed)) == 5
 
 
 class TestSimulateTrajectory:
@@ -204,6 +242,16 @@ def _mask_of(x):
     return sum(1 << int(v) for v in np.flatnonzero(x))
 
 
+def _start(sampler, mask):
+    """The state of one trial from ``mask``, as :meth:`begin` builds it."""
+    return sampler.begin([mask], np.zeros(1, np.intp))[0]
+
+
+def _walk(sampler, mask, stream, max_steps):
+    """``(outcome, steps)`` of one trial from ``mask``, walked alone."""
+    return sampler.resume(_start(sampler, mask), 0, stream, max_steps)
+
+
 def _residue_model():
     """n = 13 graph where only vertices 1-3 are selected, at r = 3.
 
@@ -250,18 +298,19 @@ class TestIncrementalWalker:
         stream = _TrialStream(5)
         stream.position(0)
         start = (1 << (n // 2)) - 1
-        traj = walker.start(start)
+        state = _start(walker, start)
         for _ in range(10 * REFRESH_EVENTS):
-            outcome, steps = walker.advance(traj, stream, 1)
+            outcome, steps = walker.resume(state, 0, stream, 1)
             assert steps == 1
             if outcome is not Outcome.CENSORED:
-                traj = walker.start(start)
+                state = _start(walker, start)
                 continue
-            fresh = walker.start(_mask_of(traj.x))
-            scale = np.abs(fresh.masses).max()
-            assert np.abs(traj.masses - fresh.masses).max() <= 1e-12 * scale
-            assert abs(traj.weight - fresh.weight) <= 1e-12 * fresh.weight
-            assert traj.mutants == fresh.mutants
+            x, masses, weight, mutants = (a[0] for a in state[:4])
+            _, fresh_masses, fresh_weight, fresh_mutants = (a[0] for a in _start(walker, _mask_of(x))[:4])
+            scale = np.abs(fresh_masses).max()
+            assert np.abs(masses - fresh_masses).max() <= 1e-12 * scale
+            assert abs(weight - fresh_weight) <= 1e-12 * fresh_weight
+            assert mutants == fresh_mutants
 
     def test_never_flips_a_vertex_of_zero_mass(self):
         walker = _sampler(_residue_model(), "event")
@@ -269,17 +318,18 @@ class TestIncrementalWalker:
         for seed in range(100):
             stream = _TrialStream(seed)
             stream.position(0)
-            traj = walker.start(0b1001)
+            state = _start(walker, 0b1001)
+            x = state[0][0]
             while True:
-                fresh = walker.start(_mask_of(traj.x))
-                mass = np.where(fresh.x, fresh.masses[1], fresh.masses[0])
-                before = traj.x.copy()
-                outcome, steps = walker.advance(traj, stream, 1)
+                fresh_x, fresh_masses = (a[0] for a in _start(walker, _mask_of(x))[:2])
+                mass = np.where(fresh_x, fresh_masses[1], fresh_masses[0])
+                before = x.copy()
+                outcome, steps = walker.resume(state, 0, stream, 1)
                 if steps == 0:  # censored where nothing can change
                     assert mass.sum() == 0.0
                     stuck += 1
                     break
-                (u,) = np.flatnonzero(before != traj.x)
+                (u,) = np.flatnonzero(before != x)
                 assert mass[u] > 0.0
                 if outcome is not Outcome.CENSORED:
                     break
@@ -312,7 +362,7 @@ class TestIncrementalWalker:
         def run(trials):
             for trial in range(trials):
                 stream.position(trial)
-                sampler.walk(0xFF, stream, 10**6)
+                _walk(sampler, 0xFF, stream, 10**6)
 
         run(5)
         tracemalloc.start()
@@ -421,6 +471,50 @@ class TestPhiloxKernel:
             assert [stream.next_uniform() for _ in range(20)] == draws[4 * block:4 * block + 20]
 
 
+#: Per case: the counts of 100 trials, of 2^14 + 37 trials, and of 100 trials with
+#: max_steps 3; then simulate_trajectory from each of two starts, with the default
+#: max_steps and with 3.  Recorded at commit 17dc7b5.
+_TABLE_PINS = {
+    ('galanis', 'event', 0): ([(44, 56, 0), (7763, 8658, 0), (34, 52, 14)], [('EXTINCTION', 2), ('EXTINCTION', 2), ('FIXATION', 2), ('FIXATION', 2)]),
+    ('galanis', 'event', 2**64 - 1): ([(51, 49, 0), (7790, 8631, 0), (40, 46, 14)], [('FIXATION', 3), ('FIXATION', 3), ('FIXATION', 4), ('CENSORED', 3)]),
+    ('galanis', 'faithful', 0): ([(51, 49, 0), (7719, 8702, 0), (23, 42, 35)], [('EXTINCTION', 2), ('EXTINCTION', 2), ('FIXATION', 2), ('FIXATION', 2)]),
+    ('galanis', 'faithful', 2**64 - 1): ([(46, 54, 0), (7677, 8744, 0), (24, 43, 33)], [('FIXATION', 5), ('CENSORED', 3), ('EXTINCTION', 12), ('CENSORED', 3)]),
+    ('random10', 'event', 0): ([(56, 44, 0), (8645, 7776, 0), (0, 20, 80)], [('EXTINCTION', 2), ('EXTINCTION', 2), ('FIXATION', 7), ('CENSORED', 3)]),
+    ('random10', 'event', 2**64 - 1): ([(55, 45, 0), (8596, 7825, 0), (0, 21, 79)], [('FIXATION', 32), ('CENSORED', 3), ('FIXATION', 11), ('CENSORED', 3)]),
+    ('random10', 'faithful', 0): ([(59, 41, 0), (8666, 7755, 0), (0, 2, 98)], [('EXTINCTION', 12), ('CENSORED', 3), ('FIXATION', 22), ('CENSORED', 3)]),
+    ('random10', 'faithful', 2**64 - 1): ([(50, 50, 0), (8642, 7779, 0), (0, 6, 94)], [('FIXATION', 43), ('CENSORED', 3), ('FIXATION', 43), ('CENSORED', 3)]),
+}
+
+
+class TestTableWalkerPins:
+    """The table walker's counts and trajectories, pinned.
+
+    Its tables come from flip_masses and cumsum, with no BLAS product, so the
+    pins hold bitwise on every machine and NumPy version.
+    """
+
+    @pytest.mark.parametrize("key", _TABLE_PINS, ids=lambda key: "-".join(map(str, key)))
+    def test_counts_and_trajectories(self, key):
+        name, mode, seed = key
+        if name == "galanis":
+            model, alpha, starts = galanis_model(1.5), GALANIS_SINGLE, (0b011, 0b100)
+        else:
+            model = _random_policy_model(10, 10, 1.5)
+            alpha, starts = InitialDistribution.level_uniform(10, 2), (0b11, 0b1010101010)
+        counts, trajectories = _TABLE_PINS[key]
+        assert [_counts(estimate_fixation(model, alpha, trials,
+                                          TrajectoryConfig(seed=seed, mode=mode,
+                                                           max_steps=max_steps)))
+                for trials, max_steps in ((100, 10**7), (2**14 + 37, 10**7), (100, 3))] == counts
+        walked = []
+        for start in starts:
+            for max_steps in (10**7, 3):
+                cfg = TrajectoryConfig(seed=seed, mode=mode, max_steps=max_steps)
+                outcome, steps = simulate_trajectory(model, Configuration(start, model.n), cfg)
+                walked.append((outcome.name, steps))
+        assert walked == trajectories
+
+
 class TestLockstepWalk:
     """The table walker against a per-trial walk over the same Philox streams."""
 
@@ -492,8 +586,8 @@ class TestLockstepWalk:
 
 
 def _walker_counts(model, alpha, trials, cfg):
-    """Counts and the most steps of a trial, by :meth:`_Walker.walk`, one trial at a time."""
-    return _per_trial_counts(_Walker(model, cfg.mode).walk, alpha, trials, cfg)
+    """Counts and the most steps of a trial, by :meth:`_Walker.resume`, one trial at a time."""
+    return _per_trial_counts(partial(_walk, _Walker(model, cfg.mode)), alpha, trials, cfg)
 
 
 class TestLockstepWalker:
@@ -531,18 +625,18 @@ class TestLockstepWalker:
     def test_rounding_guard_acts_in_lockstep(self, mode, monkeypatch):
         self.small_blocks(monkeypatch)
         residues = []
-        advance = _Walker.advance
+        resume = _Walker.resume
 
-        def recorded(self, traj, stream, max_steps):
-            flips = np.where(traj.x, traj.masses[1], traj.masses[0])
-            outcome, steps = advance(self, traj, stream, max_steps)
+        def recorded(self, state, k, stream, max_steps):
+            flips = np.where(state[0][k], state[1][k][1], state[1][k][0])
+            outcome, steps = resume(self, state, k, stream, max_steps)
             if max_steps == 1 and steps == 0 and flips.any():
                 # a lockstep row the guard stopped: its masses were rounding
                 # residues on a configuration that never changes
                 residues.append(flips.min())
             return outcome, steps
 
-        monkeypatch.setattr(_Walker, "advance", recorded)
+        monkeypatch.setattr(_Walker, "resume", recorded)
         model = _residue_model()
         alpha = InitialDistribution.point_mass(0b1001, 13)
         cfg = TrajectoryConfig(seed=3, mode=mode)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from spatialmoran import (
+    OutOfRange,
     build_model,
     fixation_for_initial,
     fixation_probabilities,
@@ -72,6 +73,13 @@ def test_builtin_suite_matches_per_model_solves(monkeypatch, seed):
     monkeypatch.setattr(verification, "_n2_grid_deviation", n2_grid_per_model)
     monkeypatch.setattr(verification, "_galanis_policy_deviation", galanis_policies_per_model)
     assert builtin_suite(seed) == stacked
+
+
+@pytest.mark.parametrize("graphs", [0, -1])
+def test_no_random_graphs_is_out_of_range(graphs):
+    # else every random-family check would pass on no model at all
+    with pytest.raises(OutOfRange):
+        builtin_suite(graphs=graphs)
 
 
 def test_two_vertex_start_is_weighted_in_atom_order():
