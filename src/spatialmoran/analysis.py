@@ -5,10 +5,15 @@ of the decrease/increase ratio, lumpability of the mutant-count projection,
 the two-vertex fixation surface with its stationary and non-stationary
 solution branches, and the three-vertex counterexample family whose neutral
 fixation probability admits a rational closed form.
+
+The diagnostics take only the model.  Those over every transient
+configuration read one batch of ``p_plus``/``p_minus``, kept for the last
+model diagnosed, so consecutive diagnostics of one model share one batch.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -30,11 +35,15 @@ SOLVER_TOL = 1e-10
 GALANIS_WEIGHTS = ((0.0, 0.25, 0.75), (0.25, 0.0, 0.75), (0.5, 0.5, 0.0))
 
 
+@functools.lru_cache(maxsize=1)
 def _transient_rates(model: MicSMPModel):
-    """Every transient mask, with its level, ``p_plus`` and ``p_minus``, in one batch."""
+    """Read-only level, ``p_plus`` and ``p_minus`` of every transient mask, in one batch;
+    index ``i`` holds mask ``i + 1``.  Models are immutable, so the memo cannot go stale."""
     _require_exact_size(model.n)
-    masks = np.arange(1, (1 << model.n) - 1)
-    return (masks, *_level_rates(model, masks))
+    rates = _level_rates(model, np.arange(1, (1 << model.n) - 1))
+    for array in rates:
+        array.setflags(write=False)
+    return rates
 
 
 def _ratio_deviation(pp: np.ndarray, pm: np.ndarray, r: float) -> np.ndarray:
@@ -65,11 +74,8 @@ def martingale_report(model: MicSMPModel) -> MartingaleReport:
     Raises :class:`TooLarge` above ``n = 20``, as do :func:`ratio_constancy`
     and :func:`macro_markov_check`.
     """
-    return _martingale_report(_transient_rates(model), model.r)
-
-
-def _martingale_report(rates, r: float) -> MartingaleReport:
-    pp, pm = np.pad(rates[2], 1), np.pad(rates[3], 1)  # no move out of masks 0 and 2^n - 1
+    r = model.r
+    pp, pm = (np.pad(rate, 1) for rate in _transient_rates(model)[1:])  # 0 at masks 0, 2^n - 1
     drift = pp - pm
     exp_drift = r * pm + (1.0 - pp - pm) + pp / r - 1.0
     return MartingaleReport(drift, exp_drift, float(np.abs(drift).max()),
@@ -83,12 +89,8 @@ def ratio_constancy(model: MicSMPModel) -> float:
     the weight matrix.  Configurations with ``p_plus == 0`` (possible only
     for policies with zero entries) contribute ``inf``.
     """
-    return _ratio_constancy(_transient_rates(model), model.r)
-
-
-def _ratio_constancy(rates, r: float) -> float:
-    _, _, pp, pm = rates
-    return float(_ratio_deviation(pp, pm, r).max())
+    _, pp, pm = _transient_rates(model)
+    return float(_ratio_deviation(pp, pm, model.r).max())
 
 
 def single_mutant_ratio_witness(model: MicSMPModel) -> tuple[int, float]:
@@ -120,18 +122,14 @@ class MacroMarkovResult:
 
 def macro_markov_check(model: MicSMPModel) -> MacroMarkovResult:
     """Check per-level constancy of ``p_plus`` and ``p_minus``, to :data:`STRUCTURAL_TOL`."""
-    return _macro_markov_check(_transient_rates(model))
-
-
-def _macro_markov_check(rates) -> MacroMarkovResult:
-    masks, levels, pp, pm = rates
+    levels, pp, pm = _transient_rates(model)
     # the lowest mask of level j, 2^j - 1, sits at index 2^j - 2
     ref = (1 << levels) - 2
     differs = (np.abs(pp - pp[ref]) > STRUCTURAL_TOL) | (np.abs(pm - pm[ref]) > STRUCTURAL_TOL)
     if not differs.any():
         return MacroMarkovResult(True, None)
     level = int(levels[differs].min())
-    mask = int(masks[differs & (levels == level)][0])
+    mask = int(np.flatnonzero(differs & (levels == level))[0]) + 1
     return MacroMarkovResult(False, (level, (1 << level) - 1, mask))
 
 
@@ -288,9 +286,10 @@ class GalanisParams:
     m2: float
 
     def __post_init__(self):
-        if self.a1 < 0.0 or self.a2 < 0.0 or self.a1 + self.a2 > 1.0 + STRUCTURAL_TOL:
+        # written so that NaN fails each comparison
+        if not (self.a1 >= 0.0 and self.a2 >= 0.0 and self.a1 + self.a2 <= 1.0 + STRUCTURAL_TOL):
             raise OutOfRange(f"initial weights ({self.a1}, {self.a2}) not a sub-simplex point")
-        if self.m1 < 0.0 or self.m2 < 0.0 or self.m1 + self.m2 > 1.0 + STRUCTURAL_TOL:
+        if not (self.m1 >= 0.0 and self.m2 >= 0.0 and self.m1 + self.m2 <= 1.0 + STRUCTURAL_TOL):
             raise OutOfRange(f"selection weights ({self.m1}, {self.m2}) not a sub-simplex point")
 
     def initial_distribution(self) -> InitialDistribution:
@@ -390,7 +389,7 @@ def classic_moran_check(n: int, r: float) -> float:
     if not 2 <= n <= 12:
         raise OutOfRange(f"check supported for 2 <= n <= 12, got {n}")
     model = build_model(complete_graph_weights(n), mu="uniform", r=r)
-    _, levels, pp, pm = _transient_rates(model)
+    levels, pp, pm = _transient_rates(model)
     expected_pp = np.array([classic_p_plus(j, n, r) for j in range(n)])
     expected_pm = np.array([classic_p_minus(j, n, r) for j in range(n)])
     return float(max(np.abs(pp - expected_pp[levels]).max(),

@@ -9,10 +9,13 @@ failure (including failed builtin verification), 2 invalid input.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
 from datetime import datetime, timezone
+
+import numpy as np
 
 from . import __version__
 from .dynamics import transition_kernel
@@ -70,9 +73,7 @@ def _cmd_exact(args, argv) -> int:
         "rho": [{"mask": mask, "value": value} for mask, value in enumerate(report.rho.tolist())],
         "deviation": {str(j): deviation[j] for j in range(1, model.n)},
         "moran": {str(j): moran_rho(j, model.n, model.r) for j in range(1, model.n)},
-        "solver": {"method": report.solver.method,
-                   "iterations": report.solver.iterations,
-                   "residual": report.solver.residual},
+        "solver": dataclasses.asdict(report.solver),
     }
     if report.rho_alpha is not None:
         doc["rho_alpha"] = report.rho_alpha
@@ -83,20 +84,9 @@ def _cmd_exact(args, argv) -> int:
 def _cmd_simulate(args, argv) -> int:
     model = _load(args)
     alpha = parse_init_spec(args.init, model.n)
-    cfg = TrajectoryConfig(seed=args.seed, max_steps=args.max_steps,
-                           mode="event" if args.mode == "event" else "faithful")
+    cfg = TrajectoryConfig(seed=args.seed, max_steps=args.max_steps, mode=args.mode)
     result = estimate_fixation(model, alpha, args.trials, cfg, workers=args.workers)
-    doc = {
-        "manifest": _manifest("simulate", argv, args.seed),
-        "trials": result.trials,
-        "fixations": result.fixations,
-        "extinctions": result.extinctions,
-        "censored": result.censored,
-        "frequency": result.frequency,
-        "ci_halfwidth": result.ci_halfwidth,
-        "seed": result.seed,
-        "mode": result.mode,
-    }
+    doc = {"manifest": _manifest("simulate", argv, args.seed), **dataclasses.asdict(result)}
     _emit(doc, args.json_indent)
     return 0
 
@@ -105,7 +95,7 @@ def _cmd_sweep(args, argv) -> int:
     from .analysis import sweep_n2
 
     values = sweep_n2(args.c, args.r, args.grid)
-    axis = [i / (args.grid - 1) for i in range(args.grid)]
+    axis = np.linspace(0.0, 1.0, args.grid).tolist()  # the points sweep_n2 evaluates
     lines = ["a,m,F"]
     for i, a in enumerate(axis):
         for j, m in enumerate(axis):
@@ -205,14 +195,10 @@ def main(argv: list[str] | None = None) -> int:
     indent = getattr(args, "json_indent", None)
     try:
         return args.handler(args, argv)
-    except InputError as exc:
-        _emit({"manifest": _manifest(args.subcommand, argv, getattr(args, "seed", None)),
-               "error": {"type": type(exc).__name__, "message": str(exc)}}, indent)
-        return 2
     except SpatialMoranError as exc:
         _emit({"manifest": _manifest(args.subcommand, argv, getattr(args, "seed", None)),
                "error": {"type": type(exc).__name__, "message": str(exc)}}, indent)
-        return 1
+        return 2 if isinstance(exc, InputError) else 1
     except OSError as exc:
         sys.stderr.write(f"i/o error: {exc}\n")
         return 1

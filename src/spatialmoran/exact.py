@@ -54,8 +54,10 @@ def moran_rho(i: int, n: int, r: float) -> float:
     ``(1 - r^-i) / (1 - r^-n)``, evaluated through ``expm1``/``log1p`` so the
     near-neutral regime does not cancel catastrophically.  Where that form
     fails, it falls back: ``log r`` once ``r - 1`` rounds to -1, and
-    ``r^(n-i) (1 - r^i) / (1 - r^n)`` once ``r^-n`` overflows.
+    ``r^(n-i) (1 - r^i) / (1 - r^n)`` once ``r^-n`` overflows.  Raises
+    :class:`NotStochastic` unless ``r`` is positive and finite, as a model does.
     """
+    _require_fitness(np.array([r]))
     if not 0 <= i <= n:
         raise NotStochastic(f"mutant count {i} outside [0, {n}]")
     if i == 0:
@@ -95,7 +97,7 @@ class InitialDistribution:
                 raise AtomOnAbsorbing(f"initial atom on absorbing mask {mask:#b}")
             cleaned.append((mask, weight))
             total += weight
-        if abs(total - 1.0) > STOCHASTIC_TOL:
+        if not abs(total - 1.0) <= STOCHASTIC_TOL:  # NaN fails too
             raise NotStochastic(f"initial weights sum to {total!r}, expected 1")
         object.__setattr__(self, "atoms", tuple(cleaned))
 

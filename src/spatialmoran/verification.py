@@ -14,20 +14,18 @@ from .analysis import (
     GALANIS_WEIGHTS,
     GalanisParams,
     N2Params,
-    _macro_markov_check,
-    _martingale_report,
     _n2_surface,
     _n2_weights,
-    _ratio_constancy,
-    _transient_rates,
     classic_moran_check,
     galanis_case3_initial_weight,
     galanis_model,
     galanis_moran_condition,
     galanis_neutral_fixation,
     macro_markov_check,
+    martingale_report,
     n2_F,
     n2_moran_selection,
+    ratio_constancy,
     single_mutant_ratio_witness,
 )
 from .dynamics import MicSMPModel, build_model
@@ -84,12 +82,11 @@ def _martingale_and_ratio(rng, graphs: int):
         n = int(rng.integers(3, 9))
         W = random_strongly_connected_weights(n, rng)
         pi = stationary_distribution(W).pi
-        neutral = _martingale_report(_transient_rates(build_model(W, mu=pi, r=1.0)), 1.0)
-        drift_dev = max(drift_dev, neutral.max_abs_drift)
+        drift_dev = max(drift_dev, martingale_report(build_model(W, mu=pi, r=1.0)).max_abs_drift)
         for r in (0.25, 0.5, 2.0, 4.0):
-            rates = _transient_rates(build_model(W, mu=pi, r=r))  # one batch for both checks
-            exp_dev = max(exp_dev, _martingale_report(rates, r).max_abs_exp_drift)
-            ratio_dev = max(ratio_dev, _ratio_constancy(rates, r))
+            model = build_model(W, mu=pi, r=r)  # both checks share its one batch
+            exp_dev = max(exp_dev, martingale_report(model).max_abs_exp_drift)
+            ratio_dev = max(ratio_dev, ratio_constancy(model))
         # strictly positive non-stationary policy must leave a witness
         mu = pi * rng.uniform(0.5, 2.0, n)
         mu /= mu.sum()
@@ -223,9 +220,8 @@ def builtin_suite(seed: int = DEFAULT_SEED, graphs: int = 10) -> dict:
 
 def describe_model(model: MicSMPModel) -> dict:
     """Descriptive diagnostics for a user-supplied model (no pass/fail)."""
-    rates = _transient_rates(model)  # one batch for the three diagnostics over all masks
-    report = _martingale_report(rates, model.r)
-    macro = _macro_markov_check(rates)
+    report = martingale_report(model)  # the three diagnostics share one batch
+    macro = macro_markov_check(model)
     mask, dev = single_mutant_ratio_witness(model)
     out = {
         "n": model.n,
@@ -233,7 +229,7 @@ def describe_model(model: MicSMPModel) -> dict:
         "policy_stationarity_gap": model.stationarity_gap(),
         "policy_is_stationary": model.is_stationary(1e-9),
         "isothermal": is_isothermal(model.W),
-        "ratio_constancy": _ratio_constancy(rates, model.r),
+        "ratio_constancy": ratio_constancy(model),
         "single_mutant_ratio_witness": {"mask": mask, "deviation": dev},
         "max_abs_drift": report.max_abs_drift,
         "max_abs_exp_drift": report.max_abs_exp_drift,

@@ -33,7 +33,9 @@ from spatialmoran import (
     sweep_n2,
     two_vertex_weights,
 )
+from spatialmoran import analysis
 from spatialmoran.analysis import STRUCTURAL_TOL
+from spatialmoran.dynamics import _level_rates
 from spatialmoran.verification import describe_model
 
 
@@ -332,6 +334,14 @@ class TestGalanis:
             assert case in ("case1", "case2")
             assert galanis_neutral_fixation(g) == pytest.approx(1 / 3, abs=1e-10)
 
+    @pytest.mark.parametrize("params", [(-0.1, 0.2, 0.3, 0.3), (0.6, 0.5, 0.3, 0.3),
+                                        (0.2, 0.2, 0.3, -0.1), (0.2, 0.2, 0.7, 0.4),
+                                        (float("nan"), 0.2, 0.3, 0.3), (0.2, float("nan"), 0.3, 0.3),
+                                        (0.2, 0.2, float("nan"), 0.3), (0.2, 0.2, 0.3, float("nan"))])
+    def test_points_off_the_simplex_are_rejected(self, params):
+        with pytest.raises(OutOfRange):
+            GalanisParams(*params)
+
     def test_case3_residual_requires_separated_policy_weights(self):
         from spatialmoran import ZeroDenominator
 
@@ -473,6 +483,40 @@ class TestBatchedDiagnostics:
             assert out["max_abs_exp_drift"] == report.max_abs_exp_drift
             assert out["ratio_constancy"] == ratio_constancy(model)
             assert out["macro_markov"] == {"lumpable": macro.lumpable, "witness": macro.witness}
+
+    def test_describe_model_computes_one_transient_batch(self, monkeypatch):
+        calls = []
+
+        def counted(model, masks):
+            calls.append(len(masks))
+            return _level_rates(model, masks)
+
+        monkeypatch.setattr(analysis, "_level_rates", counted)
+        describe_model(build_model(complete_graph_weights(5), mu="uniform", r=2.0))
+        assert calls == [(1 << 5) - 2, 5]  # the transient batch, then the single mutants
+
+    def test_alternating_models_get_their_own_values(self):
+        models = (galanis_model(1.0), galanis_model(1.0, mu="uniform"),
+                  build_model(complete_graph_weights(5), mu="uniform", r=2.0))
+
+        def diagnostics(model):
+            report = martingale_report(model)
+            return (len(report.drift), report.max_abs_drift, report.max_abs_exp_drift,
+                    ratio_constancy(model), macro_markov_check(model))
+
+        expected = {}
+        for model in models:
+            analysis._transient_rates.cache_clear()
+            expected[model] = diagnostics(model)
+        assert len({value[:4] for value in expected.values()}) == len(models)
+        for model in models + models[::-1] + models[::2]:
+            assert diagnostics(model) == expected[model]
+
+    def test_transient_batch_is_read_only(self):
+        for rates in analysis._transient_rates(galanis_model(2.0)):
+            assert not rates.flags.writeable
+            with pytest.raises(ValueError):
+                rates[0] = 0
 
     @pytest.mark.parametrize("n", range(2, 10))
     def test_classic_moran_check(self, n):

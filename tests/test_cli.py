@@ -5,7 +5,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from spatialmoran import moran_rho, montecarlo, transition_kernel, galanis_model
+from spatialmoran import N2Params, moran_rho, montecarlo, n2_F, transition_kernel, galanis_model
 from spatialmoran.cli import main
 
 
@@ -173,6 +173,18 @@ class TestSweepCommand:
                 assert abs(F - 1.0) <= 1e-12
         assert hits == 201
 
+    @pytest.mark.parametrize("c, r, grid", [(2.0, 3.0, 11), (0.5, 3.0, 57), (1.0, 4.0, 101)])
+    def test_rows_are_labelled_with_the_points_evaluated(self, capsys, c, r, grid):
+        # F at each printed (a, m) is bitwise the closed form there
+        code, out = run(capsys, "sweep", "--c", str(c), "--r", str(r), "--grid", str(grid))
+        assert code == 0
+        mismatches = 0
+        for line in out.strip().split("\n")[1:]:
+            a, m, F = (float(v) for v in line.split(","))
+            if not np.isnan(F):
+                mismatches += F != n2_F(N2Params(a=a, m=m, c=c, r=r))
+        assert mismatches == 0
+
     def test_grid_too_small_exits_two(self, capsys):
         code, _ = run(capsys, "sweep", "--c", "1", "--r", "1", "--grid", "1")
         assert code == 2
@@ -270,6 +282,9 @@ class TestVerifyCommand:
     (("sweep", "--c", "inf", "--r", "2", "--grid", "3"), "OutOfRange"),
     (("sweep", "--c", "1", "--r", "inf", "--grid", "3"), "OutOfRange"),
     (("sweep", "--c", "1", "--r", "nan", "--grid", "3"), "OutOfRange"),
+    (("exact", "--model", "@galanis", "--init", "atoms:[(1,NaN)]"), "NotStochastic"),
+    (("simulate", "--model", "@galanis", "--init", "atoms:[(1,NaN)]", "--trials", "10"),
+     "NotStochastic"),
 ])
 def test_malformed_input_exits_two_with_its_type(capsys, schema, argv, error):
     code, doc = run_json(capsys, schema, *argv)

@@ -70,6 +70,12 @@ class TestMoranRho:
         expected = float((1 - q**-i) / (1 - q**-n))
         assert moran_rho(i, n, r) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
+    @pytest.mark.parametrize("i, r", [(1, 0.0), (1, -1.0), (1, float("nan")), (1, math.inf),
+                                      (0, float("nan")), (5, 0.0)])
+    def test_fitness_a_model_rejects_is_rejected(self, i, r):
+        with pytest.raises(NotStochastic, match="fitness must be positive and finite"):
+            moran_rho(i, 5, r)
+
     def test_ordinary_fitness_keeps_the_log1p_form(self):
         rng = np.random.default_rng(12)
         for r, n in zip(rng.uniform(0.25, 4.0, 300), rng.integers(2, 21, 300)):
@@ -101,6 +107,7 @@ class TestInitialDistribution:
          "initial atom on absorbing mask 0b" + "1" * 70),
         (70, ((1 << 69, 0.5), (1 << 70, 0.5)), NotStochastic,
          "mask 0b1" + "0" * 70 + " does not fit into 70 bits"),
+        (3, ((1, float("nan")),), NotStochastic, "initial weights sum to nan, expected 1"),
     ])
     def test_first_bad_atom_is_reported(self, n, atoms, error, message):
         with pytest.raises(error) as info:
