@@ -71,16 +71,19 @@ def parse_model(doc: dict, r_override=None, mu_override=None) -> MicSMPModel:
     if not isinstance(doc, dict):
         raise InputError("model document must be a JSON object")
     try:
-        rows = doc["W"]
+        matrix = [[parse_number(v) for v in row] for row in doc["W"]]
     except KeyError as exc:
         raise InputError("model document lacks the 'W' matrix") from exc
-    matrix = [[parse_number(v) for v in row] for row in rows]
+    except TypeError as exc:
+        raise InputError("'W' must be an array of rows of numbers") from exc
     W = validate_weight_matrix(matrix)
-    if "n" in doc and int(doc["n"]) != W.n:
+    if "n" in doc and parse_number(doc["n"]) != W.n:
         raise InputError(f"declared n={doc['n']} does not match matrix size {W.n}")
     mu = mu_override if mu_override is not None else doc.get("mu", "stationary")
     if isinstance(mu, (list, tuple)):
         mu = [parse_number(v) for v in mu]
+    elif not isinstance(mu, str):
+        raise InputError(f"'mu' must be a vector, 'stationary' or 'uniform', got {mu!r}")
     r = parse_number(r_override if r_override is not None else doc.get("r", 1.0))
     return build_model(W, mu=mu, r=r)
 

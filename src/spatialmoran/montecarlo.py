@@ -11,19 +11,23 @@ one-step law including idles and exists to validate that shortcut.
 Two samplers draw from the same law, and one block driver runs both.  Each
 offers the same four members: ``begin`` builds the state of a batch of
 trials, one row each; ``step`` advances every row of a state one step in
-lockstep; ``resume`` walks one row on alone, one uniform of a per-trial
-stream per step; and ``handoff`` is the fewest walking trials worth a
-lockstep step.  Trials go in blocks of :data:`BLOCK_TRIALS` (``2^14``),
-fewer where a block's ``(trials, n)`` arrays would pass 2^20 entries.  One
-vectorised Philox evaluation draws uniform 0 of every trial, which picks its
-start; later ones draw the next four uniforms of every walking trial, or
-several times four when few walk.  Philox is counter-based, so these are
-exactly the uniforms of the per-trial streams, and the counts for a given
-seed are bit-identical to walking the trials one at a time.  A lockstep step
-costs a fixed number of NumPy calls however few trials walk, so once fewer
-than ``handoff`` walk (the tail of a block, a short run) each goes on through
-``resume``, on its stream positioned where the block left it.  A single
-trajectory is a state of one row, walked by ``resume`` from the start.
+lockstep; ``resume`` walks one row on alone, one ``next_uniform()`` per step;
+and ``handoff`` is the fewest walking trials worth a lockstep step.  Both
+``step`` and ``resume`` report fate codes: 0 while a trial walks, then 1
+(fixation), 2 (extinction) or 3 (censored).  Trials go in blocks of
+:data:`BLOCK_TRIALS` (``2^14``), fewer where a block's ``(trials, n)`` arrays
+would pass 2^20 entries.  Every uniform comes from one vectorised Philox
+kernel: its first evaluation in a block draws uniform 0 of every trial,
+which picks its start; later ones draw the next four uniforms of every
+walking trial, or several times four when few walk.  Philox is
+counter-based, so these are exactly the uniforms of the per-trial streams,
+and the counts for a given seed are bit-identical to walking the trials one
+at a time.  A lockstep step costs a fixed number of NumPy calls however few
+trials walk, so while fewer than ``handoff`` walk (the tail of a block, a
+short run) each goes on through ``resume`` over the uniforms already drawn
+for it, and the next evaluation draws only for the trials still walking.  A
+single trajectory is a state of one row, walked by ``resume`` from the start
+on trial 0's uniforms.
 
 Up to ``n = 12`` (:data:`TABLE_MAX_VERTICES`) every transient configuration
 gets a cumulative sampling table, built up front in one
@@ -56,8 +60,7 @@ import os
 from bisect import bisect_left
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property
-from types import SimpleNamespace
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -66,7 +69,6 @@ from .errors import AbsorbingStart, NotStochastic, OutOfRange
 from .exact import InitialDistribution
 from .graph import Configuration, mask_bits
 
-_CHUNK = 32
 #: Largest vertex count sampled from prebuilt per-configuration tables.
 TABLE_MAX_VERTICES = 12
 #: Trials the table walker advances in lockstep.
@@ -131,42 +133,6 @@ class SimulationResult:
     mode: str
 
 
-class _TrialStream:
-    """Sequential uniforms from a Philox stream positioned per trial index.
-
-    Resetting the 256-bit counter to ``(0, 0, 0, trial)`` gives every trial
-    its own stream with 2^192 draws of headroom; positioning by state
-    assignment avoids rebuilding a generator per trial.
-    """
-
-    def __init__(self, seed: int):
-        self._bitgen = np.random.Philox(key=seed)
-        self._gen = np.random.Generator(self._bitgen)
-        # the state setter copies values in, so one template dict can be
-        # mutated and reassigned per trial
-        self._template = self._bitgen.state
-        self._template["state"]["counter"][:] = 0
-        self._buf: list = []
-
-    def position(self, trial: int, block: int = 0) -> None:
-        """Move to uniform ``4 block`` of stream ``trial``."""
-        template = self._template
-        counter = template["state"]["counter"]
-        counter[0] = block
-        counter[3] = trial
-        template["buffer_pos"] = 4  # discard buffered words from the old position
-        self._bitgen.state = template
-        self._buf = []
-
-    def next_uniform(self) -> float:
-        buf = self._buf
-        if not buf:
-            buf = self._gen.random(_CHUNK).tolist()
-            buf.reverse()
-            self._buf = buf
-        return buf.pop()
-
-
 _U64 = np.uint64
 _LOW32 = _U64(0xFFFFFFFF)
 _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
@@ -191,13 +157,14 @@ def _mulhilo(m: int, x: np.ndarray):
 
 
 def _philox_uniforms(seed: int, trials: np.ndarray, block: int, blocks: int = 1) -> np.ndarray:
-    """Uniforms ``4 block .. 4 (block + blocks) - 1`` of each trial's :class:`_TrialStream`.
+    """Uniforms ``4 block .. 4 (block + blocks) - 1`` of each trial's stream.
 
     Row ``k`` of the ``(4 blocks, len(trials))`` result holds uniform
     ``4 block + k``: word ``k % 4`` of Philox4x64-10 (Salmon et al., SC'11) at
     the counter ``(block + k // 4 + 1, 0, 0, trial)`` under the key
     ``(seed, 0)``, turned into a double as NumPy's ``random()`` turns a word.
-    ``trials`` is ``uint64``.
+    So trial ``t``'s stream is what ``Generator(Philox(key=seed, counter=(0, 0,
+    0, t))).random()`` draws.  ``trials`` is ``uint64``.
     """
     c0 = np.repeat(np.arange(block + 1, block + blocks + 1, dtype=_U64)[:, None],
                    len(trials), axis=1)
@@ -218,7 +185,7 @@ def _philox_uniforms(seed: int, trials: np.ndarray, block: int, blocks: int = 1)
     return uniforms
 
 
-#: Outcome of each fate code of a lockstep step; code 0 marks a trial still walking.
+#: Outcome of each fate code of ``step`` and ``resume``; code 0 marks a trial still walking.
 _OUTCOMES = (None, Outcome.FIXATION, Outcome.EXTINCTION, Outcome.CENSORED)
 
 
@@ -294,16 +261,15 @@ class _Tables:
         masks[:] = self._targets.take(at)
         return self._fate.take(masks)
 
-    def resume(self, state, k: int, stream: _TrialStream, max_steps: int):
-        """Walk trial ``k`` of ``state`` on alone, one uniform of ``stream`` per step.
+    def resume(self, state, k: int, next_uniform, max_steps: int):
+        """Walk trial ``k`` of ``state`` on alone, one ``next_uniform()`` per step.
 
         Takes up to ``max_steps`` steps and writes the trial's mask back;
-        ``(outcome, steps)``, censored if not absorbed.
+        ``(fate code, steps)``, the code 0 if the trial walks on.
         """
         cum, targets, fate = self._lists
         shift = self._shift
         width = 1 << shift
-        next_uniform = stream.next_uniform
         (masks,) = state
         mask, steps = int(masks[k]), 0
         while steps < max_steps and not fate[mask]:
@@ -311,7 +277,7 @@ class _Tables:
             mask = targets[bisect_left(cum, next_uniform(), at, at + width)]
             steps += 1
         masks[k] = mask
-        return _OUTCOMES[fate[mask]] or Outcome.CENSORED, steps
+        return fate[mask], steps
 
 
 def _searchsorted_rows(cum: np.ndarray, target: np.ndarray) -> np.ndarray:
@@ -425,32 +391,26 @@ class _Walker:
         np.add(mutants, 1 - 2 * turned.astype(np.int64), out=mutants, where=go)
         since += go
         x.ravel()[at[go]] = ~turned[go]
-        stuck = []
-        for k in np.flatnonzero(alone).tolist():
-            # a stream of the one uniform of this step
-            if self.resume(state, k, SimpleNamespace(next_uniform=[u[k]].pop), 1)[1] == 0:
-                stuck.append(k)  # the configuration never changes
         fate = np.zeros(m, dtype=np.int8)
         fate[mutants == n] = 1
         fate[mutants == 0] = 2
-        fate[stuck] = 3
+        for k in np.flatnonzero(alone).tolist():
+            fate[k] = self.resume(state, k, [u[k]].pop, 1)[0]  # on the one uniform of this step
         return fate
 
-    def resume(self, state, k: int, stream: _TrialStream, max_steps: int):
-        """Walk trial ``k`` of ``state`` on alone, one uniform of ``stream`` per step.
+    def resume(self, state, k: int, next_uniform, max_steps: int):
+        """Walk trial ``k`` of ``state`` on alone, one ``next_uniform()`` per step.
 
         Takes up to ``max_steps`` steps and writes the trial's row back;
-        ``(outcome, steps)``, censored if not absorbed.
+        ``(fate code, steps)``, the code 0 if the trial walks on.
         """
         n, event, guard = self._n, self._event, self._guard
         signed_rows, signed_dweight = self._signed_rows, self._signed_dweight
         where = np.where
-        next_uniform = stream.next_uniform
         x, masses = state[0][k], state[1][k]
         toward, away = masses
         weight, mutants, since = (a[k].item() for a in state[2:5])
-        outcome = Outcome.CENSORED
-        steps = 0
+        fate = steps = 0
         while steps < max_steps:
             uniform = next_uniform()
             steps += 1
@@ -474,7 +434,7 @@ class _Walker:
                 since = REFRESH_EVENTS
             if u < 0:
                 if total == 0.0:  # the configuration never changes: censor, uncounted
-                    steps -= 1
+                    fate, steps = 3, steps - 1
                     break
                 continue
             since += 1
@@ -485,13 +445,16 @@ class _Walker:
             weight += signed_dweight[signed]
             mutants += -1 if turned else 1
             if mutants == 0 or mutants == n:
-                outcome = Outcome.FIXATION if mutants else Outcome.EXTINCTION
+                fate = 1 if mutants else 2
                 break
         state[2][k], state[3][k], state[4][k] = weight, mutants, since
-        return outcome, steps
+        return fate, steps
 
 
+@lru_cache(maxsize=1)
 def _sampler(model: MicSMPModel, mode: str):
+    """The sampler of ``model`` in ``mode``, memoised: models are immutable, and a
+    sampler keeps nothing of a run, so repeated trajectories share its tables."""
     if model.n <= TABLE_MAX_VERTICES:
         return _Tables(model, mode)
     return _Walker(model, mode)
@@ -510,9 +473,18 @@ def simulate_trajectory(model: MicSMPModel, x0: Configuration,
         raise AbsorbingStart(f"mask {x0.bits:#b} is absorbing")
     sampler = _sampler(model, cfg.mode)
     state, _ = sampler.begin([x0.bits], np.zeros(1, np.intp))
-    stream = _TrialStream(cfg.seed)
-    stream.position(0)
-    return sampler.resume(state, 0, stream, cfg.max_steps)
+    fate, steps = sampler.resume(state, 0, _trial_zero(cfg.seed).__next__, cfg.max_steps)
+    return _OUTCOMES[fate] or Outcome.CENSORED, steps
+
+
+def _trial_zero(seed: int):
+    """Trial 0's uniforms, drawn 1, 2, 4, ... Philox blocks at a time, at most _PHILOX_COUNTERS."""
+    trial = np.zeros(1, dtype=_U64)
+    block, blocks = 0, 1
+    while True:
+        yield from _philox_uniforms(seed, trial, block, blocks).ravel().tolist()
+        block += blocks
+        blocks = min(2 * blocks, _PHILOX_COUNTERS)
 
 
 def _run_range(model: MicSMPModel, mode: str, alpha_cum, alpha_masks, seed: int,
@@ -539,25 +511,24 @@ def _run_range(model: MicSMPModel, mode: str, alpha_cum, alpha_masks, seed: int,
                 holes, movers = np.flatnonzero(~go[:walking]), np.flatnonzero(go[walking:])
                 for a in (trials, uniforms, *state):
                     a[holes] = a[walking + movers]
-            if walking < sampler.handoff or step == max_steps:
+            if not walking:
                 break
             if lane == uniforms.shape[1]:  # uniform step + 1 starts a Philox block
                 blocks = max(1, _PHILOX_COUNTERS // walking)
                 uniforms = _philox_uniforms(seed, trials[:walking], (step + 1) // 4, blocks).T
                 lane = 0
-            fate = sampler.step([a[:walking] for a in state], uniforms[:walking, lane])
-            lane += 1
-            step += 1
-        if step == max_steps:
-            counts[_OUTCOMES.index(Outcome.CENSORED)] += walking
-            continue
-        # uniform step + 1 of each stream is the next one
-        stream = _TrialStream(seed)
-        for k, trial in enumerate(trials[:walking].tolist()):
-            stream.position(trial, (step + 1) // 4)
-            for _ in range((step + 1) % 4):
-                stream.next_uniform()
-            counts[_OUTCOMES.index(sampler.resume(state, k, stream, max_steps - step)[0])] += 1
+            if walking >= sampler.handoff:
+                span = 1
+                fate = sampler.step([a[:walking] for a in state], uniforms[:walking, lane])
+            else:  # each trial walks alone over the lanes already drawn
+                span = min(uniforms.shape[1] - lane, max_steps - step)
+                lanes = uniforms[:walking, lane:lane + span].tolist()
+                fate = np.array([sampler.resume(state, k, iter(row).__next__, span)[0]
+                                 for k, row in enumerate(lanes)], dtype=np.int8)
+            lane += span
+            step += span
+            if step == max_steps:
+                fate[fate == 0] = 3  # censor the trials still walking
     return tuple(counts[1:].tolist())
 
 

@@ -269,6 +269,10 @@ class TestVerifyCommand:
         assert all(abs(v - 1.0) <= 1e-12 for v in sums.values())
 
 
+_SWAP = [[0.0, 1.0], [1.0, 0.0]]
+_SIM = ("--init", "mask:1", "--trials", "10")
+
+
 @pytest.mark.parametrize("argv, error", [
     (("exact", "--model", "@complete:abc"), "InputError"),
     (("exact", "--model", "@galanis", "--init", "atoms:[(1,0.5),(2)]"), "InputError"),
@@ -285,8 +289,21 @@ class TestVerifyCommand:
     (("exact", "--model", "@galanis", "--init", "atoms:[(1,NaN)]"), "NotStochastic"),
     (("simulate", "--model", "@galanis", "--init", "atoms:[(1,NaN)]", "--trials", "10"),
      "NotStochastic"),
+    # model documents, written to a file
+    (("exact", "--model", {"n": "abc", "W": _SWAP}), "NotStochastic"),
+    (("simulate", "--model", {"n": "abc", "W": _SWAP}, *_SIM), "NotStochastic"),
+    (("exact", "--model", {"n": None, "W": _SWAP}), "NotStochastic"),
+    (("simulate", "--model", {"n": None, "W": _SWAP}, *_SIM), "NotStochastic"),
+    (("exact", "--model", {"W": 5}), "InputError"),
+    (("simulate", "--model", {"W": 5}, *_SIM), "InputError"),
+    (("exact", "--model", {"W": _SWAP, "mu": {"a": 1}}), "InputError"),
+    (("simulate", "--model", {"W": _SWAP, "mu": {"a": 1}}, *_SIM), "InputError"),
 ])
-def test_malformed_input_exits_two_with_its_type(capsys, schema, argv, error):
+def test_malformed_input_exits_two_with_its_type(capsys, schema, tmp_path, argv, error):
+    if isinstance(argv[2], dict):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(argv[2]))
+        argv = (*argv[:2], str(path), *argv[3:])
     code, doc = run_json(capsys, schema, *argv)
     assert code == 2
     assert doc["error"]["type"] == error

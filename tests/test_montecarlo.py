@@ -29,6 +29,7 @@ from spatialmoran import (
     validate_weight_matrix,
 )
 from spatialmoran import montecarlo
+from spatialmoran.modelio import load_model
 from spatialmoran.montecarlo import (
     BLOCK_TRIALS,
     LOCKSTEP_MIN_TRIALS,
@@ -38,11 +39,22 @@ from spatialmoran.montecarlo import (
     _philox_uniforms,
     _sampler,
     _searchsorted_rows,
-    _TrialStream,
     _Walker,
 )
 
 GALANIS_SINGLE = InitialDistribution.point_mass(0b001, 3)
+
+
+def _stream(seed, trial, block=0):
+    """Trial ``trial``'s uniforms from uniform ``4 block`` on, by NumPy's own Philox4x64-10,
+    as a ``next_uniform`` callable."""
+    gen = np.random.Generator(np.random.Philox(key=seed, counter=[block, 0, 0, trial]))
+
+    def uniforms():
+        while True:
+            yield from gen.random(32).tolist()
+
+    return uniforms().__next__
 
 
 class TestTrajectoryConfig:
@@ -125,6 +137,19 @@ class TestSimulateTrajectory:
                                    trials, TrajectoryConfig(seed=1234))
         fixed = result.fixations
         assert fixed / trials >= 0.9999
+
+    def test_trajectories_of_one_model_share_its_tables(self, monkeypatch):
+        batches = []
+
+        def recorded(model, masks):
+            batches.append(len(masks))
+            return flip_masses(model, masks)
+
+        monkeypatch.setattr(montecarlo, "flip_masses", recorded)
+        model = _random_policy_model(TABLE_MAX_VERTICES, 1, 1.2)
+        start, cfg = Configuration(0b11, model.n), TrajectoryConfig(seed=1)
+        assert simulate_trajectory(model, start, cfg) == simulate_trajectory(model, start, cfg)
+        assert batches == [(1 << model.n) - 2]
 
 
 class TestEstimateFixation:
@@ -247,9 +272,10 @@ def _start(sampler, mask):
     return sampler.begin([mask], np.zeros(1, np.intp))[0]
 
 
-def _walk(sampler, mask, stream, max_steps):
+def _walk(sampler, mask, next_uniform, max_steps):
     """``(outcome, steps)`` of one trial from ``mask``, walked alone."""
-    return sampler.resume(_start(sampler, mask), 0, stream, max_steps)
+    fate, steps = sampler.resume(_start(sampler, mask), 0, next_uniform, max_steps)
+    return montecarlo._OUTCOMES[fate] or Outcome.CENSORED, steps
 
 
 def _residue_model():
@@ -295,14 +321,13 @@ class TestIncrementalWalker:
         n = 30
         model = _random_policy_model(n, 30, 1.7)
         walker = _sampler(model, "event")
-        stream = _TrialStream(5)
-        stream.position(0)
+        stream = _stream(5, 0)
         start = (1 << (n // 2)) - 1
         state = _start(walker, start)
         for _ in range(10 * REFRESH_EVENTS):
-            outcome, steps = walker.resume(state, 0, stream, 1)
+            fate, steps = walker.resume(state, 0, stream, 1)
             assert steps == 1
-            if outcome is not Outcome.CENSORED:
+            if fate:
                 state = _start(walker, start)
                 continue
             x, masses, weight, mutants = (a[0] for a in state[:4])
@@ -316,22 +341,22 @@ class TestIncrementalWalker:
         walker = _sampler(_residue_model(), "event")
         stuck = 0
         for seed in range(100):
-            stream = _TrialStream(seed)
-            stream.position(0)
+            stream = _stream(seed, 0)
             state = _start(walker, 0b1001)
             x = state[0][0]
             while True:
                 fresh_x, fresh_masses = (a[0] for a in _start(walker, _mask_of(x))[:2])
                 mass = np.where(fresh_x, fresh_masses[1], fresh_masses[0])
                 before = x.copy()
-                outcome, steps = walker.resume(state, 0, stream, 1)
-                if steps == 0:  # censored where nothing can change
+                fate, steps = walker.resume(state, 0, stream, 1)
+                if fate == 3:  # censored where nothing can change, the step uncounted
+                    assert steps == 0
                     assert mass.sum() == 0.0
                     stuck += 1
                     break
                 (u,) = np.flatnonzero(before != x)
                 assert mass[u] > 0.0
-                if outcome is not Outcome.CENSORED:
+                if fate:
                     break
         assert stuck > 0
 
@@ -357,12 +382,10 @@ class TestIncrementalWalker:
     def test_holds_no_per_configuration_state(self):
         model = build_model(complete_graph_weights(16), mu="uniform", r=1.0)
         sampler = _sampler(model, "event")
-        stream = _TrialStream(3)
 
         def run(trials):
             for trial in range(trials):
-                stream.position(trial)
-                _walk(sampler, 0xFF, stream, 10**6)
+                _walk(sampler, 0xFF, _stream(3, trial), 10**6)
 
         run(5)
         tracemalloc.start()
@@ -394,12 +417,12 @@ def _reference_tables(model, mode):
     return tables
 
 
-def _reference_walk(tables, full, mask, stream, max_steps):
-    """One trajectory by bisection of the list tables, one uniform of ``stream`` per step."""
+def _reference_walk(tables, full, mask, next_uniform, max_steps):
+    """One trajectory by bisection of the list tables, one ``next_uniform()`` per step."""
     steps = 0
     while steps < max_steps and mask in tables:
         cum, targets = tables[mask]
-        mask = targets[bisect_left(cum, stream.next_uniform())]
+        mask = targets[bisect_left(cum, next_uniform())]
         steps += 1
         if mask == 0:
             return Outcome.EXTINCTION, steps
@@ -410,16 +433,15 @@ def _reference_walk(tables, full, mask, stream, max_steps):
 
 def _per_trial_counts(walk, alpha, trials, cfg):
     """``(fixations, extinctions, censored)`` and the most steps of a trial, one trial
-    after another on its own stream; ``walk(start, stream, max_steps)`` walks one."""
+    after another on its own stream; ``walk(start, next_uniform, max_steps)`` walks one."""
     masks = [mask for mask, _ in alpha.atoms]
     cum = list(accumulate(w for _, w in alpha.atoms))
     cum[-1] = 1.0
-    stream = _TrialStream(cfg.seed)
     counts = dict.fromkeys(Outcome, 0)
     longest = 0
     for trial in range(trials):
-        stream.position(trial)
-        start = masks[bisect_left(cum, stream.next_uniform())]
+        stream = _stream(cfg.seed, trial)
+        start = masks[bisect_left(cum, stream())]
         outcome, steps = walk(start, stream, cfg.max_steps)
         counts[outcome] += 1
         longest = max(longest, steps)
@@ -450,11 +472,10 @@ class TestPhiloxKernel:
     def test_matches_the_trial_streams(self):
         trials = [0, 7, 2**32 + 1, 2**40]
         for seed in (0, 1, 2**63 + 5, 2**64 - 1):
-            stream = _TrialStream(seed)
             expected = []
             for trial in trials:
-                stream.position(trial)
-                expected.append([stream.next_uniform() for _ in range(40)])
+                stream = _stream(seed, trial)
+                expected.append([stream() for _ in range(40)])
             counters = np.array(trials, dtype=np.uint64)
             blocks = [_philox_uniforms(seed, counters, block) for block in range(10)]
             assert np.concatenate(blocks).T.tolist() == expected
@@ -463,12 +484,14 @@ class TestPhiloxKernel:
                                   np.concatenate(blocks[3:9]))
 
     def test_stream_positioned_at_a_block(self):
-        stream = _TrialStream(5)
-        stream.position(9)
-        draws = [stream.next_uniform() for _ in range(100)]
+        # the kernel far into a stream, several blocks at once, as lone walks read it
+        stream = _stream(5, 9)
+        draws = [stream() for _ in range(100)]
         for block in (1, 7, 20):
-            stream.position(9, block)
-            assert [stream.next_uniform() for _ in range(20)] == draws[4 * block:4 * block + 20]
+            at_block = _stream(5, 9, block)
+            assert [at_block() for _ in range(20)] == draws[4 * block:4 * block + 20]
+            kernel = _philox_uniforms(5, np.array([9], dtype=np.uint64), block, 5)
+            assert kernel.ravel().tolist() == draws[4 * block:4 * block + 20]
 
 
 #: Per case: the counts of 100 trials, of 2^14 + 37 trials, and of 100 trials with
@@ -511,6 +534,61 @@ class TestTableWalkerPins:
             for max_steps in (10**7, 3):
                 cfg = TrajectoryConfig(seed=seed, mode=mode, max_steps=max_steps)
                 outcome, steps = simulate_trajectory(model, Configuration(start, model.n), cfg)
+                walked.append((outcome.name, steps))
+        assert walked == trajectories
+
+
+#: Per case: the counts of 300 trials from two mutants, with the default max_steps
+#: and with 3; then simulate_trajectory from each of two starts, with the default
+#: max_steps and with 3.  Recorded at commit 832bcab.
+_WALKER_PINS = {
+    ('random13', 'event', 0): ([(150, 150, 0), (0, 49, 251)], [('EXTINCTION', 2), ('EXTINCTION', 2), ('FIXATION', 59), ('CENSORED', 3)]),
+    ('random13', 'event', 2**64 - 1): ([(151, 149, 0), (0, 44, 256)], [('FIXATION', 43), ('CENSORED', 3), ('FIXATION', 29), ('CENSORED', 3)]),
+    ('random13', 'faithful', 0): ([(150, 150, 0), (0, 5, 295)], [('EXTINCTION', 178), ('CENSORED', 3), ('FIXATION', 118), ('CENSORED', 3)]),
+    ('random13', 'faithful', 2**64 - 1): ([(153, 147, 0), (0, 2, 298)], [('EXTINCTION', 14), ('CENSORED', 3), ('EXTINCTION', 13), ('CENSORED', 3)]),
+    ('random16', 'event', 0): ([(157, 143, 0), (0, 59, 241)], [('EXTINCTION', 2), ('EXTINCTION', 2), ('FIXATION', 74), ('CENSORED', 3)]),
+    ('random16', 'event', 2**64 - 1): ([(162, 138, 0), (0, 47, 253)], [('EXTINCTION', 10), ('CENSORED', 3), ('FIXATION', 40), ('CENSORED', 3)]),
+    ('random16', 'faithful', 0): ([(159, 141, 0), (0, 5, 295)], [('FIXATION', 86), ('CENSORED', 3), ('FIXATION', 103), ('CENSORED', 3)]),
+    ('random16', 'faithful', 2**64 - 1): ([(155, 145, 0), (0, 2, 298)], [('FIXATION', 70), ('CENSORED', 3), ('FIXATION', 155), ('CENSORED', 3)]),
+    ('random30', 'event', 0): ([(145, 155, 0), (0, 53, 247)], [('EXTINCTION', 2), ('EXTINCTION', 2), ('FIXATION', 41), ('CENSORED', 3)]),
+    ('random30', 'event', 2**64 - 1): ([(153, 147, 0), (0, 49, 251)], [('FIXATION', 144), ('CENSORED', 3), ('FIXATION', 35), ('CENSORED', 3)]),
+    ('random30', 'faithful', 0): ([(144, 156, 0), (0, 4, 296)], [('FIXATION', 440), ('CENSORED', 3), ('FIXATION', 312), ('CENSORED', 3)]),
+    ('random30', 'faithful', 2**64 - 1): ([(159, 141, 0), (0, 1, 299)], [('FIXATION', 186), ('CENSORED', 3), ('FIXATION', 242), ('CENSORED', 3)]),
+    ('complete40', 'event', 0): ([(15, 285, 0), (0, 79, 221)], [('EXTINCTION', 2), ('EXTINCTION', 2), ('EXTINCTION', 746), ('CENSORED', 3)]),
+    ('complete40', 'event', 2**64 - 1): ([(16, 284, 0), (0, 76, 224)], [('EXTINCTION', 214), ('CENSORED', 3), ('FIXATION', 222), ('CENSORED', 3)]),
+    ('complete40', 'faithful', 0): ([(13, 287, 0), (0, 0, 300)], [('EXTINCTION', 70), ('CENSORED', 3), ('FIXATION', 473), ('CENSORED', 3)]),
+    ('complete40', 'faithful', 2**64 - 1): ([(16, 284, 0), (0, 2, 298)], [('EXTINCTION', 146), ('CENSORED', 3), ('FIXATION', 617), ('CENSORED', 3)]),
+}
+
+
+class TestWalkerPins:
+    """The incremental walker's counts and trajectories, pinned.
+
+    Unlike the tables, :meth:`_Walker.refresh` computes the masses by a BLAS
+    product, whose rounding may differ with the BLAS build; a pin that moves
+    on another machine, with the table pins holding, points there first.
+    """
+
+    @pytest.mark.parametrize("key", _WALKER_PINS, ids=lambda key: "-".join(map(str, key)))
+    def test_counts_and_trajectories(self, key):
+        name, mode, seed = key
+        if name == "complete40":
+            model = load_model("@complete:40")
+        else:
+            n = int(name.removeprefix("random"))
+            model = _random_policy_model(n, n, 1.5)
+        n = model.n
+        alpha, starts = InitialDistribution.level_uniform(n, 2), (0b11, int("10" * (n // 2), 2))
+        counts, trajectories = _WALKER_PINS[key]
+        assert [_counts(estimate_fixation(model, alpha, 300,
+                                          TrajectoryConfig(seed=seed, mode=mode,
+                                                           max_steps=max_steps)))
+                for max_steps in (10**7, 3)] == counts
+        walked = []
+        for start in starts:
+            for max_steps in (10**7, 3):
+                cfg = TrajectoryConfig(seed=seed, mode=mode, max_steps=max_steps)
+                outcome, steps = simulate_trajectory(model, Configuration(start, n), cfg)
                 walked.append((outcome.name, steps))
         assert walked == trajectories
 
@@ -578,9 +656,8 @@ class TestLockstepWalk:
             for seed in range(10):
                 start = Configuration(1 + seed % ((1 << n) - 2), n)
                 for max_steps in (1, 5, 10**7):
-                    stream = _TrialStream(seed)
-                    stream.position(0)
-                    expected = _reference_walk(tables, (1 << n) - 1, start.bits, stream, max_steps)
+                    expected = _reference_walk(tables, (1 << n) - 1, start.bits, _stream(seed, 0),
+                                               max_steps)
                     cfg = TrajectoryConfig(seed=seed, mode=mode, max_steps=max_steps)
                     assert simulate_trajectory(model, start, cfg) == expected
 
@@ -627,14 +704,14 @@ class TestLockstepWalker:
         residues = []
         resume = _Walker.resume
 
-        def recorded(self, state, k, stream, max_steps):
+        def recorded(self, state, k, next_uniform, max_steps):
             flips = np.where(state[0][k], state[1][k][1], state[1][k][0])
-            outcome, steps = resume(self, state, k, stream, max_steps)
+            fate, steps = resume(self, state, k, next_uniform, max_steps)
             if max_steps == 1 and steps == 0 and flips.any():
                 # a lockstep row the guard stopped: its masses were rounding
                 # residues on a configuration that never changes
                 residues.append(flips.min())
-            return outcome, steps
+            return fate, steps
 
         monkeypatch.setattr(_Walker, "resume", recorded)
         model = _residue_model()
@@ -681,6 +758,27 @@ class TestLockstepWalker:
         exact = moran_rho(1, n, r)
         assert result.censored == 0
         assert abs(result.frequency - exact) <= 4 * math.sqrt(exact * (1 - exact) / trials)
+
+
+class TestShortRuns:
+    """Runs of fewer trials than the hand-off: every trial walks alone from the start."""
+
+    @pytest.mark.parametrize("n", [8, TABLE_MAX_VERTICES + 1])
+    @pytest.mark.parametrize("mode", ["event", "faithful"])
+    def test_end_inside_and_on_a_philox_block(self, n, mode):
+        # step s takes uniform s, four to a Philox block, so max_steps 3 and 7 end
+        # on a block's last uniform, 4 and 8 on its first, and 1, 2 and 5 inside
+        model = _random_policy_model(n, 50 + n, 1.3)
+        alpha = _several_atoms(n, n)
+        tables = n <= TABLE_MAX_VERTICES
+        trials = (LOCKSTEP_MIN_TRIALS if tables else WALKER_LOCKSTEP_MIN_TRIALS) - 1
+        for max_steps in (1, 2, 3, 4, 5, 7, 8):
+            cfg = TrajectoryConfig(seed=max_steps, mode=mode, max_steps=max_steps)
+            result = estimate_fixation(model, alpha, trials, cfg)
+            expected = (_reference_counts(model, alpha, trials, cfg) if tables
+                        else _walker_counts(model, alpha, trials, cfg)[0])
+            assert _counts(result) == expected
+        assert result.censored > 0
 
 
 class TestSearchsortedRows:
