@@ -41,8 +41,17 @@ def _manifest(command: str, argv: list[str], seed: int | None) -> dict:
     }
 
 
-def _emit(doc: dict, indent: int | None) -> None:
-    sys.stdout.write(json.dumps(doc, indent=indent) + "\n")
+def _emit(doc: dict, indent: int | None, rho: list | None = None) -> None:
+    """Write ``json.dumps(doc, indent=indent)``, where ``rho`` fills ``"rho": null`` (only the key
+    matches, as strings escape quotes) with ``[{"mask": x, "value": rho[x]}, ...]`` in one pass."""
+    text = json.dumps(doc, indent=indent)
+    if rho is not None:
+        at1, at2, at3 = ("" if indent is None else "\n" + " " * (indent * d) for d in (1, 2, 3))
+        comma = "," if at1 else ", "
+        row = "{" + at3 + '"mask": %d' + comma + at3 + '"value": %r' + at2 + "}"
+        rows = (comma + at2).join([row % pair for pair in enumerate(rho)])
+        text = text.replace('"rho": null', '"rho": [' + at2 + rows + at1 + "]", 1)
+    sys.stdout.write(text + "\n")
 
 
 def _add_model_flags(sub: argparse.ArgumentParser) -> None:
@@ -70,14 +79,14 @@ def _cmd_exact(args, argv) -> int:
     deviation = report.per_level_deviation.tolist()
     doc = {
         "manifest": _manifest("exact", argv, None),
-        "rho": [{"mask": mask, "value": value} for mask, value in enumerate(report.rho.tolist())],
+        "rho": None,  # filled in by _emit
         "deviation": {str(j): deviation[j] for j in range(1, model.n)},
         "moran": {str(j): moran_rho(j, model.n, model.r) for j in range(1, model.n)},
         "solver": dataclasses.asdict(report.solver),
     }
     if report.rho_alpha is not None:
         doc["rho_alpha"] = report.rho_alpha
-    _emit(doc, args.json_indent)
+    _emit(doc, args.json_indent, report.rho.tolist())
     return 0
 
 

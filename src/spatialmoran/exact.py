@@ -3,7 +3,8 @@
 Idle steps do not change which absorbing state is hit, so the transient
 fixation probabilities solve ``A h = b`` with ``A = I - J``,
 ``J[x, x ^ (1 << u)] = f_xu / d_x``, ``f`` the flip masses of
-:func:`~spatialmoran.dynamics.flip_masses` and ``d_x = sum_u f_xu``.
+:func:`~spatialmoran.dynamics.flip_masses` and ``d_x = sum_u f_xu``;
+:func:`_jump_system` writes ``A`` straight into CSR, each row sorted without a sort.
 :func:`_certified_solve` serves every ``n <= 20``, the one size bound: dense
 LU up to ``n = 10`` (``solver.method == "dense"``) and restarted GMRES (Saad &
 Schultz 1986) above (``"iterative"``).  It also solves ``A T = 1``, the
@@ -28,13 +29,14 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy.sparse import csr_matrix, identity
+from scipy.sparse import csr_matrix
 from scipy.sparse.linalg import gmres
 
 from .dynamics import (MicSMPModel, _flip_masses, _flip_totals, _require_exact_size,
-                       _require_fitness)
+                       _require_fitness, _sorted_places)
 from .errors import AtomOnAbsorbing, DegenerateCase, NotStochastic, NumericalFailure, TooLarge
-from .graph import STOCHASTIC_TOL, Configuration, _require_policies, level_masks, mask_bits
+from .graph import (STOCHASTIC_TOL, Configuration, _integer, _require_policies, level_masks,
+                    mask_bits)
 
 #: Largest certified max-norm error of the returned fixation probabilities.
 SOLVE_RESIDUAL_TOL = 1e-10
@@ -85,7 +87,7 @@ class InitialDistribution:
         cleaned = []
         total = 0.0
         for mask, weight in self.atoms:
-            mask = mask.bits if isinstance(mask, Configuration) else int(mask)
+            mask = mask.bits if isinstance(mask, Configuration) else _integer("mask", mask)
             weight = float(weight)
             if not 0 <= mask <= full:
                 raise NotStochastic(f"mask {mask:#b} does not fit into {self.n} bits")
@@ -143,8 +145,10 @@ class FixationReport:
 
 
 def _jump_system(W: np.ndarray, mu: np.ndarray, r: np.ndarray):
-    """``(rows, cols, jump, rhs)`` of ``k`` models with the same ``n``: ``J_i[rows, cols] =
-    jump[i]`` off the diagonal, and the right-hand sides ``rhs[i] = [b_i, 1]``."""
+    """``(indptr, indices, data, rhs)`` of ``k`` models with the same ``n``: ``A_i = I - J_i``
+    in CSR, values ``data[i]`` and sorted int32 ``indices``, and ``rhs[i] = [b_i, 1]``.  Row
+    ``x - 1`` holds the diagonal and the flips of mask ``x``, those of zero mass as explicit
+    zeros, but not the flip to mask 0 or to the full mask."""
     k, n = mu.shape
     full = (1 << n) - 1
     masks = np.arange(1, full)
@@ -155,12 +159,21 @@ def _jump_system(W: np.ndarray, mu: np.ndarray, r: np.ndarray):
         i = int(stuck.argmax())
         raise DegenerateCase(f"{_model_label(i, k)}configuration "
                              f"{int(masks[leave[i].argmin()]):#b} can never change")
-    jump = flips / leave[:, :, None]
-    targets = masks[:, None] ^ (1 << np.arange(n))
-    rhs = np.ones((k, len(masks), 2))
-    rhs[:, :, 0] = np.where(targets == full, jump, 0.0).sum(axis=2)
-    rows, flipped = np.nonzero((targets != 0) & (targets != full))
-    return rows, targets[rows, flipped] - 1, jump[:, rows, flipped], rhs
+    flips /= leave[:, :, None]
+    # rows of level 1, whose flip u reaches mask 0, and of level n - 1, whose flip u is absorbed
+    bottom, top = (1 << np.arange(n)) - 1, full - (1 << np.arange(n)) - 1
+    rhs = np.stack((np.zeros_like(leave), np.ones_like(leave)), axis=2)
+    rhs[:, top, 0] = flips[:, top, np.arange(n)]
+    ends = np.cumsum(n + 1 - np.bincount(np.append(bottom, top), minlength=len(masks)))
+    # row starts, less one at level 1, where the flip to mask 0 would take place 0
+    starts = ends - (n + 1) + np.bincount(top, minlength=len(masks))
+    # a flip that leaves the system lands on a spare last entry, or on the entry of vertex n or
+    # the diagonal of the row before (level 1) or after (level n - 1), both written after it
+    indices, data = np.empty(ends[-1] + 1, np.int32), np.empty((k, ends[-1] + 1))
+    for u, (bit, at) in enumerate(_sorted_places(masks, n, starts)):
+        data[:, at] = 0.0 - flips[:, :, u] if bit else 1.0
+        indices[at] = (masks ^ bit) - 1
+    return np.append(0, ends).astype(np.int32), indices[:-1], data[:, :-1], rhs
 
 
 def _model_label(i: int, k: int) -> str:
@@ -168,17 +181,17 @@ def _model_label(i: int, k: int) -> str:
     return f"model {i}: " if k > 1 else ""
 
 
-def _certified_solve(rows, cols, jump, rhs, terms: int):
-    """Solve ``(I - J_i) X_i = [b_i, 1]`` for ``k`` systems of ``m`` rows, ``J_i[rows, cols]
-    = jump[i]``; ``jump`` has shape ``(k, len(rows))`` and ``rhs`` ``(k, m, 2)``.
+def _certified_solve(indptr, indices, data, rhs, terms: int):
+    """Solve ``A_i X_i = [b_i, 1]`` for ``k`` systems ``A_i = I - J_i`` of ``m`` rows in CSR:
+    values ``data[i]`` on a shared ``(indptr, indices)``; ``rhs`` has shape ``(k, m, 2)``.
 
-    Up to :data:`_DENSE_MAX_ROWS` rows, one stacked LU per chunk of at most
-    ``_DENSE_MAX_ROWS^2`` entries; above, restarted GMRES on CSR, per system.
+    Up to :data:`_DENSE_MAX_ROWS` rows, one stacked dense LU per chunk of at most
+    ``_DENSE_MAX_ROWS^2`` entries; above, restarted GMRES on each CSR matrix as given.
     ``X[i] = [h_i, T_i]`` and the :class:`SolverInfo` of each system carry the
     bound ``max T / (1 - ||1 - A T||) * ||b - A h||`` on ``||h - A^-1 b||`` in
     max-norms, for ``A = I - J_i``.  It holds for any nonsingular M-matrix,
-    since ``A^-1 >= 0`` and ``A^-1 1 = T + A^-1 (1 - A T)``; swapping ``rows``
-    and ``cols`` solves with ``A^T``.  The slack covers rounding in ``A``,
+    since ``A^-1 >= 0`` and ``A^-1 1 = T + A^-1 (1 - A T)``; the CSR arrays
+    of ``A^T`` solve with ``A^T``.  The slack covers rounding in ``A``,
     ``rhs`` and the residuals, whose rows sum at most ``terms`` terms, each at
     most 1 per unit of the solution.  GMRES solves ``T`` first, then ``h`` to
     the max-norm residual ``tau`` that puts the bound at ``SOLVE_RESIDUAL_TOL /
@@ -198,17 +211,16 @@ def _certified_solve(rows, cols, jump, rhs, terms: int):
     if m <= _DENSE_MAX_ROWS:
         method = "dense"
         step = max(1, _DENSE_MAX_ROWS**2 // m**2)
+        rows = np.repeat(np.arange(m), np.diff(indptr))
         for lo in range(0, k, step):
             chunk = slice(lo, lo + step)
             A = np.zeros((len(rhs[chunk]), m, m))
-            A[:, range(m), range(m)] = 1.0
-            A[:, rows, cols] -= jump[chunk]
+            A[:, rows, indices] = data[chunk]
             X[chunk] = np.linalg.solve(A, rhs[chunk])
             residual[chunk] = np.abs(rhs[chunk] - A @ X[chunk]).max(axis=1)
     else:
         method = "iterative"
-        systems = [identity(m, format="csr") - csr_matrix((jump[i], (rows, cols)), shape=(m, m))
-                   for i in range(k)]
+        systems = [csr_matrix((data[i], indices, indptr), shape=(m, m)) for i in range(k)]
         steps = [[] for _ in range(k)]
         solve = partial(gmres, restart=50, maxiter=200, callback_type="pr_norm")
         for i, A in enumerate(systems):

@@ -9,6 +9,7 @@ vertex ``v + 1`` carries a mutant, so the all-ones mask is full fixation.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -19,6 +20,7 @@ from .errors import (
     NotStochastic,
     NotStronglyConnected,
     NumericalFailure,
+    OutOfRange,
 )
 
 #: Tolerance for stochasticity and stationarity checks.
@@ -29,6 +31,14 @@ def _frozen_array(values, dtype=float) -> np.ndarray:
     arr = np.array(values, dtype=dtype)
     arr.setflags(write=False)
     return arr
+
+
+def _integer(name: str, value) -> int:
+    """``value`` as a plain int: Python and NumPy integers pass, else :class:`OutOfRange`."""
+    try:
+        return int(operator.index(value))
+    except TypeError:
+        raise OutOfRange(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True, eq=False)

@@ -29,8 +29,8 @@ from .graph import complete_graph_weights, two_vertex_weights, validate_weight_m
 
 
 def parse_number(value) -> float:
-    """Parse a JSON number, decimal string, or exact ``"p/q"`` string to double."""
-    if isinstance(value, (int, float)):
+    """Parse a JSON number (not a boolean), decimal string, or exact ``"p/q"`` string to double."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
         return float(value)
     if isinstance(value, str):
         text = value.strip()
@@ -138,8 +138,10 @@ def parse_init_spec(spec: str, n: int) -> InitialDistribution:
     if kind == "atoms":
         try:
             pairs = json.loads(rest.replace("(", "[").replace(")", "]"))
-            atoms = tuple((int(mask), parse_number(weight)) for mask, weight in pairs)
+            atoms = tuple((mask, parse_number(weight)) for mask, weight in pairs)
         except (TypeError, ValueError, OverflowError) as exc:  # bad JSON or bad pairs
             raise InputError(f"cannot parse atoms {rest!r}") from exc
+        if any(type(mask) is not int for mask, _ in atoms):  # not a float, nor true or false
+            raise InputError(f"atom masks must be integers, got {rest!r}")
         return InitialDistribution(n=n, atoms=atoms)
     raise InputError(f"unknown initial specification {spec!r}")

@@ -55,7 +55,6 @@ from __future__ import annotations
 
 import enum
 import math
-import operator
 import os
 from bisect import bisect_left
 from concurrent.futures import ProcessPoolExecutor
@@ -67,7 +66,7 @@ import numpy as np
 from .dynamics import MicSMPModel, flip_masses
 from .errors import AbsorbingStart, NotStochastic, OutOfRange
 from .exact import InitialDistribution
-from .graph import Configuration, mask_bits
+from .graph import Configuration, _integer, mask_bits
 
 #: Largest vertex count sampled from prebuilt per-configuration tables.
 TABLE_MAX_VERTICES = 12
@@ -84,14 +83,6 @@ _BLOCK_ENTRIES = 1 << 20
 _PHILOX_COUNTERS = 1 << 10
 #: Flips between from-scratch recomputes of the incremental walker's masses.
 REFRESH_EVENTS = 1000
-
-
-def _integer(name: str, value) -> int:
-    """``value`` as a plain int: Python and NumPy integers pass, else :class:`OutOfRange`."""
-    try:
-        return int(operator.index(value))
-    except TypeError:
-        raise OutOfRange(f"{name} must be an integer, got {value!r}") from None
 
 
 class Outcome(enum.Enum):

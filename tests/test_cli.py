@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from importlib import resources
 
@@ -6,6 +7,8 @@ import numpy as np
 import pytest
 
 from spatialmoran import N2Params, moran_rho, montecarlo, n2_F, transition_kernel, galanis_model
+import spatialmoran.cli as cli_module
+from spatialmoran import exact
 from spatialmoran.cli import main
 
 
@@ -85,6 +88,38 @@ class TestExactCommand:
         _, first = run(capsys, *args)
         _, second = run(capsys, *args)
         assert first == second
+
+    @pytest.mark.parametrize("indent", [None, 0, 2])
+    @pytest.mark.parametrize("model", ["@galanis", "@complete:11"])  # dense LU, GMRES
+    @pytest.mark.parametrize("init", [(), ("--init", "level:1:uniform")])
+    def test_output_is_json_dumps_of_the_dict_form(self, capsys, monkeypatch, indent, model, init):
+        # the rho block is written apart from json.dumps; the reference is built from the
+        # same report, so the floats the test compares do not depend on the machine
+        reports = []
+
+        def solve(model, alpha=None):
+            reports.append(exact.fixation_probabilities(model, alpha=alpha))
+            return reports[-1]
+
+        monkeypatch.setattr(cli_module, "fixation_probabilities", solve)
+        argv = ["exact", "--model", model, "--r", "1.5", *init]
+        if indent is not None:
+            argv += ["--json-indent", str(indent)]
+        code, out = run(capsys, *argv)
+        (report,) = reports
+        n, deviation = report.n, report.per_level_deviation.tolist()
+        doc = {
+            "manifest": cli_module._manifest("exact", argv, None),
+            "rho": [{"mask": mask, "value": value} for mask, value in enumerate(report.rho.tolist())],
+            "deviation": {str(j): deviation[j] for j in range(1, n)},
+            "moran": {str(j): moran_rho(j, n, 1.5) for j in range(1, n)},
+            "solver": dataclasses.asdict(report.solver),
+        }
+        if init:
+            doc["rho_alpha"] = report.rho_alpha
+        assert code == 0
+        assert report.solver.method == ("dense" if n == 3 else "iterative")
+        assert out == json.dumps(doc, indent=indent) + "\n"
 
 
 class TestSimulateCommand:
@@ -238,8 +273,6 @@ class TestVerifyCommand:
         assert doc["error"]["type"] == "OutOfRange"
 
     def test_failed_builtin_suite_exits_one(self, capsys, monkeypatch):
-        import spatialmoran.cli as cli_module
-
         def failing_suite(seed, graphs):
             return {"stochasticity_stationarity": {
                 "pass": False, "max_deviation": 1.0, "threshold": 1e-12}}
@@ -298,6 +331,16 @@ _SIM = ("--init", "mask:1", "--trials", "10")
     (("simulate", "--model", {"W": 5}, *_SIM), "InputError"),
     (("exact", "--model", {"W": _SWAP, "mu": {"a": 1}}), "InputError"),
     (("simulate", "--model", {"W": _SWAP, "mu": {"a": 1}}, *_SIM), "InputError"),
+    # masks that are not integers, and JSON booleans, are refused rather than coerced
+    (("exact", "--model", "@galanis", "--init", "atoms:[(1.5,1)]"), "InputError"),
+    (("simulate", "--model", "@galanis", "--init", "atoms:[(2.9,1)]", "--trials", "10"),
+     "InputError"),
+    (("exact", "--model", "@galanis", "--init", "atoms:[(true,0.5),(2,0.5)]"), "InputError"),
+    (("simulate", "--model", "@galanis", "--init", "atoms:[(1,true)]", "--trials", "10"),
+     "NotStochastic"),
+    (("exact", "--model", {"W": [[False, True], [True, False]], "r": True}), "NotStochastic"),
+    (("simulate", "--model", {"W": [[False, True], [True, False]]}, *_SIM), "NotStochastic"),
+    (("exact", "--model", {"W": _SWAP, "r": True}), "NotStochastic"),
 ])
 def test_malformed_input_exits_two_with_its_type(capsys, schema, tmp_path, argv, error):
     if isinstance(argv[2], dict):

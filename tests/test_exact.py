@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.sparse import csr_matrix, identity
 
 from spatialmoran import (
     AtomOnAbsorbing,
@@ -12,6 +13,7 @@ from spatialmoran import (
     InitialDistribution,
     NotStochastic,
     NumericalFailure,
+    OutOfRange,
     TooLarge,
     build_model,
     complete_graph_weights,
@@ -29,7 +31,8 @@ from spatialmoran import (
 )
 from spatialmoran import exact
 from spatialmoran.analysis import N2Params, n2_fixation_closed_form
-from spatialmoran.exact import _certified_solve, _fixation_stack
+from spatialmoran.dynamics import _flip_masses, _flip_totals
+from spatialmoran.exact import _certified_solve, _fixation_stack, _jump_system
 
 
 class TestMoranRho:
@@ -108,6 +111,9 @@ class TestInitialDistribution:
         (70, ((1 << 69, 0.5), (1 << 70, 0.5)), NotStochastic,
          "mask 0b1" + "0" * 70 + " does not fit into 70 bits"),
         (3, ((1, float("nan")),), NotStochastic, "initial weights sum to nan, expected 1"),
+        # masks are read as integers, never truncated
+        (3, ((2, 0.5), (1.5, 0.5)), OutOfRange, "mask must be an integer, got 1.5"),
+        (3, (("1", 0.5), (2, 0.5)), OutOfRange, "mask must be an integer, got '1'"),
     ])
     def test_first_bad_atom_is_reported(self, n, atoms, error, message):
         with pytest.raises(error) as info:
@@ -350,9 +356,8 @@ class TestCertifiedSolve:
         report = fixation_probabilities(build_model(W, mu=mu, r=2.0))
         assert calls[0] is None and calls[1] is None  # T, then the first pass for h
         assert any(x0 is not None for x0 in calls[2:])  # the first pass missed tau
-        rows, cols, jump, rhs = exact._jump_system(W.entries[None], mu[None], np.array([2.0]))
-        A = np.eye(len(rhs[0]))
-        A[rows, cols] -= jump[0]
+        indptr, indices, data, rhs = _jump_system(W.entries[None], mu[None], np.array([2.0]))
+        A = csr_matrix((data[0], indices, indptr)).toarray()
         h = np.linalg.solve(A, rhs[0, :, 0])
         assert np.abs(report.rho[1:-1] - h).max() <= report.solver.residual <= 1e-11
 
@@ -401,9 +406,65 @@ class TestCertifiedSolve:
         rhs = np.ones((N - 1, 2))
         rhs[:, 0] = 0.0
         rhs[-1, 0] = up
-        X, (solver,) = _certified_solve(rows, cols, jump[None], rhs[None], terms=4)
+        A = identity(N - 1, format="csr") - csr_matrix((jump, (rows, cols)), shape=(N - 1, N - 1))
+        X, (solver,) = _certified_solve(A.indptr, A.indices, A.data[None], rhs[None], terms=4)
         error = np.abs(X[0, :, 0] - [moran_rho(i, N, r) for i in range(1, N)]).max()
         assert error <= solver.residual <= 1e-10
+
+
+def coo_jump_system(W, mu, r):
+    """``I - J_i`` of each model as SciPy builds it from the COO triplets of ``J_i``, and
+    the right-hand sides, summed over a mask's flips to the full mask."""
+    k, n = mu.shape
+    full = (1 << n) - 1
+    masks = np.arange(1, full)
+    flips = _flip_masses(W, mu, r, masks)
+    jump = flips / _flip_totals(flips)[:, :, None]
+    targets = masks[:, None] ^ (1 << np.arange(n))
+    rhs = np.ones((k, len(masks), 2))
+    rhs[:, :, 0] = np.where(targets == full, jump, 0.0).sum(axis=2)
+    rows, flipped = np.nonzero((targets != 0) & (targets != full))
+    shape = (len(masks),) * 2
+    return [identity(shape[0], format="csr")
+            - csr_matrix((jump[i, rows, flipped], (rows, targets[rows, flipped] - 1)), shape=shape)
+            for i in range(k)], rhs
+
+
+class TestJumpSystem:
+    """``_jump_system`` against :func:`coo_jump_system`, bit for bit.  The CSR form stores
+    a flip of zero mass as an explicit zero, which the COO form drops, so each system is
+    compared after ``eliminate_zeros()``."""
+
+    @staticmethod
+    def assert_matches_coo(W, mu, r):
+        indptr, indices, data, rhs = _jump_system(W, mu, r)
+        systems, coo_rhs = coo_jump_system(W, mu, r)
+        assert indices.dtype == np.int32 and data.shape == (len(mu), len(indices))
+        assert rhs.tobytes() == coo_rhs.tobytes()
+        for i, expected in enumerate(systems):
+            A = csr_matrix((data[i], indices, indptr), shape=expected.shape, copy=True)
+            assert A.has_sorted_indices
+            A.eliminate_zeros()
+            assert A.indptr.tobytes() == expected.indptr.astype(np.int32).tobytes()
+            assert A.indices.tobytes() == expected.indices.astype(np.int32).tobytes()
+            assert A.data.tobytes() == expected.data.tobytes()
+        return data
+
+    @pytest.mark.parametrize("n", range(2, 14))
+    def test_random_models(self, n):
+        rng = np.random.default_rng(300 + n)
+        W, mu, r = TestFixationStack.family(n, 1, rng)
+        self.assert_matches_coo(W, mu, r)
+
+    def test_ring_with_zero_weights(self):
+        n = 9
+        mu = np.full((1, n), 1.0 / n)
+        data = self.assert_matches_coo(ring_weights(n, 0.5).entries[None], mu, np.array([1.5]))
+        assert (data == 0.0).any()
+
+    def test_stack(self):
+        W, mu, r = TestFixationStack.family(6, 4, np.random.default_rng(6))
+        self.assert_matches_coo(W, mu, r)
 
 
 class TestFixationStack:
