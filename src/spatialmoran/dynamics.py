@@ -202,8 +202,10 @@ def _level_rates(model: MicSMPModel, masks):
 
 def _flip_totals(flips: np.ndarray) -> np.ndarray:
     """Row sums of :func:`flip_masses`, in vertex order: the mass of leaving each configuration."""
-    # a copy, so the result does not pin the whole cumulative-sum matrix
-    return np.cumsum(flips, axis=-1)[..., -1].copy()
+    total = flips[..., 0].copy()
+    for u in range(1, flips.shape[-1]):
+        total += flips[..., u]
+    return total
 
 
 def _require_fitness(r: np.ndarray) -> None:

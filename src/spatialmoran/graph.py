@@ -198,7 +198,10 @@ def validate_weight_matrix(raw) -> WeightMatrix:
     -------
     WeightMatrix
     """
-    entries = np.array(raw, dtype=float)
+    try:
+        entries = np.array(raw, dtype=float)
+    except (TypeError, ValueError) as exc:  # ragged rows, entries that are not numbers
+        raise NotStochastic(f"weight matrix must be a square array of numbers: {exc}") from None
     if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
         raise NotStochastic(f"weight matrix must be square, got shape {entries.shape}")
     n = entries.shape[0]

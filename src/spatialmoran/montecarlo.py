@@ -37,9 +37,10 @@ Above ``n = 12`` the tables would not fit, and the walker follows
 Gillespie's direct method instead: per trajectory it keeps the type vector
 and the unnormalised masses of mutant and of wildtype parents placed onto
 each vertex.  Flipping vertex ``u`` changes only ``u``'s selection weight,
-so a step is O(n) work and nothing is kept per configuration.  A lockstep
-step is one row-wise cumulative sum, one row-wise bisection with the
-midpoints of NumPy's ``searchsorted`` and one row update (hand-off
+so a step is O(n) work and nothing is kept per configuration.  A flip mass
+that rounding leaves below zero is clipped to zero, so every cumulative row
+is sorted.  A lockstep step is one row-wise cumulative sum, one count of the
+entries at or below each row's target and one row update (hand-off
 :data:`WALKER_LOCKSTEP_MIN_TRIALS`).  The masses are recomputed from scratch
 every :data:`REFRESH_EVENTS` flips, which bounds their rounding drift.  That
 recompute, a pick the rounding guard doubts and a configuration that can
@@ -54,6 +55,7 @@ modes, at once.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 import os
 from bisect import bisect_left
@@ -271,31 +273,6 @@ class _Tables:
         return fate[mask], steps
 
 
-def _searchsorted_rows(cum: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """Flat index into ``cum`` of ``np.searchsorted(cum[i], target[i], "right")`` for every row.
-
-    The bisection takes NumPy's midpoints, so it picks the same entry where a
-    row is not sorted: rounding residues can leave a flip mass slightly
-    negative, so that ``cum`` dips, and there counting the entries up to
-    ``target`` may pick another.
-    """
-    m, n = cum.shape
-    flat = cum.ravel()
-    lo = np.arange(0, m * n, n)
-    hi = lo + n
-    # a search of n entries takes floor(log2(n + 1)) or ceil(log2(n + 1)) halvings,
-    # so only the last of these steps can meet a row already done
-    done_before = (n + 1).bit_length() - 1
-    for depth in range(n.bit_length()):
-        mid = (lo + hi) >> 1  # on flat indices, as lo + (hi - lo) // 2 on a row
-        right = flat.take(mid, mode="clip") <= target
-        if depth >= done_before:
-            right &= lo < hi
-        lo = np.where(right, mid + 1, lo)
-        hi = np.where(right, hi, mid)
-    return lo
-
-
 class _Walker:
     """Incremental walker of Gillespie's direct method (large ``n``).
 
@@ -338,7 +315,7 @@ class _Walker:
         The state is ``x``, ``masses``, ``weight``, ``mutants`` and ``since``,
         each along a leading trial axis (each atom's masses are computed once,
         by :meth:`refresh`), then the scratch arrays of :meth:`step`, so that a
-        step allocates no array of ``trials x n`` entries.
+        step allocates no float array of ``trials x n`` entries.
         """
         atoms, inverse = np.unique(picks, return_inverse=True)
         x = mask_bits([alpha_masks[atom] for atom in atoms.tolist()], self._n)
@@ -362,20 +339,24 @@ class _Walker:
         m, n = x.shape
         np.copyto(flips, masses[:, 0])
         np.copyto(flips, masses[:, 1], where=x)
+        np.maximum(flips, 0.0, out=flips)  # as resume clips its residues below zero
         np.cumsum(flips, axis=1, out=cum)
         total = cum[:, -1]
         target = u * (total if self._event else weight)
-        at = _searchsorted_rows(cum, target)
+        # on sorted rows, the count of entries at or below target is the vertex
+        # v that searchsorted(..., "right") picks, n where none is
+        picked = np.count_nonzero(cum <= target[:, None], axis=1)
+        at = picked + np.arange(0, m * n, n)
         hit = target < total
         doubtful = np.where(hit, flips.ravel().take(at, mode="clip"), total) <= self._guard
         alone = doubtful & (since > 0)
         alone |= since >= REFRESH_EVENTS
         alone |= total == 0.0
         go = hit & ~alone
-        # where a row flips, ``at`` is the flat index of its vertex v; turned says
-        # whether v was a mutant, and row turned n + v of the signed tables applies
+        # where a row flips, ``at`` is the flat index of v; turned says whether v
+        # was a mutant, and row turned n + v of the signed tables applies
         turned = x.ravel().take(at, mode="clip")
-        signed = turned * n + (at - np.arange(0, m * n, n))
+        signed = turned * n + picked
         self._signed_rows.take(signed, axis=0, out=delta, mode="clip")
         np.add(masses, delta, out=masses, where=go[:, None, None])
         np.add(weight, self._signed_dweight.take(signed, mode="clip"), out=weight, where=go)
@@ -397,7 +378,7 @@ class _Walker:
         """
         n, event, guard = self._n, self._event, self._guard
         signed_rows, signed_dweight = self._signed_rows, self._signed_dweight
-        where = np.where
+        maximum, where = np.maximum, np.where
         x, masses = state[0][k], state[1][k]
         toward, away = masses
         weight, mutants, since = (a[k].item() for a in state[2:5])
@@ -408,7 +389,8 @@ class _Walker:
             while True:
                 if since >= REFRESH_EVENTS:
                     weight, since = self.refresh(x, masses), 0
-                flips = where(x, away, toward)
+                # a rounding residue below zero is a zero mass: clipped, cum is sorted
+                flips = maximum(where(x, away, toward), 0.0)
                 cum = flips.cumsum()
                 total = cum[-1]
                 target = uniform * (total if event else weight)
@@ -469,13 +451,10 @@ def simulate_trajectory(model: MicSMPModel, x0: Configuration,
 
 
 def _trial_zero(seed: int):
-    """Trial 0's uniforms, drawn 1, 2, 4, ... Philox blocks at a time, at most _PHILOX_COUNTERS."""
+    """Trial 0's uniforms, drawn :data:`_PHILOX_COUNTERS` Philox blocks at a time."""
     trial = np.zeros(1, dtype=_U64)
-    block, blocks = 0, 1
-    while True:
-        yield from _philox_uniforms(seed, trial, block, blocks).ravel().tolist()
-        block += blocks
-        blocks = min(2 * blocks, _PHILOX_COUNTERS)
+    for block in itertools.count(0, _PHILOX_COUNTERS):
+        yield from _philox_uniforms(seed, trial, block, _PHILOX_COUNTERS).ravel().tolist()
 
 
 def _run_range(model: MicSMPModel, mode: str, alpha_cum, alpha_masks, seed: int,

@@ -32,7 +32,7 @@ from .dynamics import MicSMPModel, build_model
 from .errors import OutOfRange, SpatialMoranError, ZeroDenominator
 from .exact import _fixation_stack, _per_level_deviation, fixation_probabilities, moran_rho
 from .generators import random_doubly_stochastic, random_strongly_connected_weights
-from .graph import (WeightMatrix, complete_graph_weights, is_isothermal,
+from .graph import (WeightMatrix, _integer, complete_graph_weights, is_isothermal,
                     stationary_distribution, validate_weight_matrix)
 
 DEFAULT_SEED = 20260811
@@ -179,6 +179,9 @@ def builtin_suite(seed: int = DEFAULT_SEED, graphs: int = 10) -> dict:
 
     Returns ``{check_name: {"pass": bool, "max_deviation": float, ...}}``.
     """
+    seed, graphs = _integer("seed", seed), _integer("graphs", graphs)
+    if seed < 0:
+        raise OutOfRange(f"seed must be non-negative, got {seed}")
     if graphs < 1:
         raise OutOfRange(f"need at least one random graph per family, got {graphs}")
     rng = np.random.default_rng(seed)

@@ -341,6 +341,8 @@ _SIM = ("--init", "mask:1", "--trials", "10")
     (("exact", "--model", {"W": [[False, True], [True, False]], "r": True}), "NotStochastic"),
     (("simulate", "--model", {"W": [[False, True], [True, False]]}, *_SIM), "NotStochastic"),
     (("exact", "--model", {"W": _SWAP, "r": True}), "NotStochastic"),
+    (("exact", "--model", {"W": [[0.5, 0.5], [1]]}), "NotStochastic"),
+    (("verify", "--seed", "-1"), "OutOfRange"),
 ])
 def test_malformed_input_exits_two_with_its_type(capsys, schema, tmp_path, argv, error):
     if isinstance(argv[2], dict):

@@ -19,6 +19,7 @@ from spatialmoran import (
     two_vertex_weights,
 )
 from spatialmoran.analysis import classic_p_minus, classic_p_plus, single_mutant_ratio_witness
+from spatialmoran.dynamics import _flip_masses, _flip_totals
 
 
 def brute_force_step(mask, W, mu, r):
@@ -305,6 +306,17 @@ class TestFlipMasses:
         for mask in range(0, 1 << 9, 7):
             assert np.array_equal(flip_masses(model, [mask])[0], batch[mask])
         assert np.array_equal(flip_masses(model, masks[::-1]), batch[::-1])
+
+    def test_totals_sum_in_vertex_order(self):
+        # bit for bit the last column of a cumulative sum, on a stack and on one model
+        rng = np.random.default_rng(24)
+        models = [random_model(rng, n=9) for _ in range(4)]
+        stack = _flip_masses(np.stack([m.W.entries for m in models]),
+                             np.stack([m.mu.mu for m in models]),
+                             np.array([m.r for m in models]), np.arange(1 << 9))
+        for flips in (stack, stack[0]):
+            expected = np.cumsum(flips, axis=-1)[..., -1]
+            assert _flip_totals(flips).tobytes() == expected.tobytes()
 
 
 class TestWideMasks:

@@ -44,6 +44,12 @@ class TestValidateWeightMatrix:
         with pytest.raises(NotStochastic):
             validate_weight_matrix([[1.0]])
 
+    @pytest.mark.parametrize("raw", [[[0.5, 0.5], [1.0]], [[0.5, "a"], [1, 0]]],
+                             ids=["ragged", "string"])
+    def test_rows_that_make_no_array_of_numbers(self, raw):
+        with pytest.raises(NotStochastic):
+            validate_weight_matrix(raw)
+
     def test_two_cycles_joined_one_way_rejected(self):
         # cycles 1 -> 2 -> 1 and 3 -> 4 -> 3, with the only link 2 -> 3
         W = [[0.0, 1.0, 0.0, 0.0],

@@ -38,7 +38,6 @@ from spatialmoran.montecarlo import (
     WALKER_LOCKSTEP_MIN_TRIALS,
     _philox_uniforms,
     _sampler,
-    _searchsorted_rows,
     _Walker,
 )
 
@@ -359,6 +358,32 @@ class TestIncrementalWalker:
                 if fate:
                     break
         assert stuck > 0
+
+    @pytest.mark.parametrize("mode", ["event", "faithful"])
+    def test_negative_residue_counts_as_zero(self, mode):
+        # from mutants at 1 and 4 only vertices 1 and 2 can flip; vertex 3's
+        # zero mass is made a negative residue, wide enough that a grid of
+        # uniforms lands where an unclipped row dips below vertex 2's entry
+        walker = _sampler(_residue_model(), mode)
+        uniforms = (np.arange(4000) + 0.5) / 4000
+        state = walker.begin([0b1001], np.zeros(len(uniforms), np.intp))[0]
+        x, masses, weight = state[0], state[1], state[2]
+        assert masses[0, 0, 2] == 0.0 and not x[0, 2]
+        masses[:, 0, 2] = -0.01 * masses[0, 0, 1]
+        flips = np.where(x[0], masses[0, 1], masses[0, 0])
+        cum = np.maximum(flips, 0.0).cumsum()
+        target = uniforms * (cum[-1] if mode == "event" else weight[0])
+        expected = np.searchsorted(cum, target, "right").tolist()
+        # picks 0 and 1 are vertices 1 and 2, 13 an idle step; never vertex 3
+        assert set(expected) == ({0, 1} if mode == "event" else {0, 1, 13})
+        lone = [[a[k:k + 1].copy() for a in state] for k in range(len(uniforms))]
+        before = x.copy()
+        walker.step(state, uniforms)
+        for k, u in enumerate(uniforms.tolist()):
+            walker.resume(lone[k], 0, [u].pop, 1)
+            for after in (x[k], lone[k][0][0]):
+                flipped = np.flatnonzero(after != before[k]).tolist()
+                assert flipped == ([] if expected[k] == 13 else [expected[k]])
 
     def test_worker_invariant(self):
         model = _random_policy_model(16, 16, 1.3)
@@ -681,14 +706,16 @@ class TestLockstepWalker:
     @pytest.mark.parametrize("mode", ["event", "faithful"])
     def test_counts_match_per_trial_walk(self, n, mode, monkeypatch):
         self.small_blocks(monkeypatch)
-        dips = []
-        searchsorted_rows = montecarlo._searchsorted_rows
+        residues = []
+        step = _Walker.step
 
-        def recorded(cum, target):
-            dips.append(int((np.diff(cum, axis=1) < 0.0).any(axis=1).sum()))
-            return searchsorted_rows(cum, target)
+        def recorded(self, state, u):
+            x, masses = state[:2]
+            flips = np.where(x, masses[:, 1], masses[:, 0])
+            residues.append(int((flips < 0.0).any(axis=1).sum()))
+            return step(self, state, u)
 
-        monkeypatch.setattr(montecarlo, "_searchsorted_rows", recorded)
+        monkeypatch.setattr(_Walker, "step", recorded)
         model = _random_policy_model(n, 100 + n, 1.4)
         alpha = _several_atoms(n, n)
         for max_steps in (3, 10**7):
@@ -696,7 +723,7 @@ class TestLockstepWalker:
             result = estimate_fixation(model, alpha, 300, cfg)
             assert _counts(result) == _walker_counts(model, alpha, 300, cfg)[0]
         assert result.censored == 0
-        assert sum(dips) > 0  # rows whose cum dips below a negative rounding residue
+        assert sum(residues) > 0  # rows whose masses carry a negative rounding residue
 
     @pytest.mark.parametrize("mode", ["event", "faithful"])
     def test_rounding_guard_acts_in_lockstep(self, mode, monkeypatch):
@@ -779,21 +806,6 @@ class TestShortRuns:
                         else _walker_counts(model, alpha, trials, cfg)[0])
             assert _counts(result) == expected
         assert result.censored > 0
-
-
-class TestSearchsortedRows:
-    @pytest.mark.parametrize("n", [1, 2, 3, 5, 37, 63, 64])
-    def test_picks_as_numpy_on_unsorted_rows(self, n):
-        # cumulative sums of steps of either sign dip, as a row of flip masses
-        # with rounding residues can; some targets sit exactly on an entry
-        rng = np.random.default_rng(n)
-        cum = np.cumsum(rng.normal(0.2, 1.0, (500, n)), axis=1)
-        target = rng.uniform(cum.min(), cum.max(), 500)
-        target[::5] = cum[::5, rng.integers(0, n)]
-        expected = [int(np.searchsorted(row, t, "right")) for row, t in zip(cum, target)]
-        assert (_searchsorted_rows(cum, target) - n * np.arange(500)).tolist() == expected
-        if n > 2:
-            assert ((cum <= target[:, None]).sum(axis=1) != expected).any()
 
 
 class TestWorkerCount:

@@ -82,6 +82,13 @@ def test_no_random_graphs_is_out_of_range(graphs):
         builtin_suite(graphs=graphs)
 
 
+@pytest.mark.parametrize("kwargs", [{"seed": -1}, {"seed": 1.5}, {"graphs": 1.5}])
+def test_seed_and_graphs_must_be_integers(kwargs):
+    # else NumPy's or range's bare ValueError or TypeError
+    with pytest.raises(OutOfRange):
+        builtin_suite(**kwargs)
+
+
 def test_two_vertex_start_is_weighted_in_atom_order():
     # a on mask 0b10, then 1 - a on mask 0b01, as N2Params.initial_distribution lists them
     grid = np.linspace(0.0, 1.0, 11)
