@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__
 from .dynamics import transition_kernel
 from .errors import InputError, SpatialMoranError
-from .exact import fixation_probabilities, moran_rho
+from .exact import _moran_by_level, fixation_probabilities
 from .modelio import load_model, parse_init_spec, parse_policy_override
 from .montecarlo import TrajectoryConfig, estimate_fixation
 from .verification import DEFAULT_SEED, builtin_suite, describe_model
@@ -77,11 +77,12 @@ def _cmd_exact(args, argv) -> int:
     alpha = parse_init_spec(args.init, model.n) if args.init else None
     report = fixation_probabilities(model, alpha=alpha)
     deviation = report.per_level_deviation.tolist()
+    moran = _moran_by_level(model.n, model.r).tolist()
     doc = {
         "manifest": _manifest("exact", argv, None),
         "rho": None,  # filled in by _emit
         "deviation": {str(j): deviation[j] for j in range(1, model.n)},
-        "moran": {str(j): moran_rho(j, model.n, model.r) for j in range(1, model.n)},
+        "moran": {str(j): moran[j] for j in range(1, model.n)},
         "solver": dataclasses.asdict(report.solver),
     }
     if report.rho_alpha is not None:

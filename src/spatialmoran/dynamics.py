@@ -20,6 +20,10 @@ the constant ``p_minus / p_plus = 1 / r`` on every transient configuration.
 configurations; the step law, the kernel, the exact solver, the Monte Carlo
 tables, and ``p_plus``/``p_minus`` with the diagnostics built on them (its
 row sums over the wildtype and the mutant vertices) all take them from it.
+They are subset sums: with ``S(y)`` the rows of ``[W_mu | mu]`` over the set
+bits of ``y`` added in ascending vertex order and ``D = 1 + (r - 1) S(x)[n]``,
+flipping a wildtype ``u`` has mass ``r S(x)[u] / D``, a mutant ``u`` has
+``S(full ^ x)[u] / D``, and a row is bitwise the same in any batch.
 """
 
 from __future__ import annotations
@@ -42,8 +46,10 @@ from .graph import (
 #: Largest vertex count for the exact engines (transition kernel and fixation
 #: solver), which enumerate all ``2^n`` configurations.
 MAX_EXACT_VERTICES = 20
-#: Masks per block of :func:`flip_masses`, bounding its temporaries.
-_MASK_BLOCK = 1 << 14
+#: Masks per block of :func:`flip_masses`, bounding its temporaries to fit in cache.
+_MASK_BLOCK = 1 << 11
+#: Most rows of the subset-sum table of :func:`flip_masses`: 2.7 MB at ``n = 20``.
+_TABLE_ROWS = 1 << 14
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,9 +163,10 @@ def flip_masses(model: MicSMPModel, masks) -> np.ndarray:
     not carry in ``masks[k]``, moving the chain to ``masks[k] ^ (1 << u)``.
     The rest of each row's unit mass is idle.  Masks may be of any width.
 
-    Every sum runs over the vertices in a fixed order, by elementwise
-    operations and cumulative sums (no BLAS), so a row is bitwise the same in
-    any batch, and in any stack of :func:`_flip_masses`.
+    Each subset sum ``S`` (module docstring) takes its low bits from a table
+    filled by doubling, ``T[2^v : 2^(v+1)] = T[:2^v] + row_v``, then adds the rows
+    of its higher set bits: ``0.0`` plus its rows in vertex order (no BLAS), so a
+    row is bitwise the same in any batch and stack of :func:`_flip_masses`.
     """
     return _flip_masses(model.W.entries[None], model.mu.mu[None], np.array([model.r]), masks)[0]
 
@@ -173,21 +180,21 @@ def _flip_masses(W: np.ndarray, mu: np.ndarray, r: np.ndarray, masks) -> np.ndar
     out = np.empty((k,) + bits.shape)
     r = r[:, None, None]
     step = max(1, _MASK_BLOCK // k)
+    rows = np.concatenate((mu[:, :, None] * W, mu[:, :, None]), axis=2)  # [W_mu | mu]
+    # table[:, y] = S(y) over the low b bits, by doubling: each row is added last
+    b = min(n, len(bits).bit_length(), max(1, _TABLE_ROWS // k).bit_length() - 1)
+    table = np.zeros((k, 1 << b, n + 1))
+    for v in range(b):
+        np.add(table[:, :1 << v], rows[:, v, None], out=table[:, 1 << v:2 << v])
     for lo in range(0, len(bits), step):
-        # vertex-major blocks: x[v, j] is True where vertex v + 1 is a mutant
-        x = np.ascontiguousarray(bits[lo:lo + step].T)
-        z = (x * mu[:, :, None]).cumsum(axis=1)[:, -1:]
-        sel = np.where(x, r, 1.0) * mu[:, :, None] / (1.0 + (r - 1.0) * z)
-        # selection mass of mutant parents, [0], and of wildtype parents, [1]
-        parents = np.empty((2,) + sel.shape)
-        np.multiply(sel, x, out=parents[0])
-        np.subtract(sel, parents[0], out=parents[1])
-        # placed[0, i, u] (placed[1, i, u]): mass of mutant (wildtype) parents placed onto u
-        placed = np.zeros(parents.shape)
-        term = np.empty(parents.shape)
-        for v in range(n):
-            placed += np.multiply(W[:, v, :, None], parents[:, :, v, None, :], out=term)
-        out[:, lo:lo + x.shape[1]] = np.where(x, placed[1], placed[0]).transpose(0, 2, 1)
+        x = bits[lo:lo + step]
+        sides = np.stack((x, ~x))  # the mutants of each mask, then its wildtypes
+        low = x[:, :b] @ (1 << np.arange(b))
+        S = table.take(np.stack((low, (1 << b) - 1 - low)), axis=1)
+        for v in range(b, n):
+            np.add(S, rows[:, v, None, None], out=S, where=sides[:, :, v, None])
+        flips = np.where(x, S[:, 1, :, :n], r * S[:, 0, :, :n])
+        out[:, lo:lo + len(x)] = flips / (1.0 + (r - 1.0) * S[:, 0, :, n:])
     return out
 
 

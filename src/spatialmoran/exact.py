@@ -10,8 +10,8 @@ LU up to ``n = 10`` (``solver.method == "dense"``) and restarted GMRES (Saad &
 Schultz 1986) above (``"iterative"``).  It also solves ``A T = 1``, the
 expected number of jumps to absorption (Kemeny & Snell, *Finite Markov
 Chains*), whose maximum certifies the max-norm error of ``h``.  GMRES solves
-``T`` first and stops on ``h`` once that certificate is met: a stationary
-policy makes ``rho`` constant on each level, and each takes about ``n`` steps.
+``T`` first, and ``h`` from the Moran value of each level: the answer under a
+stationary policy, which then costs no step on ``h`` and about ``n`` on ``T``.
 
 The solve has a leading model axis: :func:`_fixation_stack` solves ``k``
 models with the same ``n`` by one stacked LU and certifies each of them, and
@@ -181,7 +181,7 @@ def _model_label(i: int, k: int) -> str:
     return f"model {i}: " if k > 1 else ""
 
 
-def _certified_solve(indptr, indices, data, rhs, terms: int):
+def _certified_solve(indptr, indices, data, rhs, terms: int, guess=None):
     """Solve ``A_i X_i = [b_i, 1]`` for ``k`` systems ``A_i = I - J_i`` of ``m`` rows in CSR:
     values ``data[i]`` on a shared ``(indptr, indices)``; ``rhs`` has shape ``(k, m, 2)``.
 
@@ -193,12 +193,13 @@ def _certified_solve(indptr, indices, data, rhs, terms: int):
     since ``A^-1 >= 0`` and ``A^-1 1 = T + A^-1 (1 - A T)``; the CSR arrays
     of ``A^T`` solve with ``A^T``.  The slack covers rounding in ``A``,
     ``rhs`` and the residuals, whose rows sum at most ``terms`` terms, each at
-    most 1 per unit of the solution.  GMRES solves ``T`` first, then ``h`` to
-    the max-norm residual ``tau`` that puts the bound at ``SOLVE_RESIDUAL_TOL /
-    10``, less the slack (at least the slack): a first pass aims at the 2-norm
-    ``tau sqrt(m)``, and a miss resumes from ``h``, at most twice, aiming at
-    ``||r||_2 tau / (2 ||r||_inf)``, unless a pass ran out of restarts;
-    ``iterations`` counts every pass's steps.
+    most 1 per unit of the solution.  GMRES solves ``T`` first, to the 2-norm
+    residual 0.01 (the bound grows by at most ``1 / 0.99``), then ``h`` to the
+    max-norm residual ``tau`` that puts the bound at ``SOLVE_RESIDUAL_TOL / 10``,
+    less the slack (at least the slack): ``h`` is ``guess(i)`` if given and within
+    ``tau``, else a pass from it (or 0) aims at the 2-norm ``tau sqrt(m)``, and a
+    miss resumes from ``h``, at most twice, aiming at ``||r||_2 tau / (2 ||r||_inf)``,
+    unless a pass ran out of restarts; ``iterations`` counts every pass's steps.
     Raises :class:`NumericalFailure`, naming the system when ``k > 1``, when
     ``||1 - A T||`` reaches 1 (before solving for ``h``) or a bound exceeds
     :data:`SOLVE_RESIDUAL_TOL`.
@@ -224,7 +225,7 @@ def _certified_solve(indptr, indices, data, rhs, terms: int):
         steps = [[] for _ in range(k)]
         solve = partial(gmres, restart=50, maxiter=200, callback_type="pr_norm")
         for i, A in enumerate(systems):
-            X[i, :, 1] = solve(A, rhs[i, :, 1], atol=0.0, rtol=1e-8,  # T only bounds ||A^-1||
+            X[i, :, 1] = solve(A, rhs[i, :, 1], atol=0.0, rtol=0.01 / math.sqrt(m),
                                callback=steps[i].append)[0]
             residual[i, 1] = np.abs(rhs[i, :, 1] - A @ X[i, :, 1]).max()
     slack = 4 * terms * _EPS
@@ -239,7 +240,12 @@ def _certified_solve(indptr, indices, data, rhs, terms: int):
         tau = np.maximum(SOLVE_RESIDUAL_TOL * (1.0 - drift) / (10.0 * t_max) - slack, slack)
         for i, A in enumerate(systems):
             h, atol = None, tau[i] * math.sqrt(m)  # a residual of tau in every row
-            for _ in range(3):  # one pass, and at most two resumed from h
+            if guess is not None:  # held in X's row, so a pass from it takes no more memory
+                X[i, :, 0] = guess(i)
+                h = X[i, :, 0]
+                res = np.abs(rhs[i, :, 0] - A @ h).max(keepdims=True)
+            # no pass if the guess meets tau, else one, and at most two resumed from h
+            for _ in range(0 if h is not None and res.max() <= tau[i] else 3):
                 h, info = solve(A, rhs[i, :, 0], x0=h, atol=atol, rtol=0.0,
                                 callback=steps[i].append)
                 res = np.abs(rhs[i, :, 0] - A @ h)
@@ -270,7 +276,8 @@ def _fixation_stack(W: np.ndarray, mu: np.ndarray, r: np.ndarray):
     _require_exact_size(n)
     _require_policies(mu)
     _require_fitness(r)
-    X, solvers = _certified_solve(*_jump_system(W, mu, r), terms=n + 2)
+    X, solvers = _certified_solve(*_jump_system(W, mu, r), terms=n + 2, guess=lambda i: (
+        _moran_by_level(n, float(r[i]))[mask_bits(np.arange(1, (1 << n) - 1), n).sum(axis=1)]))
     h = X[:, :, 0]
     bound = np.array([solver.residual for solver in solvers])
     escaped = (h.min(axis=1) < -bound) | (h.max(axis=1) > 1.0 + bound)
@@ -314,10 +321,14 @@ def _per_level_deviation(rho: np.ndarray, r: float) -> np.ndarray:
     """:attr:`FixationReport.per_level_deviation` of ``rho``, indexed by mask, at fitness ``r``."""
     n = len(rho).bit_length() - 1
     levels = mask_bits(np.arange(1 << n), n).sum(axis=1)
-    reference = np.array([moran_rho(j, n, r) for j in range(n + 1)])
     deviation = np.zeros(n + 1)
-    np.maximum.at(deviation, levels, np.abs(rho - reference[levels]))
+    np.maximum.at(deviation, levels, np.abs(rho - _moran_by_level(n, r)[levels]))
     return deviation
+
+
+def _moran_by_level(n: int, r: float) -> np.ndarray:
+    """:func:`moran_rho` of each level ``0..n`` at fitness ``r``."""
+    return np.array([moran_rho(j, n, r) for j in range(n + 1)])
 
 
 def fixation_for_initial(model: MicSMPModel, alpha: InitialDistribution) -> float:

@@ -30,7 +30,7 @@ from .analysis import (
 )
 from .dynamics import MicSMPModel, build_model
 from .errors import OutOfRange, SpatialMoranError, ZeroDenominator
-from .exact import _fixation_stack, _per_level_deviation, fixation_probabilities, moran_rho
+from .exact import _fixation_stack, _moran_by_level, _per_level_deviation, fixation_probabilities
 from .generators import random_doubly_stochastic, random_strongly_connected_weights
 from .graph import (WeightMatrix, _integer, complete_graph_weights, is_isothermal,
                     stationary_distribution, validate_weight_matrix)
@@ -240,9 +240,9 @@ def describe_model(model: MicSMPModel) -> dict:
     }
     try:
         deviation = fixation_probabilities(model).per_level_deviation.tolist()
+        moran = _moran_by_level(model.n, model.r).tolist()
         out["moran_deviation"] = {str(j): deviation[j] for j in range(1, model.n)}
-        out["moran_reference"] = {str(j): moran_rho(j, model.n, model.r)
-                                  for j in range(1, model.n)}
+        out["moran_reference"] = {str(j): moran[j] for j in range(1, model.n)}
     except SpatialMoranError as exc:
         out["moran_deviation_error"] = f"{type(exc).__name__}: {exc}"
     return out

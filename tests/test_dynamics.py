@@ -300,12 +300,22 @@ class TestFlipMasses:
 
     def test_rows_do_not_depend_on_the_batch(self):
         rng = np.random.default_rng(23)
-        model = random_model(rng, n=9)
-        masks = np.arange(1 << 9)
-        batch = flip_masses(model, masks)
-        for mask in range(0, 1 << 9, 7):
-            assert np.array_equal(flip_masses(model, [mask])[0], batch[mask])
-        assert np.array_equal(flip_masses(model, masks[::-1]), batch[::-1])
+        for n, stride in ((9, 7), (16, 997)):  # 16 bits pass the table's 14
+            models = [random_model(rng, n=n) for _ in range(3)]
+            model = models[0]
+            masks = np.arange(1 << n)
+            batch = flip_masses(model, masks)
+            for mask in [*range(0, 1 << n, stride), (1 << n) - 1]:
+                assert np.array_equal(flip_masses(model, [mask])[0], batch[mask])
+            assert np.array_equal(flip_masses(model, masks[::-1]), batch[::-1])
+            subset = rng.choice(1 << n, 300, replace=False)
+            assert np.array_equal(flip_masses(model, subset), batch[subset])
+            stack = _flip_masses(np.stack([m.W.entries for m in models]),
+                                 np.stack([m.mu.mu for m in models]),
+                                 np.array([m.r for m in models]), masks)
+            assert np.array_equal(stack[0], batch)
+            for flips, other in zip(stack[1:], models[1:]):
+                assert np.array_equal(flips, flip_masses(other, masks))
 
     def test_totals_sum_in_vertex_order(self):
         # bit for bit the last column of a cumulative sum, on a stack and on one model

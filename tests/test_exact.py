@@ -322,11 +322,12 @@ class TestCertifiedSolve:
 
     @staticmethod
     def recorded_gmres(monkeypatch, result=None):
-        """Record the ``x0`` of every GMRES call; return ``result(b)`` instead when given."""
+        """Record (a copy of) the ``x0`` of every GMRES call; return ``result(b)`` instead
+        when given."""
         calls, original = [], exact.gmres
 
         def gmres(A, b, x0=None, **options):
-            calls.append(x0)
+            calls.append(None if x0 is None else x0.copy())
             return (result(b), 0) if result else original(A, b, x0=x0, **options)
 
         monkeypatch.setattr(exact, "gmres", gmres)
@@ -347,15 +348,29 @@ class TestCertifiedSolve:
         assert report.solver.iterations <= 2 * n + 4
         assert report.solver.residual <= 1e-11
 
-    def test_a_missed_target_resumes_from_h(self, monkeypatch):
-        calls = self.recorded_gmres(monkeypatch)
+    @staticmethod
+    def nonstationary_model():
         rng = np.random.default_rng(11)
         W = random_strongly_connected_weights(11, rng)
         mu = rng.uniform(0.2, 1.0, 11)
         mu /= mu.sum()
-        report = fixation_probabilities(build_model(W, mu=mu, r=2.0))
-        assert calls[0] is None and calls[1] is None  # T, then the first pass for h
-        assert any(x0 is not None for x0 in calls[2:])  # the first pass missed tau
+        return build_model(W, mu=mu, r=2.0)
+
+    @staticmethod
+    def moran_rows(n, r):
+        """The Moran value of each transient mask's level, by row."""
+        return np.array([moran_rho(mask.bit_count(), n, r) for mask in range(1, (1 << n) - 1)])
+
+    def test_a_missed_target_resumes_from_h(self, monkeypatch):
+        calls = self.recorded_gmres(monkeypatch)
+        model = self.nonstationary_model()
+        W, mu = model.W, model.mu.mu
+        report = fixation_probabilities(model)
+        moran = self.moran_rows(11, 2.0)
+        # T from zero, then the first pass for h from the Moran guess
+        assert calls[0] is None and np.array_equal(calls[1], moran)
+        # the first pass missed tau: a later pass resumes from its h
+        assert len(calls) > 2 and not any(np.array_equal(x0, moran) for x0 in calls[2:])
         indptr, indices, data, rhs = _jump_system(W.entries[None], mu[None], np.array([2.0]))
         A = csr_matrix((data[0], indices, indptr)).toarray()
         h = np.linalg.solve(A, rhs[0, :, 0])
@@ -383,10 +398,35 @@ class TestCertifiedSolve:
             return h, info
 
         monkeypatch.setattr(exact, "gmres", gmres)
-        model = build_model(complete_graph_weights(11), mu="uniform", r=2.0)
+        # not stationary, so the Moran guess misses tau and the first pass runs
         with pytest.raises(NumericalFailure, match="certified error bound"):
-            fixation_probabilities(model)
+            fixation_probabilities(self.nonstationary_model())
         assert passes == ["T", "h"]
+
+    @pytest.mark.parametrize("n", [11, 13])
+    @pytest.mark.parametrize("r", [1.0, 3.0])
+    def test_stationary_solves_start_at_the_answer(self, monkeypatch, n, r):
+        # under stationary selection rho is the Moran value of each level, and GMRES
+        # starts h there: h is that guess bit for bit, and only A T = 1 takes steps
+        steps, original = [], exact.gmres
+
+        def gmres(A, b, x0=None, callback=None, **options):
+            steps.append(0)
+
+            def count(norm):
+                steps[-1] += 1
+                callback(norm)
+
+            return original(A, b, x0=x0, callback=count, **options)
+
+        monkeypatch.setattr(exact, "gmres", gmres)
+        rng = np.random.default_rng(n)
+        model = build_model(random_strongly_connected_weights(n, rng), mu="stationary", r=r)
+        report = fixation_probabilities(model)
+        assert report.solver.method == "iterative"
+        assert np.array_equal(report.rho[1:-1], self.moran_rows(n, r))
+        assert len(steps) == 1 and report.solver.iterations == steps[0]
+        assert report.solver.residual <= 1e-10
 
     def test_a_target_below_rounding_fails_the_bound(self, monkeypatch):
         # tau less the slack is negative here; GMRES aims at the slack instead
