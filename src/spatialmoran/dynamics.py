@@ -20,10 +20,9 @@ the constant ``p_minus / p_plus = 1 / r`` on every transient configuration.
 configurations; the step law, the kernel, the exact solver, the Monte Carlo
 tables, and ``p_plus``/``p_minus`` with the diagnostics built on them (its
 row sums over the wildtype and the mutant vertices) all take them from it.
-They are subset sums: with ``S(y)`` the rows of ``[W_mu | mu]`` over the set
-bits of ``y`` added in ascending vertex order and ``D = 1 + (r - 1) S(x)[n]``,
-flipping a wildtype ``u`` has mass ``r S(x)[u] / D``, a mutant ``u`` has
-``S(full ^ x)[u] / D``, and a row is bitwise the same in any batch.
+They are subset sums: with ``S(y)`` the rows of ``[W_mu | mu]`` over the set bits
+of ``y``, always added in ascending vertex order, and ``D = 1 + (r - 1) S(x)[n]``,
+a wildtype ``u`` flips with ``r S(x)[u] / D`` and a mutant ``u`` with ``S(full ^ x)[u] / D``.
 """
 
 from __future__ import annotations
@@ -163,10 +162,9 @@ def flip_masses(model: MicSMPModel, masks) -> np.ndarray:
     not carry in ``masks[k]``, moving the chain to ``masks[k] ^ (1 << u)``.
     The rest of each row's unit mass is idle.  Masks may be of any width.
 
-    Each subset sum ``S`` (module docstring) takes its low bits from a table
-    filled by doubling, ``T[2^v : 2^(v+1)] = T[:2^v] + row_v``, then adds the rows
-    of its higher set bits: ``0.0`` plus its rows in vertex order (no BLAS), so a
-    row is bitwise the same in any batch and stack of :func:`_flip_masses`.
+    Each subset sum ``S`` (module docstring) is ``0.0`` plus its rows in vertex order, the
+    low ones from a table filled by doubling, ``T[2^v : 2^(v+1)] = T[:2^v] + row_v`` (no
+    BLAS): a row is bitwise the same in any batch and stack of :func:`_flip_masses`.
     """
     return _flip_masses(model.W.entries[None], model.mu.mu[None], np.array([model.r]), masks)[0]
 

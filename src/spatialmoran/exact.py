@@ -10,8 +10,8 @@ LU up to ``n = 10`` (``solver.method == "dense"``) and restarted GMRES (Saad &
 Schultz 1986) above (``"iterative"``).  It also solves ``A T = 1``, the
 expected number of jumps to absorption (Kemeny & Snell, *Finite Markov
 Chains*), whose maximum certifies the max-norm error of ``h``.  GMRES solves
-``T`` first, and ``h`` from the Moran value of each level: the answer under a
-stationary policy, which then costs no step on ``h`` and about ``n`` on ``T``.
+``T`` first (2-norm residual 0.01), then ``h`` from the Moran value of each level: the
+answer under a stationary policy, costing no step on ``h`` and about ``n`` on ``T``.
 
 The solve has a leading model axis: :func:`_fixation_stack` solves ``k``
 models with the same ``n`` by one stacked LU and certifies each of them, and
@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import partial, reduce
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -35,8 +35,7 @@ from scipy.sparse.linalg import gmres
 from .dynamics import (MicSMPModel, _flip_masses, _flip_totals, _require_exact_size,
                        _require_fitness, _sorted_places)
 from .errors import AtomOnAbsorbing, DegenerateCase, NotStochastic, NumericalFailure, TooLarge
-from .graph import (STOCHASTIC_TOL, Configuration, _integer, _require_policies, level_masks,
-                    mask_bits)
+from .graph import STOCHASTIC_TOL, Configuration, _integer, _require_policies, level_masks
 
 #: Largest certified max-norm error of the returned fixation probabilities.
 SOLVE_RESIDUAL_TOL = 1e-10
@@ -181,7 +180,7 @@ def _model_label(i: int, k: int) -> str:
     return f"model {i}: " if k > 1 else ""
 
 
-def _certified_solve(indptr, indices, data, rhs, terms: int, guess=None):
+def _certified_solve(indptr, indices, data, rhs, terms: int, guess):
     """Solve ``A_i X_i = [b_i, 1]`` for ``k`` systems ``A_i = I - J_i`` of ``m`` rows in CSR:
     values ``data[i]`` on a shared ``(indptr, indices)``; ``rhs`` has shape ``(k, m, 2)``.
 
@@ -193,13 +192,13 @@ def _certified_solve(indptr, indices, data, rhs, terms: int, guess=None):
     since ``A^-1 >= 0`` and ``A^-1 1 = T + A^-1 (1 - A T)``; the CSR arrays
     of ``A^T`` solve with ``A^T``.  The slack covers rounding in ``A``,
     ``rhs`` and the residuals, whose rows sum at most ``terms`` terms, each at
-    most 1 per unit of the solution.  GMRES solves ``T`` first, to the 2-norm
-    residual 0.01 (the bound grows by at most ``1 / 0.99``), then ``h`` to the
-    max-norm residual ``tau`` that puts the bound at ``SOLVE_RESIDUAL_TOL / 10``,
-    less the slack (at least the slack): ``h`` is ``guess(i)`` if given and within
-    ``tau``, else a pass from it (or 0) aims at the 2-norm ``tau sqrt(m)``, and a
-    miss resumes from ``h``, at most twice, aiming at ``||r||_2 tau / (2 ||r||_inf)``,
-    unless a pass ran out of restarts; ``iterations`` counts every pass's steps.
+    most 1 per unit of the solution.  GMRES solves ``T`` first, to the 2-norm residual 0.01
+    (the bound grows by at most ``1 / 0.99``), then ``h`` to the max-norm residual ``tau``
+    that puts the bound at ``SOLVE_RESIDUAL_TOL / 10``, less the slack (at least the
+    slack): ``h`` is the start ``guess(i)`` if within ``tau``, else a pass from it aims at
+    the 2-norm ``tau sqrt(m)``, and a miss resumes from ``h``, at most twice, aiming at
+    ``||r||_2 tau / (2 ||r||_inf)``, unless a pass ran out of restarts; ``iterations``
+    counts every pass's steps.
     Raises :class:`NumericalFailure`, naming the system when ``k > 1``, when
     ``||1 - A T||`` reaches 1 (before solving for ``h``) or a bound exceeds
     :data:`SOLVE_RESIDUAL_TOL`.
@@ -239,13 +238,10 @@ def _certified_solve(indptr, indices, data, rhs, terms: int, guess=None):
     if method == "iterative":
         tau = np.maximum(SOLVE_RESIDUAL_TOL * (1.0 - drift) / (10.0 * t_max) - slack, slack)
         for i, A in enumerate(systems):
-            h, atol = None, tau[i] * math.sqrt(m)  # a residual of tau in every row
-            if guess is not None:  # held in X's row, so a pass from it takes no more memory
-                X[i, :, 0] = guess(i)
-                h = X[i, :, 0]
-                res = np.abs(rhs[i, :, 0] - A @ h).max(keepdims=True)
-            # no pass if the guess meets tau, else one, and at most two resumed from h
-            for _ in range(0 if h is not None and res.max() <= tau[i] else 3):
+            X[i, :, 0] = guess(i)  # held in X's row, so a pass from it takes no more memory
+            h, atol = X[i, :, 0], tau[i] * math.sqrt(m)  # atol: a residual of tau in every row
+            res = np.abs(rhs[i, :, 0] - A @ h).max()  # no pass if the guess meets tau, else one,
+            for _ in range(0 if res.max() <= tau[i] else 3):  # and at most two resumed from h
                 h, info = solve(A, rhs[i, :, 0], x0=h, atol=atol, rtol=0.0,
                                 callback=steps[i].append)
                 res = np.abs(rhs[i, :, 0] - A @ h)
@@ -276,8 +272,9 @@ def _fixation_stack(W: np.ndarray, mu: np.ndarray, r: np.ndarray):
     _require_exact_size(n)
     _require_policies(mu)
     _require_fitness(r)
+    # h starts at the Moran value by level; the levels are built per model, not held in the solve
     X, solvers = _certified_solve(*_jump_system(W, mu, r), terms=n + 2, guess=lambda i: (
-        _moran_by_level(n, float(r[i]))[mask_bits(np.arange(1, (1 << n) - 1), n).sum(axis=1)]))
+        _moran_by_level(n, float(r[i]))[_mask_levels(n)[1:-1]]))
     h = X[:, :, 0]
     bound = np.array([solver.residual for solver in solvers])
     escaped = (h.min(axis=1) < -bound) | (h.max(axis=1) > 1.0 + bound)
@@ -320,10 +317,15 @@ def fixation_probabilities(model: MicSMPModel,
 def _per_level_deviation(rho: np.ndarray, r: float) -> np.ndarray:
     """:attr:`FixationReport.per_level_deviation` of ``rho``, indexed by mask, at fitness ``r``."""
     n = len(rho).bit_length() - 1
-    levels = mask_bits(np.arange(1 << n), n).sum(axis=1)
+    levels = _mask_levels(n)
     deviation = np.zeros(n + 1)
     np.maximum.at(deviation, levels, np.abs(rho - _moran_by_level(n, r)[levels]))
     return deviation
+
+
+def _mask_levels(n: int) -> np.ndarray:
+    """The level of each mask ``0..2^n - 1``, by doubling: ``l[2^v : 2^(v+1)] = l[:2^v] + 1``."""
+    return reduce(lambda levels, _: np.append(levels, levels + 1), range(n), np.zeros(1, np.uint8))
 
 
 def _moran_by_level(n: int, r: float) -> np.ndarray:

@@ -369,8 +369,9 @@ class TestCertifiedSolve:
         moran = self.moran_rows(11, 2.0)
         # T from zero, then the first pass for h from the Moran guess
         assert calls[0] is None and np.array_equal(calls[1], moran)
-        # the first pass missed tau: a later pass resumes from its h
-        assert len(calls) > 2 and not any(np.array_equal(x0, moran) for x0 in calls[2:])
+        # the first pass missed tau: a later pass resumes from its h, not from zero or the guess
+        assert len(calls) > 2 and all(x0 is not None for x0 in calls[2:])
+        assert not any(np.array_equal(x0, moran) for x0 in calls[2:])
         indptr, indices, data, rhs = _jump_system(W.entries[None], mu[None], np.array([2.0]))
         A = csr_matrix((data[0], indices, indptr)).toarray()
         h = np.linalg.solve(A, rhs[0, :, 0])
@@ -447,7 +448,8 @@ class TestCertifiedSolve:
         rhs[:, 0] = 0.0
         rhs[-1, 0] = up
         A = identity(N - 1, format="csr") - csr_matrix((jump, (rows, cols)), shape=(N - 1, N - 1))
-        X, (solver,) = _certified_solve(A.indptr, A.indices, A.data[None], rhs[None], terms=4)
+        X, (solver,) = _certified_solve(A.indptr, A.indices, A.data[None], rhs[None], terms=4,
+                                        guess=lambda i: np.zeros(N - 1))
         error = np.abs(X[0, :, 0] - [moran_rho(i, N, r) for i in range(1, N)]).max()
         assert error <= solver.residual <= 1e-10
 
