@@ -37,19 +37,29 @@ Above ``n = 12`` the tables would not fit, and the walker follows
 Gillespie's direct method instead: per trajectory it keeps the type vector
 and the unnormalised masses of mutant and of wildtype parents placed onto
 each vertex.  Flipping vertex ``u`` changes only ``u``'s selection weight,
-so a step is O(n) work and nothing is kept per configuration.  A flip mass
-that rounding leaves below zero is clipped to zero, so every cumulative row
-is sorted.  A lockstep step is one row-wise cumulative sum, one count of the
-entries at or below each row's target and one row update (hand-off
-:data:`WALKER_LOCKSTEP_MIN_TRIALS`).  The masses are recomputed from scratch
-every :data:`REFRESH_EVENTS` flips, which bounds their rounding drift.  That
-recompute, a pick the rounding guard doubts and a configuration that can
-never change take the row's step through ``resume``, so a lockstep walk is
-bitwise the walk of each trial alone.  There is no vertex limit.
+so a step is O(n) work and nothing is kept per configuration.  Every mass
+and weight is an int64 multiple of ``2^-61 max(r, 1)``: each placement
+weight ``r W_mu[v, u]`` and ``W_mu[v, u]`` is rounded to that unit once,
+when the walker is built (a weight below half the unit is lost), and a flip
+adds integer rows.  So the masses are always exactly the sums of the
+current parents' rows, never negative, and a lockstep walk is bitwise the
+walk of each trial alone.  A flip mass sums at most ``n`` rounded weights,
+so each pick probability is off by at most about
+``n 2^-62 max(r, 1) / total``, the total flip mass in the units of ``r``.
+The unit is relative to ``max(r, 1)``, not to the current total: the error
+stays below the ``2^-53`` grain of a uniform only where the total is above
+about ``n 2^-9 max(r, 1)``, and near absorption on a large graph it is not.
+The pick compares the double ``u * total`` (``u * weight`` in faithful
+mode) with the cumulative row, whose entries as doubles are still sorted,
+so a vertex of zero mass is never picked.  A lockstep step is one row-wise
+cumulative sum, one count of the entries at or below each row's target and
+one row update (hand-off :data:`WALKER_LOCKSTEP_MIN_TRIALS`).  There is no
+vertex limit.
 
 A configuration that can never change (every flip mass zero, possible only
-when the policy has zeros) censors the trajectory that reaches it, in both
-modes, at once.
+when the policy has zeros or, in the walker, when the weights that would
+change it are lost) censors the trajectory that reaches it, in both modes,
+at once.
 """
 
 from __future__ import annotations
@@ -83,8 +93,6 @@ _BLOCK_ENTRIES = 1 << 20
 #: Fewest Philox counters one evaluation takes, drawing blocks ahead when few
 #: trials walk: an evaluation costs about 300 NumPy calls however few they are.
 _PHILOX_COUNTERS = 1 << 10
-#: Flips between from-scratch recomputes of the incremental walker's masses.
-REFRESH_EVENTS = 1000
 
 
 class Outcome(enum.Enum):
@@ -279,31 +287,24 @@ class _Walker:
     Row ``k`` of a state is one trajectory: its type vector ``x``; its
     ``masses``, where ``masses[0, u]`` (``masses[1, u]``) is the unnormalised
     mass of mutant (wildtype) parents placing offspring onto ``u``; its total
-    selection ``weight``, which normalises both; its count of ``mutants``; and
-    the flips ``since`` its masses were last recomputed.
+    selection ``weight``, which normalises both; and its count of ``mutants``.
+    Masses and weights are int64 multiples of ``2^-61 max(r, 1)``.
     """
 
     def __init__(self, model: MicSMPModel, mode: str):
-        mu, r = model.mu.mu, model.r
+        r = model.r
         self._n = model.n
         self._event = mode == "event"
-        self._mu, self._r, self._W = mu, r, model.W.entries
+        # placed[0][v] (placed[1][v]): what v places onto each vertex as a
+        # mutant (wildtype) parent, rounded once; each entry is at most 2^61
+        scale = 2.0**61 / max(r, 1.0)
+        self._placed = np.rint(np.stack((r * model.w_mu, model.w_mu)) * scale).astype(np.int64)
         # rows[u]: change of the masses when vertex u turns mutant; row n + u,
         # when it turns wildtype.  Likewise for the selection weight.
-        rows = np.stack((r * model.w_mu, -model.w_mu), axis=1)
+        rows = np.stack((self._placed[0], -self._placed[1]), axis=1)
         self._signed_rows = np.concatenate((rows, -rows))
-        dweight = (r - 1.0) * mu
+        dweight = rows.sum(axis=(1, 2))
         self._signed_dweight = np.concatenate((dweight, -dweight))
-        # bound on the rounding residue REFRESH_EVENTS updates leave on a zero mass
-        scale = max(r, 1.0) * float(np.max(mu @ self._W))
-        self._guard = 4.0 * REFRESH_EVENTS * np.finfo(float).eps * scale
-
-    def refresh(self, x: np.ndarray, masses: np.ndarray) -> float:
-        """Recompute ``masses`` from the type vector ``x``; returns the selection weight."""
-        mutant_mu = np.where(x, self._mu, 0.0)
-        masses[0] = (self._r * mutant_mu) @ self._W
-        masses[1] = (self._mu - mutant_mu) @ self._W
-        return 1.0 + (self._r - 1.0) * float(mutant_mu.sum())
 
     @property
     def handoff(self) -> int:
@@ -312,34 +313,30 @@ class _Walker:
     def begin(self, alpha_masks, picks: np.ndarray):
         """Lockstep state of trials starting on atoms ``picks``, and their fates.
 
-        The state is ``x``, ``masses``, ``weight``, ``mutants`` and ``since``,
-        each along a leading trial axis (each atom's masses are computed once,
-        by :meth:`refresh`), then the scratch arrays of :meth:`step`, so that a
-        step allocates no float array of ``trials x n`` entries.
+        The state is ``x``, ``masses``, ``weight`` and ``mutants``, each along
+        a leading trial axis (each atom's masses are summed once), then the
+        scratch arrays of :meth:`step`, so that a step allocates no array of
+        ``trials x n`` entries.
         """
         atoms, inverse = np.unique(picks, return_inverse=True)
         x = mask_bits([alpha_masks[atom] for atom in atoms.tolist()], self._n)
-        masses = np.empty((len(atoms), 2, self._n))
-        weight = np.array([self.refresh(row, out) for row, out in zip(x, masses)])
-        since = np.zeros(len(atoms), dtype=np.int64)
+        masses = np.stack((x @ self._placed[0], ~x @ self._placed[1]), axis=1)
+        weight = masses.sum(axis=(1, 2))  # every parent's placements
         inverse = inverse.ravel()
-        state = [a[inverse] for a in (x, masses, weight, x.sum(axis=1), since)]
-        state += [np.empty((len(picks), self._n)), np.empty((len(picks), self._n)),
-                  np.empty_like(state[1])]
+        state = [a[inverse] for a in (x, masses, weight, x.sum(axis=1))]
+        flips = np.empty((len(picks), self._n), dtype=np.int64)
+        state += [flips, np.empty_like(flips), np.empty_like(state[1])]
         return state, np.zeros(len(picks), dtype=np.int8)
 
     def step(self, state, u: np.ndarray) -> np.ndarray:
         """One step of every trial in ``state``, on uniforms ``u``; returns the fate codes.
 
-        Bitwise :meth:`resume`'s step on each row.  A row whose masses are
-        due a refresh, whose pick the rounding guard doubts, or whose
-        configuration can never change takes that step through :meth:`resume`.
+        Bitwise :meth:`resume`'s step on each row.
         """
-        x, masses, weight, mutants, since, flips, cum, delta = state
+        x, masses, weight, mutants, flips, cum, delta = state
         m, n = x.shape
         np.copyto(flips, masses[:, 0])
         np.copyto(flips, masses[:, 1], where=x)
-        np.maximum(flips, 0.0, out=flips)  # as resume clips its residues below zero
         np.cumsum(flips, axis=1, out=cum)
         total = cum[:, -1]
         target = u * (total if self._event else weight)
@@ -347,12 +344,7 @@ class _Walker:
         # v that searchsorted(..., "right") picks, n where none is
         picked = np.count_nonzero(cum <= target[:, None], axis=1)
         at = picked + np.arange(0, m * n, n)
-        hit = target < total
-        doubtful = np.where(hit, flips.ravel().take(at, mode="clip"), total) <= self._guard
-        alone = doubtful & (since > 0)
-        alone |= since >= REFRESH_EVENTS
-        alone |= total == 0.0
-        go = hit & ~alone
+        go = target < total
         # where a row flips, ``at`` is the flat index of v; turned says whether v
         # was a mutant, and row turned n + v of the signed tables applies
         turned = x.ravel().take(at, mode="clip")
@@ -361,13 +353,11 @@ class _Walker:
         np.add(masses, delta, out=masses, where=go[:, None, None])
         np.add(weight, self._signed_dweight.take(signed, mode="clip"), out=weight, where=go)
         np.add(mutants, 1 - 2 * turned.astype(np.int64), out=mutants, where=go)
-        since += go
         x.ravel()[at[go]] = ~turned[go]
         fate = np.zeros(m, dtype=np.int8)
         fate[mutants == n] = 1
         fate[mutants == 0] = 2
-        for k in np.flatnonzero(alone).tolist():
-            fate[k] = self.resume(state, k, [u[k]].pop, 1)[0]  # on the one uniform of this step
+        fate[total == 0] = 3  # the configuration never changes
         return fate
 
     def resume(self, state, k: int, next_uniform, max_steps: int):
@@ -376,41 +366,25 @@ class _Walker:
         Takes up to ``max_steps`` steps and writes the trial's row back;
         ``(fate code, steps)``, the code 0 if the trial walks on.
         """
-        n, event, guard = self._n, self._event, self._guard
+        n, event = self._n, self._event
         signed_rows, signed_dweight = self._signed_rows, self._signed_dweight
-        maximum, where = np.maximum, np.where
+        where = np.where
         x, masses = state[0][k], state[1][k]
         toward, away = masses
-        weight, mutants, since = (a[k].item() for a in state[2:5])
+        weight, mutants = state[2][k], state[3][k].item()
         fate = steps = 0
         while steps < max_steps:
             uniform = next_uniform()
             steps += 1
-            while True:
-                if since >= REFRESH_EVENTS:
-                    weight, since = self.refresh(x, masses), 0
-                # a rounding residue below zero is a zero mass: clipped, cum is sorted
-                flips = maximum(where(x, away, toward), 0.0)
-                cum = flips.cumsum()
-                total = cum[-1]
-                target = uniform * (total if event else weight)
-                if target < total:
-                    u = cum.searchsorted(target, "right")
-                    doubtful = flips[u] <= guard
-                else:  # an idle step, or nothing can change
-                    u = -1
-                    doubtful = total <= guard
-                if not (doubtful and since):
-                    break
-                # the mass may be the rounding residue of a zero: recompute and
-                # place the same uniform again
-                since = REFRESH_EVENTS
-            if u < 0:
-                if total == 0.0:  # the configuration never changes: censor, uncounted
+            cum = where(x, away, toward).cumsum()
+            total = cum[-1]
+            target = uniform * (total if event else weight)
+            if target >= total:  # an idle step, or nothing can change
+                if total == 0:  # the configuration never changes: censor, uncounted
                     fate, steps = 3, steps - 1
                     break
                 continue
-            since += 1
+            u = cum.searchsorted(target, "right")
             turned = x[u]
             x[u] = not turned
             signed = u + n if turned else u
@@ -420,7 +394,7 @@ class _Walker:
             if mutants == 0 or mutants == n:
                 fate = 1 if mutants else 2
                 break
-        state[2][k], state[3][k], state[4][k] = weight, mutants, since
+        state[2][k], state[3][k] = weight, mutants
         return fate, steps
 
 

@@ -33,7 +33,6 @@ from spatialmoran.modelio import load_model
 from spatialmoran.montecarlo import (
     BLOCK_TRIALS,
     LOCKSTEP_MIN_TRIALS,
-    REFRESH_EVENTS,
     TABLE_MAX_VERTICES,
     WALKER_LOCKSTEP_MIN_TRIALS,
     _philox_uniforms,
@@ -284,7 +283,7 @@ def _residue_model():
     1; vertices 4, 5, ..., 13 form a chain back to 1.  From mutants at 1 and
     4, trajectories either die out or make 1-3 mutants and stop there; on the
     way, the masses of wildtype parents 2 and 3 are added and subtracted, and
-    their rounding residues are all that is left on some zero masses.
+    some positive masses return to zero.
     """
     n = 13
     W = np.zeros((n, n))
@@ -315,26 +314,27 @@ class TestIncrementalWalker:
         assert not isinstance(_sampler(galanis_model(1.0), "event"), _Walker)
 
     def test_masses_track_a_recompute(self):
-        # every event's masses against a from-scratch recompute, over 10^4
-        # events, ten recompute intervals of the walker
+        # the masses after every 1,000th of 10^5 events equal a from-scratch
+        # sum; at extreme fitness an int64 overflow would show as a negative
+        # mass or a weight off the unbounded sum
         n = 30
-        model = _random_policy_model(n, 30, 1.7)
-        walker = _sampler(model, "event")
-        stream = _stream(5, 0)
         start = (1 << (n // 2)) - 1
-        state = _start(walker, start)
-        for _ in range(10 * REFRESH_EVENTS):
-            fate, steps = walker.resume(state, 0, stream, 1)
-            assert steps == 1
-            if fate:
-                state = _start(walker, start)
-                continue
-            x, masses, weight, mutants = (a[0] for a in state[:4])
-            _, fresh_masses, fresh_weight, fresh_mutants = (a[0] for a in _start(walker, _mask_of(x))[:4])
-            scale = np.abs(fresh_masses).max()
-            assert np.abs(masses - fresh_masses).max() <= 1e-12 * scale
-            assert abs(weight - fresh_weight) <= 1e-12 * fresh_weight
-            assert mutants == fresh_mutants
+        for r in (1.7, 1e-12, 1e12):
+            walker = _sampler(_random_policy_model(n, 30, r), "event")
+            stream = _stream(5, 0)
+            state = _start(walker, start)
+            for event in range(1, 10**5 + 1):
+                fate, steps = walker.resume(state, 0, stream, 1)
+                assert steps == 1
+                if event % 1000 == 0:
+                    x, masses, weight, mutants = (a[0] for a in state[:4])
+                    fresh = [a[0] for a in _start(walker, _mask_of(x))[:4]]
+                    assert np.array_equal(masses, fresh[1])
+                    assert weight == fresh[2] and mutants == fresh[3]
+                    assert masses.min() >= 0
+                    assert int(weight) == sum(masses.ravel().tolist())
+                if fate:
+                    state = _start(walker, start)
 
     def test_never_flips_a_vertex_of_zero_mass(self):
         walker = _sampler(_residue_model(), "event")
@@ -359,31 +359,18 @@ class TestIncrementalWalker:
                     break
         assert stuck > 0
 
+    @pytest.mark.parametrize("n", [6, 9, 12])
+    @pytest.mark.parametrize("r", [0.5, 1.5, 1e6])
     @pytest.mark.parametrize("mode", ["event", "faithful"])
-    def test_negative_residue_counts_as_zero(self, mode):
-        # from mutants at 1 and 4 only vertices 1 and 2 can flip; vertex 3's
-        # zero mass is made a negative residue, wide enough that a grid of
-        # uniforms lands where an unclipped row dips below vertex 2's entry
-        walker = _sampler(_residue_model(), mode)
-        uniforms = (np.arange(4000) + 0.5) / 4000
-        state = walker.begin([0b1001], np.zeros(len(uniforms), np.intp))[0]
-        x, masses, weight = state[0], state[1], state[2]
-        assert masses[0, 0, 2] == 0.0 and not x[0, 2]
-        masses[:, 0, 2] = -0.01 * masses[0, 0, 1]
-        flips = np.where(x[0], masses[0, 1], masses[0, 0])
-        cum = np.maximum(flips, 0.0).cumsum()
-        target = uniforms * (cum[-1] if mode == "event" else weight[0])
-        expected = np.searchsorted(cum, target, "right").tolist()
-        # picks 0 and 1 are vertices 1 and 2, 13 an idle step; never vertex 3
-        assert set(expected) == ({0, 1} if mode == "event" else {0, 1, 13})
-        lone = [[a[k:k + 1].copy() for a in state] for k in range(len(uniforms))]
-        before = x.copy()
-        walker.step(state, uniforms)
-        for k, u in enumerate(uniforms.tolist()):
-            walker.resume(lone[k], 0, [u].pop, 1)
-            for after in (x[k], lone[k][0][0]):
-                flipped = np.flatnonzero(after != before[k]).tolist()
-                assert flipped == ([] if expected[k] == 13 else [expected[k]])
+    def test_draws_the_law_of_the_tables(self, n, r, mode, monkeypatch):
+        # below the table cut, the walker forced onto the tables' uniforms
+        # draws the same counts
+        model = _random_policy_model(n, n, r)
+        alpha = _several_atoms(n, n)
+        cfg = TrajectoryConfig(seed=n, mode=mode)
+        tables = estimate_fixation(model, alpha, 3000, cfg)
+        monkeypatch.setattr(montecarlo, "_sampler", _Walker)
+        assert _counts(estimate_fixation(model, alpha, 3000, cfg)) == _counts(tables)
 
     def test_worker_invariant(self):
         model = _random_policy_model(16, 16, 1.3)
@@ -589,9 +576,8 @@ _WALKER_PINS = {
 class TestWalkerPins:
     """The incremental walker's counts and trajectories, pinned.
 
-    Unlike the tables, :meth:`_Walker.refresh` computes the masses by a BLAS
-    product, whose rounding may differ with the BLAS build; a pin that moves
-    on another machine, with the table pins holding, points there first.
+    Its masses are integer sums of rows rounded once, with no BLAS product,
+    so the pins do not depend on the BLAS build.
     """
 
     @pytest.mark.parametrize("key", _WALKER_PINS, ids=lambda key: "-".join(map(str, key)))
@@ -706,16 +692,6 @@ class TestLockstepWalker:
     @pytest.mark.parametrize("mode", ["event", "faithful"])
     def test_counts_match_per_trial_walk(self, n, mode, monkeypatch):
         self.small_blocks(monkeypatch)
-        residues = []
-        step = _Walker.step
-
-        def recorded(self, state, u):
-            x, masses = state[:2]
-            flips = np.where(x, masses[:, 1], masses[:, 0])
-            residues.append(int((flips < 0.0).any(axis=1).sum()))
-            return step(self, state, u)
-
-        monkeypatch.setattr(_Walker, "step", recorded)
         model = _random_policy_model(n, 100 + n, 1.4)
         alpha = _several_atoms(n, n)
         for max_steps in (3, 10**7):
@@ -723,31 +699,6 @@ class TestLockstepWalker:
             result = estimate_fixation(model, alpha, 300, cfg)
             assert _counts(result) == _walker_counts(model, alpha, 300, cfg)[0]
         assert result.censored == 0
-        assert sum(residues) > 0  # rows whose masses carry a negative rounding residue
-
-    @pytest.mark.parametrize("mode", ["event", "faithful"])
-    def test_rounding_guard_acts_in_lockstep(self, mode, monkeypatch):
-        self.small_blocks(monkeypatch)
-        residues = []
-        resume = _Walker.resume
-
-        def recorded(self, state, k, next_uniform, max_steps):
-            flips = np.where(state[0][k], state[1][k][1], state[1][k][0])
-            fate, steps = resume(self, state, k, next_uniform, max_steps)
-            if max_steps == 1 and steps == 0 and flips.any():
-                # a lockstep row the guard stopped: its masses were rounding
-                # residues on a configuration that never changes
-                residues.append(flips.min())
-            return fate, steps
-
-        monkeypatch.setattr(_Walker, "resume", recorded)
-        model = _residue_model()
-        alpha = InitialDistribution.point_mass(0b1001, 13)
-        cfg = TrajectoryConfig(seed=3, mode=mode)
-        result = estimate_fixation(model, alpha, 1000, cfg)
-        assert residues
-        assert _counts(result) == _walker_counts(model, alpha, 1000, cfg)[0]
-        assert result.extinctions > 0 and result.censored > 0
 
     @pytest.mark.parametrize("mode", ["event", "faithful"])
     def test_never_changing_configuration_censors(self, mode, monkeypatch):
@@ -759,14 +710,14 @@ class TestLockstepWalker:
         assert _counts(result) == _walker_counts(model, alpha, 300, cfg)[0]
         assert result.censored > 0
 
-    def test_refresh_inside_lockstep(self, monkeypatch):
+    def test_long_walk_in_lockstep(self, monkeypatch):
         # a hand-off below one trial keeps every trial in lockstep to the end
         self.small_blocks(monkeypatch, handoff=1)
         model = build_model(complete_graph_weights(40), mu="uniform", r=1.0)
         alpha = InitialDistribution.point_mass((1 << 20) - 1, 40)
         cfg = TrajectoryConfig(seed=5)
         counts, longest = _walker_counts(model, alpha, 150, cfg)
-        assert longest > REFRESH_EVENTS  # event mode: every step is a flip
+        assert longest > 1000  # event mode: every step is a flip
         assert _counts(estimate_fixation(model, alpha, 150, cfg)) == counts
 
     def test_masks_wider_than_int64(self):
