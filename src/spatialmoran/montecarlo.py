@@ -39,19 +39,25 @@ and the unnormalised masses of mutant and of wildtype parents placed onto
 each vertex.  Flipping vertex ``u`` changes only ``u``'s selection weight,
 so a step is O(n) work and nothing is kept per configuration.  Every mass
 and weight is an int64 multiple of ``2^-61 max(r, 1)``: each placement
-weight ``r W_mu[v, u]`` and ``W_mu[v, u]`` is rounded to that unit once,
-when the walker is built (a weight below half the unit is lost), and a flip
-adds integer rows.  So the masses are always exactly the sums of the
-current parents' rows, never negative, and a lockstep walk is bitwise the
-walk of each trial alone.  A flip mass sums at most ``n`` rounded weights,
-so each pick probability is off by at most about
-``n 2^-62 max(r, 1) / total``, the total flip mass in the units of ``r``.
-The unit is relative to ``max(r, 1)``, not to the current total: the error
-stays below the ``2^-53`` grain of a uniform only where the total is above
-about ``n 2^-9 max(r, 1)``, and near absorption on a large graph it is not.
-The pick compares the double ``u * total`` (``u * weight`` in faithful
-mode) with the cumulative row, whose entries as doubles are still sorted,
-so a vertex of zero mass is never picked.  A lockstep step is one row-wise
+weight ``r W_mu[v, u]`` and ``W_mu[v, u]`` is clipped at zero (validation
+admits entries down to ``-1e-12``) and rounded to that unit once, when the
+walker is built (a weight below half the unit is lost), and a flip adds
+integer rows.  So the masses are always exactly the sums of the current
+parents' rows, never negative, and a lockstep walk is bitwise the walk of
+each trial alone.  A flip mass sums at most ``n`` rounded weights, so each
+pick probability is off by at most about ``n 2^-62 max(r, 1) / total``, the
+total flip mass in the units of ``r``.  The unit is relative to
+``max(r, 1)``, not to the current total: the error stays below the
+``2^-53`` grain of a uniform only where the total is above about
+``n 2^-9 max(r, 1)``, and near absorption on a large graph it is not.  Nor
+is it relative to the smaller type's weights: at ``r = 1e12`` (or
+``1e-12``) on a random ``n = 30`` model, whose placements are about
+``1e-3``, the wildtype (mutant) weights are off by up to ``4e-4`` of their
+size, against about ``1e-16`` in floats.  The pick compares the double
+``u * total`` (``u * weight`` in faithful mode) with the cumulative row
+cast to float64, whose entries are still sorted, so a vertex of zero mass
+is never picked; each boundary is in any case only as exact as a double
+(``2^-53`` of the running sum).  A lockstep step is one row-wise
 cumulative sum, one count of the entries at or below each row's target and
 one row update (hand-off :data:`WALKER_LOCKSTEP_MIN_TRIALS`).  There is no
 vertex limit.
@@ -296,9 +302,11 @@ class _Walker:
         self._n = model.n
         self._event = mode == "event"
         # placed[0][v] (placed[1][v]): what v places onto each vertex as a
-        # mutant (wildtype) parent, rounded once; each entry is at most 2^61
+        # mutant (wildtype) parent, clipped at zero (a policy entry may lie
+        # down to -1e-12) and rounded once; each entry is at most 2^61
         scale = 2.0**61 / max(r, 1.0)
-        self._placed = np.rint(np.stack((r * model.w_mu, model.w_mu)) * scale).astype(np.int64)
+        placed = np.maximum(np.stack((r * model.w_mu, model.w_mu)), 0.0)
+        self._placed = np.rint(placed * scale).astype(np.int64)
         # rows[u]: change of the masses when vertex u turns mutant; row n + u,
         # when it turns wildtype.  Likewise for the selection weight.
         rows = np.stack((self._placed[0], -self._placed[1]), axis=1)

@@ -710,6 +710,29 @@ class TestLockstepWalker:
         assert _counts(result) == _walker_counts(model, alpha, 300, cfg)[0]
         assert result.censored > 0
 
+    @pytest.mark.parametrize("mode", ["event", "faithful"])
+    def test_policy_entry_below_zero_places_nothing(self, mode, monkeypatch):
+        # validation admits policy entries down to -1e-12; at the walker's unit
+        # of 2^-61 such an entry of vertex 2 would round to a negative mass on
+        # vertex 3, so that the configuration 0b11 of the stuck cycle, where
+        # nothing can change, would walk on as idle steps instead of censoring
+        self.small_blocks(monkeypatch)
+        n = 16
+        mu = np.eye(n)[0]
+        mu[1] = -1e-13
+        model = build_model(validate_weight_matrix(np.roll(np.eye(n), 1, axis=1)), mu=mu, r=1.0)
+        walker = _sampler(model, mode)
+        for mask in (0b1, 0b11, 0b110, (1 << n) - 2):
+            assert _start(walker, mask)[1].min() >= 0
+        alpha = InitialDistribution(n=n, atoms=((0b1, 0.5), (0b11, 0.3), (0b110, 0.2)))
+        cfg = TrajectoryConfig(seed=6, mode=mode, max_steps=1000)
+        result = estimate_fixation(model, alpha, 300, cfg)
+        counts, longest = _walker_counts(model, alpha, 300, cfg)
+        assert _counts(result) == counts
+        assert result.censored == 300
+        assert longest <= 1  # censored on reaching 0b11, the step to it counted
+        assert simulate_trajectory(model, Configuration(0b11, n), cfg) == (Outcome.CENSORED, 0)
+
     def test_long_walk_in_lockstep(self, monkeypatch):
         # a hand-off below one trial keeps every trial in lockstep to the end
         self.small_blocks(monkeypatch, handoff=1)
