@@ -5,13 +5,14 @@ fixation probabilities solve ``A h = b`` with ``A = I - J``,
 ``J[x, x ^ (1 << u)] = f_xu / d_x``, ``f`` the flip masses of
 :func:`~spatialmoran.dynamics.flip_masses` and ``d_x = sum_u f_xu``;
 :func:`_jump_system` writes ``A`` straight into CSR, each row sorted without a sort.
-:func:`_certified_solve` serves every ``n <= 20``, the one size bound: dense
-LU up to ``n = 10`` (``solver.method == "dense"``) and restarted GMRES (Saad &
-Schultz 1986) above (``"iterative"``).  It also solves ``A T = 1``, the
-expected number of jumps to absorption (Kemeny & Snell, *Finite Markov
-Chains*), whose maximum certifies the max-norm error of ``h``.  GMRES solves
-``T`` first (2-norm residual 0.01), then ``h`` from the Moran value of each level: the
-answer under a stationary policy, costing no step on ``h`` and about ``n`` on ``T``.
+:func:`_certified_solve` serves every ``n <= 20``, the one size bound: dense LU up to ``n = 10``
+(``solver.method == "dense"``) and restarted GMRES (Saad & Schultz 1986) above (``"iterative"``).
+It also solves ``A T = 1``, the expected number of jumps to absorption (Kemeny & Snell, *Finite
+Markov Chains*), whose maximum certifies the max-norm error of ``h``.  GMRES solves ``T`` first
+(2-norm residual 0.01), then ``h`` from the Moran value of each level.  Under a stationary policy
+(``max|mu W - mu| <= 1e-12``) above ``n = 10``, :func:`_closed_form` certifies ``h``, the Moran
+value (the paper's theorem), and ``T``, the gambler's-ruin time, by level in one blocked pass
+with no matrix (``"closed-form"``, 0 steps); a model that misses the targets goes to GMRES.
 
 The solve has a leading model axis: :func:`_fixation_stack` solves ``k``
 models with the same ``n`` by one stacked LU and certifies each of them, and
@@ -44,6 +45,8 @@ _DENSE_MAX_ROWS = 2**10 - 2
 #: Most atoms :meth:`InitialDistribution.level_uniform` enumerates; every level
 #: of an exact-size model fits, since ``C(20, 10) = 184,756``.
 MAX_LEVEL_ATOMS = 10**6
+#: Masks per block of :func:`_closed_form`, each of which rebuilds a subset-sum table.
+_CERTIFY_BLOCK = 1 << 14
 _EPS = float(np.finfo(float).eps)
 _NEUTRAL_TOL = 1e-12
 
@@ -117,7 +120,8 @@ class InitialDistribution:
 
 @dataclass(frozen=True)
 class SolverInfo:
-    """``"dense"`` (LU) or ``"iterative"`` (GMRES), GMRES steps (1 for LU), certified error bound."""
+    """``"dense"`` (LU), ``"iterative"`` (GMRES) or ``"closed-form"`` (a stationary policy above
+    ``n = 10``), GMRES steps (1 for LU, 0 for the closed form), certified error bound."""
 
     method: str
     iterations: int
@@ -143,11 +147,11 @@ class FixationReport:
     rho_alpha: float | None = None
 
 
-def _jump_system(W: np.ndarray, mu: np.ndarray, r: np.ndarray):
+def _jump_system(W: np.ndarray, mu: np.ndarray, r: np.ndarray, labels: list):
     """``(indptr, indices, data, rhs)`` of ``k`` models with the same ``n``: ``A_i = I - J_i``
     in CSR, values ``data[i]`` and sorted int32 ``indices``, and ``rhs[i] = [b_i, 1]``.  Row
     ``x - 1`` holds the diagonal and the flips of mask ``x``, those of zero mass as explicit
-    zeros, but not the flip to mask 0 or to the full mask."""
+    zeros, but not the flip to mask 0 or to the full mask.  Errors open with ``labels[i]``."""
     k, n = mu.shape
     full = (1 << n) - 1
     masks = np.arange(1, full)
@@ -156,7 +160,7 @@ def _jump_system(W: np.ndarray, mu: np.ndarray, r: np.ndarray):
     stuck = leave.min(axis=1) <= 0.0
     if stuck.any():
         i = int(stuck.argmax())
-        raise DegenerateCase(f"{_model_label(i, k)}configuration "
+        raise DegenerateCase(f"{labels[i]}configuration "
                              f"{int(masks[leave[i].argmin()]):#b} can never change")
     flips /= leave[:, :, None]
     # rows of level 1, whose flip u reaches mask 0, and of level n - 1, whose flip u is absorbed
@@ -175,33 +179,36 @@ def _jump_system(W: np.ndarray, mu: np.ndarray, r: np.ndarray):
     return np.append(0, ends).astype(np.int32), indices[:-1], data[:, :-1], rhs
 
 
-def _model_label(i: int, k: int) -> str:
-    """Names model ``i`` in an error message about a stack of ``k > 1`` models."""
-    return f"model {i}: " if k > 1 else ""
+def _certificate(t_max: np.ndarray, t_residual: np.ndarray, terms: int):
+    """``(drift, tau, bound)`` from ``max |T|`` and ``||1 - A T||`` of systems ``A = I - J``.
+    ``bound(||b - A h||) = max T / (1 - drift) (||b - A h|| + slack)`` bounds ``||h - A^-1 b||``
+    for any nonsingular M-matrix (``A^-1 >= 0``, ``A^-1 1 = T + A^-1 (1 - A T)``) if the drift,
+    ``||1 - A T||`` plus slack, is below 1; ``tau`` is the ``||b - A h||`` that puts it at
+    ``SOLVE_RESIDUAL_TOL / 10``, less the slack (at least the slack).  The slack ``4 terms eps``
+    covers rounding in ``A``, ``b`` and residual rows of ``terms`` terms, each at most 1 per unit
+    of the solution, as in :func:`_closed_form`: bitwise the entries of :func:`_jump_system`."""
+    slack = 4 * terms * _EPS
+    drift = t_residual + slack * (1.0 + t_max)
+    with np.errstate(divide="ignore", invalid="ignore"):  # tau is read only where drift < 1
+        tau = np.maximum(SOLVE_RESIDUAL_TOL * (1.0 - drift) / (10.0 * t_max) - slack, slack)
+    return drift, tau, lambda h_residual: t_max / (1.0 - drift) * (h_residual + slack)
 
 
-def _certified_solve(indptr, indices, data, rhs, terms: int, guess):
+def _certified_solve(indptr, indices, data, rhs, terms: int, guess, labels: list):
     """Solve ``A_i X_i = [b_i, 1]`` for ``k`` systems ``A_i = I - J_i`` of ``m`` rows in CSR:
     values ``data[i]`` on a shared ``(indptr, indices)``; ``rhs`` has shape ``(k, m, 2)``.
 
     Up to :data:`_DENSE_MAX_ROWS` rows, one stacked dense LU per chunk of at most
     ``_DENSE_MAX_ROWS^2`` entries; above, restarted GMRES on each CSR matrix as given.
-    ``X[i] = [h_i, T_i]`` and the :class:`SolverInfo` of each system carry the
-    bound ``max T / (1 - ||1 - A T||) * ||b - A h||`` on ``||h - A^-1 b||`` in
-    max-norms, for ``A = I - J_i``.  It holds for any nonsingular M-matrix,
-    since ``A^-1 >= 0`` and ``A^-1 1 = T + A^-1 (1 - A T)``; the CSR arrays
-    of ``A^T`` solve with ``A^T``.  The slack covers rounding in ``A``,
-    ``rhs`` and the residuals, whose rows sum at most ``terms`` terms, each at
-    most 1 per unit of the solution.  GMRES solves ``T`` first, to the 2-norm residual 0.01
-    (the bound grows by at most ``1 / 0.99``), then ``h`` to the max-norm residual ``tau``
-    that puts the bound at ``SOLVE_RESIDUAL_TOL / 10``, less the slack (at least the
-    slack): ``h`` is the start ``guess(i)`` if within ``tau``, else a pass from it aims at
-    the 2-norm ``tau sqrt(m)``, and a miss resumes from ``h``, at most twice, aiming at
-    ``||r||_2 tau / (2 ||r||_inf)``, unless a pass ran out of restarts; ``iterations``
-    counts every pass's steps.
-    Raises :class:`NumericalFailure`, naming the system when ``k > 1``, when
-    ``||1 - A T||`` reaches 1 (before solving for ``h``) or a bound exceeds
-    :data:`SOLVE_RESIDUAL_TOL`.
+    ``X[i] = [h_i, T_i]``, and the :class:`SolverInfo` of each system carries the
+    :func:`_certificate` bound for ``A = I - J_i``; the CSR arrays of ``A^T`` solve with ``A^T``.
+    GMRES solves ``T`` first, to the 2-norm residual 0.01 (the bound grows by at most
+    ``1 / 0.99``), then ``h`` to the max-norm residual ``tau``: ``h`` is the start ``guess(i)``
+    if within ``tau``, else a pass from it aims at the 2-norm ``tau sqrt(m)``, and a miss
+    resumes from ``h``, at most twice, aiming at ``||r||_2 tau / (2 ||r||_inf)``, unless a pass
+    ran out of restarts; ``iterations`` counts every pass's steps.  Raises
+    :class:`NumericalFailure`, opening with ``labels[i]``, when ``||1 - A T||`` reaches 1
+    (before solving for ``h``) or a bound exceeds :data:`SOLVE_RESIDUAL_TOL`.
     Each system's solution and bound are bitwise those of its solve alone.
     """
     k, m = rhs.shape[:2]
@@ -227,16 +234,13 @@ def _certified_solve(indptr, indices, data, rhs, terms: int, guess):
             X[i, :, 1] = solve(A, rhs[i, :, 1], atol=0.0, rtol=0.01 / math.sqrt(m),
                                callback=steps[i].append)[0]
             residual[i, 1] = np.abs(rhs[i, :, 1] - A @ X[i, :, 1]).max()
-    slack = 4 * terms * _EPS
-    t_max = np.abs(X[:, :, 1]).max(axis=1)
-    drift = residual[:, 1] + slack * (1.0 + t_max)
+    drift, tau, bound = _certificate(np.abs(X[:, :, 1]).max(axis=1), residual[:, 1], terms)
     unbounded = ~(drift < 1.0)
     if unbounded.any():
         i = int(unbounded.argmax())
-        raise NumericalFailure(f"{_model_label(i, k)}absorption-time residual "
+        raise NumericalFailure(f"{labels[i]}absorption-time residual "
                                f"{drift[i]:.3e} leaves the error unbounded")
     if method == "iterative":
-        tau = np.maximum(SOLVE_RESIDUAL_TOL * (1.0 - drift) / (10.0 * t_max) - slack, slack)
         for i, A in enumerate(systems):
             X[i, :, 0] = guess(i)  # held in X's row, so a pass from it takes no more memory
             h, atol = X[i, :, 0], tau[i] * math.sqrt(m)  # atol: a residual of tau in every row
@@ -249,13 +253,38 @@ def _certified_solve(indptr, indices, data, rhs, terms: int, guess):
                     break
                 atol = math.sqrt(res @ res) * tau[i] / (2.0 * res.max())
             X[i, :, 0], residual[i, 0], iterations[i] = h, res.max(), len(steps[i])
-    bound = t_max / (1.0 - drift) * (residual[:, 0] + slack)
+    bound = bound(residual[:, 0])
     failed = ~(bound <= SOLVE_RESIDUAL_TOL)
     if failed.any():
         i = int(failed.argmax())
-        raise NumericalFailure(f"{_model_label(i, k)}certified error bound {bound[i]:.3e} "
+        raise NumericalFailure(f"{labels[i]}certified error bound {bound[i]:.3e} "
                                f"above {SOLVE_RESIDUAL_TOL:g}")
     return X, [SolverInfo(method, it, b) for it, b in zip(iterations, bound.tolist())]
+
+
+def _closed_form(W: np.ndarray, mu: np.ndarray, r: float):
+    """``(h, SolverInfo)`` of a model under a stationary policy, with no matrix held, else
+    ``None``.  Each jump then raises the level with probability ``r / (1 + r)``, so ``h`` and
+    ``T`` are the Moran value and the gambler's-ruin time of each level, which one blocked pass
+    certifies unless a configuration never changes or they miss the GMRES targets."""
+    n, j = len(mu), np.arange(len(mu) + 1)
+    moran, levels = _moran_by_level(n, r), _mask_levels(n)
+    t = j * (n - j) if abs(r - 1.0) <= _NEUTRAL_TOL else (n * moran - j) * (r + 1.0) / (r - 1.0)
+    residual, bits = np.zeros(2), 1 << np.arange(n)
+    for lo in range(1, len(levels) - 1, _CERTIFY_BLOCK):
+        masks = np.arange(lo, min(lo + _CERTIFY_BLOCK, len(levels) - 1))
+        jumps = _flip_masses(W[None], mu[None], np.array([r]), masks)[0]
+        if not (leave := _flip_totals(jumps)).min() > 0.0:  # :func:`_jump_system` names it
+            return None
+        jumps /= leave[:, None]
+        near, here = levels[masks[:, None] ^ bits], levels[masks]  # h and T go by level
+        residual = np.maximum(residual, (  # ||b - A h|| and ||1 - A T||, h 0 and 1 at the ends
+            np.abs(np.einsum("xu,xu->x", jumps, moran[near]) - moran[here]).max(),
+            np.abs(1.0 - t[here] + np.einsum("xu,xu->x", jumps, t[near])).max()))
+    drift, tau, bound = _certificate(np.abs(t).max(), residual[1], n + 2)
+    bound = float(bound(residual[0])) if drift <= 0.01 and residual[0] <= tau else math.inf
+    certified = bound <= SOLVE_RESIDUAL_TOL
+    return (moran[levels[1:-1]], SolverInfo("closed-form", 0, bound)) if certified else None
 
 
 def _fixation_stack(W: np.ndarray, mu: np.ndarray, r: np.ndarray):
@@ -272,14 +301,24 @@ def _fixation_stack(W: np.ndarray, mu: np.ndarray, r: np.ndarray):
     _require_exact_size(n)
     _require_policies(mu)
     _require_fitness(r)
-    # h starts at the Moran value by level; the levels are built per model, not held in the solve
-    X, solvers = _certified_solve(*_jump_system(W, mu, r), terms=n + 2, guess=lambda i: (
-        _moran_by_level(n, float(r[i]))[_mask_levels(n)[1:-1]]))
-    h = X[:, :, 0]
+    m, labels = (1 << n) - 2, [f"model {i}: " for i in range(k)] if k > 1 else [""]
+    h, solvers = np.empty((k, m)), [None] * k
+    for i in range(k) if m > _DENSE_MAX_ROWS else ():  # the paper's answer, where it certifies
+        if np.abs(mu[i] @ W[i] - mu[i]).max() <= STOCHASTIC_TOL and (
+                certified := _closed_form(W[i], mu[i], float(r[i]))):
+            h[i], solvers[i] = certified
+    if todo := [i for i in range(k) if solvers[i] is None]:
+        named = [labels[i] for i in todo]
+        # h starts at the Moran value by level; the levels are built per model, not held
+        X, solved = _certified_solve(
+            *_jump_system(W[todo], mu[todo], r[todo], named), terms=n + 2, labels=named,
+            guess=lambda i: _moran_by_level(n, float(r[todo[i]]))[_mask_levels(n)[1:-1]])
+        h[todo], solved = X[:, :, 0], iter(solved)
+        solvers = [solver or next(solved) for solver in solvers]
     bound = np.array([solver.residual for solver in solvers])
     escaped = (h.min(axis=1) < -bound) | (h.max(axis=1) > 1.0 + bound)
     if escaped.any():
-        raise NumericalFailure(f"{_model_label(int(escaped.argmax()), k)}"
+        raise NumericalFailure(f"{labels[int(escaped.argmax())]}"
                                "fixation probabilities escape [0, 1]")
     rho = np.zeros((k, 1 << n))
     rho[:, 1:-1] = h.clip(0.0, 1.0)
@@ -291,9 +330,9 @@ def fixation_probabilities(model: MicSMPModel,
                            alpha: InitialDistribution | None = None) -> FixationReport:
     """Solve the absorbing chain for every configuration's fixation probability.
 
-    Dense LU up to ``n = 10``, GMRES above; both certified (:func:`_certified_solve`).
-    When ``alpha`` is given, the report carries ``rho_alpha = sum alpha(x) rho_x``.
-    :func:`_fixation_stack` solves many models of one size at once.
+    Dense LU up to ``n = 10``; above, ``"closed-form"`` (:func:`_closed_form`) if ``mu`` is
+    stationary and it certifies, else GMRES.  When ``alpha`` is given, the report carries
+    ``rho_alpha = sum alpha(x) rho_x``; :func:`_fixation_stack` solves many models at once.
 
     Raises :class:`TooLarge` above ``n = 20``, :class:`DegenerateCase` when
     some transient configuration can never change, and

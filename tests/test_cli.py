@@ -23,6 +23,10 @@ def schema():
     return json.loads(text)
 
 
+#: @complete:11 under a policy that is not stationary.
+MIXED_POLICY = "@complete:11 --mu " + ",".join(["0.05"] * 10 + ["0.5"])
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
@@ -53,6 +57,12 @@ class TestExactCommand:
         assert code == 0
         assert doc["rho_alpha"] == pytest.approx(16 / 31, abs=1e-12)
         assert doc["rho_alpha"] == pytest.approx(moran_rho(1, 5, 2.0), abs=1e-12)
+
+    def test_closed_form_solver_block_fits_the_schema(self, capsys, schema):
+        code, doc = run_json(capsys, schema, "exact", "--model", "@complete:11", "--r", "2")
+        assert code == 0
+        assert doc["solver"]["method"] == "closed-form" and doc["solver"]["iterations"] == 0
+        assert doc["deviation"]["1"] == 0.0
 
     def test_init_is_optional(self, capsys, schema):
         code, doc = run_json(capsys, schema, "exact", "--model", "@n2:1,1")
@@ -90,7 +100,9 @@ class TestExactCommand:
         assert first == second
 
     @pytest.mark.parametrize("indent", [None, 0, 2])
-    @pytest.mark.parametrize("model", ["@galanis", "@complete:11"])  # dense LU, GMRES
+    # dense LU; a stationary policy certified in closed form; GMRES for a policy that is not
+    @pytest.mark.parametrize("model", ["@galanis", "@complete:11",
+                                       pytest.param(MIXED_POLICY, id="@complete:11-mu")])
     @pytest.mark.parametrize("init", [(), ("--init", "level:1:uniform")])
     def test_output_is_json_dumps_of_the_dict_form(self, capsys, monkeypatch, indent, model, init):
         # the rho block is written apart from json.dumps; the reference is built from the
@@ -102,7 +114,7 @@ class TestExactCommand:
             return reports[-1]
 
         monkeypatch.setattr(cli_module, "fixation_probabilities", solve)
-        argv = ["exact", "--model", model, "--r", "1.5", *init]
+        argv = ["exact", "--model", *model.split(), "--r", "1.5", *init]
         if indent is not None:
             argv += ["--json-indent", str(indent)]
         code, out = run(capsys, *argv)
@@ -118,7 +130,8 @@ class TestExactCommand:
         if init:
             doc["rho_alpha"] = report.rho_alpha
         assert code == 0
-        assert report.solver.method == ("dense" if n == 3 else "iterative")
+        assert report.solver.method == {"@galanis": "dense", "@complete:11": "closed-form",
+                                         MIXED_POLICY: "iterative"}[model]
         assert out == json.dumps(doc, indent=indent) + "\n"
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -224,13 +225,21 @@ class TestFixationProbabilities:
         with pytest.raises(TooLarge):
             fixation_probabilities(huge)
 
-    def test_sparse_iterative_path_above_dense_limit(self):
-        # n = 13 is above the dense LU branch: CSR matrix + GMRES
+    def test_sparse_iterative_path_above_dense_limit(self, monkeypatch):
+        # n = 13 is above the dense LU branch: CSR matrix + GMRES, which a stationary model
+        # reaches when its closed-form certificate misses
+        without_closed_form(monkeypatch)
         model = build_model(complete_graph_weights(13), mu="uniform", r=2.0)
         report = fixation_probabilities(model)
         assert report.solver.method == "iterative"
         assert report.rho[1] == pytest.approx(moran_rho(1, 13, 2.0), abs=1e-9)
         assert report.per_level_deviation.max() <= 1e-9
+
+
+def without_closed_form(monkeypatch):
+    """Send stationary models above the dense size to GMRES, as when their closed-form
+    residuals miss the targets."""
+    monkeypatch.setattr(exact, "_closed_form", lambda *args: None)
 
 
 def ring_weights(n, self_loop):
@@ -334,9 +343,10 @@ class TestCertifiedSolve:
         return calls
 
     @pytest.mark.parametrize("model", ["stationary", "ring"])
-    def test_stationary_solves_stop_near_n_steps(self, model):
+    def test_stationary_solves_stop_near_n_steps(self, monkeypatch, model):
         # rho is constant on each level, so the Krylov space closes after about n steps;
         # a 2-norm target below MGS-GMRES's rounding floor would spin on to the restart
+        without_closed_form(monkeypatch)
         if model == "ring":
             n, W = 15, ring_weights(15, 0.9)
         else:
@@ -372,16 +382,15 @@ class TestCertifiedSolve:
         # the first pass missed tau: a later pass resumes from its h, not from zero or the guess
         assert len(calls) > 2 and all(x0 is not None for x0 in calls[2:])
         assert not any(np.array_equal(x0, moran) for x0 in calls[2:])
-        indptr, indices, data, rhs = _jump_system(W.entries[None], mu[None], np.array([2.0]))
+        indptr, indices, data, rhs = _jump_system(W.entries[None], mu[None], np.array([2.0]), [""])
         A = csr_matrix((data[0], indices, indptr)).toarray()
         h = np.linalg.solve(A, rhs[0, :, 0])
         assert np.abs(report.rho[1:-1] - h).max() <= report.solver.residual <= 1e-11
 
     def test_unbounded_absorption_time_raises_before_h(self, monkeypatch):
         calls = self.recorded_gmres(monkeypatch, result=np.zeros_like)  # T = 0: ||1 - A T|| = 1
-        model = build_model(complete_graph_weights(11), mu="uniform", r=2.0)
         with pytest.raises(NumericalFailure, match="absorption-time residual"):
-            fixation_probabilities(model)
+            fixation_probabilities(self.nonstationary_model())
         assert calls == [None]
 
     def test_a_pass_out_of_restarts_is_the_last(self, monkeypatch):
@@ -409,6 +418,7 @@ class TestCertifiedSolve:
     def test_stationary_solves_start_at_the_answer(self, monkeypatch, n, r):
         # under stationary selection rho is the Moran value of each level, and GMRES
         # starts h there: h is that guess bit for bit, and only A T = 1 takes steps
+        without_closed_form(monkeypatch)
         steps, original = [], exact.gmres
 
         def gmres(A, b, x0=None, callback=None, **options):
@@ -449,9 +459,123 @@ class TestCertifiedSolve:
         rhs[-1, 0] = up
         A = identity(N - 1, format="csr") - csr_matrix((jump, (rows, cols)), shape=(N - 1, N - 1))
         X, (solver,) = _certified_solve(A.indptr, A.indices, A.data[None], rhs[None], terms=4,
-                                        guess=lambda i: np.zeros(N - 1))
+                                        guess=lambda i: np.zeros(N - 1), labels=[""])
         error = np.abs(X[0, :, 0] - [moran_rho(i, N, r) for i in range(1, N)]).max()
         assert error <= solver.residual <= 1e-10
+
+
+class TestClosedForm:
+    """Stationary models above the dense size: the Moran value by level, certified by one
+    blocked residual pass with no matrix and no GMRES."""
+
+    @staticmethod
+    def recorded_solvers(monkeypatch):
+        """Wrap ``_jump_system`` and ``gmres``; return the list of the names called."""
+        calls = []
+        for name in ("_jump_system", "gmres"):
+            def wrapper(*args, _name=name, _original=getattr(exact, name), **options):
+                calls.append(_name)
+                return _original(*args, **options)
+
+            monkeypatch.setattr(exact, name, wrapper)
+        return calls
+
+    def assert_closed_form(self, monkeypatch, model):
+        """The route is taken with no matrix and no GMRES, ``rho`` is the Moran vector bit
+        for bit, and the bound is within a factor 2 of the one GMRES certifies."""
+        n, r = model.n, model.r
+        with monkeypatch.context() as patch:
+            calls = self.recorded_solvers(patch)
+            report = fixation_probabilities(model)
+        assert calls == []
+        assert report.solver.method == "closed-form" and report.solver.iterations == 0
+        assert np.array_equal(report.rho[1:-1], TestCertifiedSolve.moran_rows(n, r))
+        assert report.rho[0] == 0.0 and report.rho[-1] == 1.0
+        with monkeypatch.context() as patch:
+            without_closed_form(patch)
+            solved = fixation_probabilities(model).solver
+        assert solved.method == "iterative"
+        assert report.solver.residual <= 1e-11
+        assert solved.residual / 2 <= report.solver.residual <= 2 * solved.residual
+
+    @pytest.mark.parametrize("n", [11, 13, 16])
+    @pytest.mark.parametrize("r", [0.5, 1.0, 3.0])
+    def test_stationary_models_take_the_route(self, monkeypatch, n, r):
+        rng = np.random.default_rng(400 + n)
+        W = random_strongly_connected_weights(n, rng)
+        self.assert_closed_form(monkeypatch, build_model(W, mu="stationary", r=r))
+
+    @pytest.mark.parametrize("self_loop, r", [(0.5, 1.0), (0.9, 2.0)])
+    def test_isothermal_ring_takes_the_route(self, monkeypatch, self_loop, r):
+        self.assert_closed_form(monkeypatch, build_model(ring_weights(13, self_loop), "uniform", r))
+
+    def test_a_mixed_stack_is_bitwise_each_model_alone(self):
+        rng = np.random.default_rng(410)
+        stationary = build_model(random_strongly_connected_weights(11, rng), mu="stationary", r=2.0)
+        models = [TestCertifiedSolve.nonstationary_model(), stationary]
+        rho, solvers = _fixation_stack(np.stack([model.W.entries for model in models]),
+                                       np.stack([model.mu.mu for model in models]),
+                                       np.array([model.r for model in models]))
+        assert [solver.method for solver in solvers] == ["iterative", "closed-form"]
+        for i, model in enumerate(models):
+            alone = fixation_probabilities(model)
+            assert np.array_equal(rho[i], alone.rho) and solvers[i] == alone.solver
+
+    def test_errors_of_the_fallback_name_the_model_in_the_whole_stack(self):
+        # model 1 is not stationary and never leaves 0b11 (only vertex 1 reproduces, onto 2);
+        # model 0 is certified in closed form, so the fallback solves model 1 alone
+        n = 11
+        cycle = np.roll(np.eye(n), 1, axis=1)
+        mu = np.full((2, n), 1.0 / n)
+        mu[1] = np.eye(n)[0]
+        with pytest.raises(DegenerateCase, match="^model 1: configuration 0b11 can never change"):
+            _fixation_stack(np.stack((cycle, cycle)), mu, np.array([2.0, 2.0]))
+
+    def test_a_model_that_never_changes_is_still_rejected(self, monkeypatch):
+        # W = I keeps every policy stationary, and no update changes anything
+        n, offered = 11, []
+        original = exact._closed_form
+
+        def closed_form(*args):
+            offered.append(original(*args))
+            return offered[-1]
+
+        monkeypatch.setattr(exact, "_closed_form", closed_form)
+        with pytest.raises(DegenerateCase, match="^configuration 0b1 can never change"):
+            _fixation_stack(np.eye(n)[None], np.full((1, n), 1.0 / n), np.array([2.0]))
+        assert offered == [None]
+
+    @pytest.mark.parametrize("shift", [1e-13, 8e-13])
+    def test_a_policy_near_the_threshold_reports_a_bound_its_residuals_support(self, shift):
+        # a gap of about 1e-13 is certified in closed form here, one of about 1e-12 falls
+        # back to GMRES; either way the bound covers the residual and meets its target
+        n, r = 11, 2.0
+        W = random_strongly_connected_weights(n, np.random.default_rng(420))
+        mu = stationary_distribution(W).pi + shift * (np.eye(n)[0] - np.eye(n)[1])
+        model = build_model(W, mu=mu, r=r)
+        assert shift < model.stationarity_gap() <= 1e-12
+        report = fixation_probabilities(model)
+        assert report.solver.method in ("closed-form", "iterative")
+        indptr, indices, data, rhs = _jump_system(W.entries[None], mu[None], np.array([r]), [""])
+        A = csr_matrix((data[0], indices, indptr)).toarray()
+        h, T = np.linalg.solve(A, rhs[0]).T
+        h_residual = np.abs(rhs[0, :, 0] - A @ report.rho[1:-1]).max()
+        assert T.max() * h_residual <= report.solver.residual <= 1e-11
+        assert np.abs(report.rho[1:-1] - h).max() <= report.solver.residual
+
+    def test_memory_stays_below_a_quarter_of_the_matrix(self):
+        n = 18
+        model = build_model(random_strongly_connected_weights(n, np.random.default_rng(430)),
+                            mu="stationary", r=3.0)
+        tracemalloc.start()
+        try:
+            report = fixation_probabilities(model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.solver.method == "closed-form"
+        csr = ((1 << n) - 2) * (n + 1) * (8 + 4)  # float64 data and int32 indices, n + 1 a row
+        assert peak < csr / 4
 
 
 def coo_jump_system(W, mu, r):
@@ -479,7 +603,7 @@ class TestJumpSystem:
 
     @staticmethod
     def assert_matches_coo(W, mu, r):
-        indptr, indices, data, rhs = _jump_system(W, mu, r)
+        indptr, indices, data, rhs = _jump_system(W, mu, r, [""] * len(r))
         systems, coo_rhs = coo_jump_system(W, mu, r)
         assert indices.dtype == np.int32 and data.shape == (len(mu), len(indices))
         assert rhs.tobytes() == coo_rhs.tobytes()
