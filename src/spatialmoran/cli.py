@@ -41,15 +41,19 @@ def _manifest(command: str, argv: list[str], seed: int | None) -> dict:
     }
 
 
-def _emit(doc: dict, indent: int | None, rho: list | None = None) -> None:
-    """Write ``json.dumps(doc, indent=indent)``, where ``rho`` fills ``"rho": null`` (only the key
-    matches, as strings escape quotes) with ``[{"mask": x, "value": rho[x]}, ...]`` in one pass."""
+def _emit(doc: dict, indent: int | None, rho: np.ndarray | None = None) -> None:
+    """Write ``json.dumps(doc, indent=indent)``, where float64 ``rho`` fills ``"rho": null`` (only
+    the key matches, as strings escape quotes) with ``[{"mask": x, "value": rho[x]}, ...]`` in one
+    pass.  Each distinct bit pattern is written once (``-0.0`` apart from ``0.0``): a stationary
+    model's ``2^n`` values are its ``n + 1`` Moran values."""
     text = json.dumps(doc, indent=indent)
     if rho is not None:
         at1, at2, at3 = ("" if indent is None else "\n" + " " * (indent * d) for d in (1, 2, 3))
         comma = "," if at1 else ", "
-        row = "{" + at3 + '"mask": %d' + comma + at3 + '"value": %r' + at2 + "}"
-        rows = (comma + at2).join([row % pair for pair in enumerate(rho)])
+        bits, which = np.unique(rho.view(np.uint64), return_inverse=True)
+        tails = [f'{comma}{at3}"value": {value!r}{at2}}}' for value in bits.view(float).tolist()]
+        head = "{" + at3 + '"mask": '
+        rows = (comma + at2).join([f"{head}{x}{tails[i]}" for x, i in enumerate(which.tolist())])
         text = text.replace('"rho": null', '"rho": [' + at2 + rows + at1 + "]", 1)
     sys.stdout.write(text + "\n")
 
@@ -87,7 +91,7 @@ def _cmd_exact(args, argv) -> int:
     }
     if report.rho_alpha is not None:
         doc["rho_alpha"] = report.rho_alpha
-    _emit(doc, args.json_indent, report.rho.tolist())
+    _emit(doc, args.json_indent, report.rho)
     return 0
 
 

@@ -25,7 +25,9 @@ The reference values are the classic well-mixed fixation probabilities
 
 from __future__ import annotations
 
+import logging
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import partial, reduce
 
@@ -49,6 +51,8 @@ MAX_LEVEL_ATOMS = 10**6
 _CERTIFY_BLOCK = 1 << 14
 _EPS = float(np.finfo(float).eps)
 _NEUTRAL_TOL = 1e-12
+#: Where :func:`_fixation_stack` logs the route of its models.
+_log = logging.getLogger("spatialmoran")
 
 
 def moran_rho(i: int, n: int, r: float) -> float:
@@ -266,7 +270,8 @@ def _closed_form(W: np.ndarray, mu: np.ndarray, r: float):
     """``(h, SolverInfo)`` of a model under a stationary policy, with no matrix held, else
     ``None``.  Each jump then raises the level with probability ``r / (1 + r)``, so ``h`` and
     ``T`` are the Moran value and the gambler's-ruin time of each level, which one blocked pass
-    certifies unless a configuration never changes or they miss the GMRES targets."""
+    certifies unless a configuration never changes or they miss the GMRES targets.  The pass
+    stops at the first block that misses them: both residuals only grow, and ``tau`` shrinks."""
     n, j = len(mu), np.arange(len(mu) + 1)
     moran, levels = _moran_by_level(n, r), _mask_levels(n)
     t = j * (n - j) if abs(r - 1.0) <= _NEUTRAL_TOL else (n * moran - j) * (r + 1.0) / (r - 1.0)
@@ -281,8 +286,10 @@ def _closed_form(W: np.ndarray, mu: np.ndarray, r: float):
         residual = np.maximum(residual, (  # ||b - A h|| and ||1 - A T||, h 0 and 1 at the ends
             np.abs(np.einsum("xu,xu->x", jumps, moran[near]) - moran[here]).max(),
             np.abs(1.0 - t[here] + np.einsum("xu,xu->x", jumps, t[near])).max()))
-    drift, tau, bound = _certificate(np.abs(t).max(), residual[1], n + 2)
-    bound = float(bound(residual[0])) if drift <= 0.01 and residual[0] <= tau else math.inf
+        drift, tau, bound = _certificate(np.abs(t).max(), residual[1], n + 2)
+        if not (drift <= 0.01 and residual[0] <= tau):
+            return None
+    bound = float(bound(residual[0]))
     certified = bound <= SOLVE_RESIDUAL_TOL
     return (moran[levels[1:-1]], SolverInfo("closed-form", 0, bound)) if certified else None
 
@@ -293,6 +300,8 @@ def _fixation_stack(W: np.ndarray, mu: np.ndarray, r: np.ndarray):
     policies ``mu`` ``(k, n)`` and fitnesses ``r`` ``(k,)``, which get the checks of
     ``SelectionPolicy`` and ``MicSMPModel``.  Row ``i`` is bitwise
     :func:`fixation_probabilities` of model ``i``; errors name the model when ``k > 1``.
+    Each call logs one DEBUG record: ``n``, the models per method, the largest bound, and how
+    many models offered the closed form declined it.
     """
     k, n = mu.shape
     if W.shape != (k, n, n) or r.shape != (k,):
@@ -303,9 +312,10 @@ def _fixation_stack(W: np.ndarray, mu: np.ndarray, r: np.ndarray):
     _require_fitness(r)
     m, labels = (1 << n) - 2, [f"model {i}: " for i in range(k)] if k > 1 else [""]
     h, solvers = np.empty((k, m)), [None] * k
-    for i in range(k) if m > _DENSE_MAX_ROWS else ():  # the paper's answer, where it certifies
-        if np.abs(mu[i] @ W[i] - mu[i]).max() <= STOCHASTIC_TOL and (
-                certified := _closed_form(W[i], mu[i], float(r[i]))):
+    offered = [i for i in (range(k) if m > _DENSE_MAX_ROWS else ())
+               if np.abs(mu[i] @ W[i] - mu[i]).max() <= STOCHASTIC_TOL]
+    for i in offered:  # the paper's answer, where it certifies
+        if certified := _closed_form(W[i], mu[i], float(r[i])):
             h[i], solvers[i] = certified
     if todo := [i for i in range(k) if solvers[i] is None]:
         named = [labels[i] for i in todo]
@@ -316,6 +326,12 @@ def _fixation_stack(W: np.ndarray, mu: np.ndarray, r: np.ndarray):
         h[todo], solved = X[:, :, 0], iter(solved)
         solvers = [solver or next(solved) for solver in solvers]
     bound = np.array([solver.residual for solver in solvers])
+    if _log.isEnabledFor(logging.DEBUG):
+        methods = sorted(Counter(solver.method for solver in solvers).items())
+        declined = sum(solvers[i].method != "closed-form" for i in offered)
+        _log.debug("exact solve n=%d: %s; largest bound %.3e; closed form declined by %d of %d",
+                   n, ", ".join(f"{name} {count}" for name, count in methods), bound.max(),
+                   declined, len(offered))
     escaped = (h.min(axis=1) < -bound) | (h.max(axis=1) > 1.0 + bound)
     if escaped.any():
         raise NumericalFailure(f"{labels[int(escaped.argmax())]}"

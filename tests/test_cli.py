@@ -135,6 +135,18 @@ class TestExactCommand:
         assert out == json.dumps(doc, indent=indent) + "\n"
 
 
+@pytest.mark.parametrize("indent", [None, 0, 2])
+def test_emit_writes_each_bit_pattern_as_json_dumps_does(capsys, indent):
+    # repeated values, -0.0 beside 0.0, the least subnormal, and values of 17 digits
+    rho = np.array([0.0, -0.0, 1 / 3, 1 / 3, 5e-324, 0.1 + 0.2, -0.0, 1.0,
+                    np.nextafter(0.1, 1.0), 0.0, 5e-324, 0.1 + 0.2, 1.0])
+    # the key is matched, not a string that holds it (json.dumps escapes its quotes)
+    doc = {"manifest": {"note": '"rho": null'}, "rho": None, "after": [0.5]}
+    cli_module._emit(doc, indent, rho)
+    rows = [{"mask": mask, "value": value} for mask, value in enumerate(rho.tolist())]
+    assert capsys.readouterr().out == json.dumps(dict(doc, rho=rows), indent=indent) + "\n"
+
+
 class TestSimulateCommand:
     def test_galanis_estimate(self, capsys, schema):
         code, doc = run_json(capsys, schema, "simulate", "--model", "@galanis",

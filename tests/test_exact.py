@@ -1,3 +1,4 @@
+import logging
 import math
 import tracemalloc
 from fractions import Fraction
@@ -563,6 +564,34 @@ class TestClosedForm:
         assert T.max() * h_residual <= report.solver.residual <= 1e-11
         assert np.abs(report.rho[1:-1] - h).max() <= report.solver.residual
 
+    @pytest.mark.parametrize("shift, blocks", [(0.0, 2), (8e-13, 1)])
+    def test_a_miss_stops_the_pass_at_its_first_block(self, monkeypatch, shift, blocks):
+        # n = 15 makes two blocks; a policy about 8.5e-13 off stationary is offered the route,
+        # and its first block's ||b - A h|| already exceeds every tau the drift allows
+        n, r = 15, 2.0
+        W = random_strongly_connected_weights(n, np.random.default_rng(440))
+        mu = stationary_distribution(W).pi + shift * (np.eye(n)[0] - np.eye(n)[1])
+        model = build_model(W, mu=mu, r=r)
+        assert model.stationarity_gap() <= 1e-12
+        sizes = []
+
+        def flip_masses(*args):
+            sizes.append(len(args[3]))
+            return _flip_masses(*args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(exact, "_flip_masses", flip_masses)
+            certified = exact._closed_form(W.entries, mu, r)
+        assert sizes == [exact._CERTIFY_BLOCK, (1 << n) - 2 - exact._CERTIFY_BLOCK][:blocks]
+        assert (certified is None) == (blocks == 1)
+        if certified is None:  # a miss takes the GMRES route, as when the pass ran to its end
+            report = fixation_probabilities(model)
+            with monkeypatch.context() as patch:
+                without_closed_form(patch)
+                fallback = fixation_probabilities(model)
+            assert report.solver.method == "iterative"
+            assert np.array_equal(report.rho, fallback.rho) and report.solver == fallback.solver
+
     def test_memory_stays_below_a_quarter_of_the_matrix(self):
         n = 18
         model = build_model(random_strongly_connected_weights(n, np.random.default_rng(430)),
@@ -675,6 +704,24 @@ class TestFixationStack:
         monkeypatch.setattr(exact, "SOLVE_RESIDUAL_TOL", float(np.sort(bounds)[-2]))
         with pytest.raises(NumericalFailure, match=f"^model {worst}: certified error bound"):
             _fixation_stack(W, mu, r)
+
+    def test_a_stack_logs_its_route_once(self, caplog):
+        # stationary (certified in closed form), not stationary, and about 8.5e-13 off
+        # stationary (offered the closed form, declined)
+        n = 11
+        W = random_strongly_connected_weights(n, np.random.default_rng(410))
+        pi = stationary_distribution(W).pi
+        other = TestCertifiedSolve.nonstationary_model()
+        mu = np.stack((pi, other.mu.mu, pi + 8e-13 * (np.eye(n)[0] - np.eye(n)[1])))
+        caplog.set_level(logging.DEBUG, logger="spatialmoran")
+        W = np.stack((W.entries, other.W.entries, W.entries))
+        _, solvers = _fixation_stack(W, mu, np.full(3, 2.0))
+        assert [solver.method for solver in solvers] == ["closed-form", "iterative", "iterative"]
+        (record,) = caplog.records
+        assert (record.name, record.levelno) == ("spatialmoran", logging.DEBUG)
+        bound = max(solver.residual for solver in solvers)
+        assert record.getMessage() == (f"exact solve n=11: closed-form 1, iterative 2; largest "
+                                       f"bound {bound:.3e}; closed form declined by 1 of 2")
 
     @pytest.mark.parametrize("shapes", [((3, 3, 3), (3, 4), (3,)), ((3, 4, 4), (2, 4), (3,)),
                                         ((3, 4, 4), (3, 4), (2,)), ((3, 3, 4), (3, 3), (3,))])
