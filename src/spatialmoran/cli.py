@@ -14,6 +14,7 @@ import json
 import os
 import sys
 from datetime import datetime, timezone
+from functools import lru_cache
 
 import numpy as np
 
@@ -154,7 +155,9 @@ def _cmd_verify(args, argv) -> int:
     return 0 if ok else 1
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: ``parse_args`` leaves it as it was."""
     parser = argparse.ArgumentParser(
         prog="spatialmoran",
         description="Fixation probabilities of spatial Moran processes on weighted digraphs.",

@@ -1,12 +1,13 @@
 """Monte Carlo estimation of fixation probabilities.
 
 Trials are reproducible and embarrassingly parallel: trial ``t`` consumes an
-independent Philox stream positioned at counter ``t`` under the run seed, one
-uniform per step, so results are bit-identical for any worker count and any
-partition of the trial range.  The default event-driven mode samples only
-state-changing transitions (idle steps keep the configuration and therefore
-cannot affect which absorbing state is hit); faithful mode samples the
-one-step law including idles and exists to validate that shortcut.
+independent Philox stream under the run seed, uniforms ``4 k .. 4 k + 3``
+from the counter ``(t + 1, k, 0, 0)``, one uniform per step, so results are
+bit-identical for any worker count and any partition of the trial range.
+The default event-driven mode samples only state-changing transitions (idle
+steps keep the configuration and therefore cannot affect which absorbing
+state is hit); faithful mode samples the one-step law including idles and
+exists to validate that shortcut.
 
 Two samplers draw from the same law, and one block driver runs both.  Each
 offers the same four members: ``begin`` builds the state of a batch of
@@ -16,18 +17,19 @@ and ``handoff`` is the fewest walking trials worth a lockstep step.  Both
 ``step`` and ``resume`` report fate codes: 0 while a trial walks, then 1
 (fixation), 2 (extinction) or 3 (censored).  Trials go in blocks of
 :data:`BLOCK_TRIALS` (``2^14``), fewer where a block's ``(trials, n)`` arrays
-would pass 2^20 entries.  Every uniform comes from one vectorised Philox
-kernel: its first evaluation in a block draws uniform 0 of every trial,
-which picks its start; later ones draw the next four uniforms of every
-walking trial, or several times four when few walk.  Philox is
-counter-based, so these are exactly the uniforms of the per-trial streams,
-and the counts for a given seed are bit-identical to walking the trials one
-at a time.  A lockstep step costs a fixed number of NumPy calls however few
-trials walk, so while fewer than ``handoff`` walk (the tail of a block, a
-short run) each goes on through ``resume`` over the uniforms already drawn
-for it, and the next evaluation draws only for the trials still walking.  A
-single trajectory is a state of one row, walked by ``resume`` from the start
-on trial 0's uniforms.
+would pass 2^20 entries.  The first draw in a block takes uniforms 0..3 of
+every trial (uniform 0 picks its start), later ones the next four of every
+walking trial: while :data:`_PHILOX_COUNTERS` or more walk, by one call of
+NumPy's C Philox (which steps the trial word) over the whole block, else by
+a vectorised Philox kernel, several times four uniforms when few walk.
+Philox is counter-based, so these are exactly the uniforms of the per-trial
+streams, and the counts for a given seed are bit-identical to walking the
+trials one at a time.  A lockstep step costs a fixed number of NumPy calls
+however few trials walk, so while fewer than ``handoff`` walk (the tail of a
+block, a short run) each goes on through ``resume`` over the uniforms
+already drawn for it, and the next draw covers only the trials still
+walking.  A single trajectory is a state of one row, walked by ``resume``
+from the start on trial 0's uniforms.
 
 Up to ``n = 12`` (:data:`TABLE_MAX_VERTICES`) every transient configuration
 gets a cumulative sampling table, built up front in one
@@ -96,8 +98,8 @@ LOCKSTEP_MIN_TRIALS = 256
 WALKER_LOCKSTEP_MIN_TRIALS = 32
 #: Most entries of a block's ``(trials, n)`` arrays: 8 MiB per float array.
 _BLOCK_ENTRIES = 1 << 20
-#: Fewest Philox counters one evaluation takes, drawing blocks ahead when few
-#: trials walk: an evaluation costs about 300 NumPy calls however few they are.
+#: Fewest Philox counters one kernel evaluation takes (it costs about 300 NumPy
+#: calls however few), and fewest walking trials one C draw of a block serves.
 _PHILOX_COUNTERS = 1 << 10
 
 
@@ -168,15 +170,14 @@ def _philox_uniforms(seed: int, trials: np.ndarray, block: int, blocks: int = 1)
 
     Row ``k`` of the ``(4 blocks, len(trials))`` result holds uniform
     ``4 block + k``: word ``k % 4`` of Philox4x64-10 (Salmon et al., SC'11) at
-    the counter ``(block + k // 4 + 1, 0, 0, trial)`` under the key
+    the counter ``(trial + 1, block + k // 4, 0, 0)`` under the key
     ``(seed, 0)``, turned into a double as NumPy's ``random()`` turns a word.
-    So trial ``t``'s stream is what ``Generator(Philox(key=seed, counter=(0, 0,
-    0, t))).random()`` draws.  ``trials`` is ``uint64``.
+    So uniforms ``4 k .. 4 k + 3`` of trial ``t`` are what ``Philox(key=seed,
+    counter=(t, k, 0, 0)).random_raw(4)`` draws.  ``trials`` is ``uint64``.
     """
-    c0 = np.repeat(np.arange(block + 1, block + blocks + 1, dtype=_U64)[:, None],
-                   len(trials), axis=1)
-    c1 = c2 = np.zeros_like(c0)
-    c3 = trials
+    c0 = np.broadcast_to(trials + _U64(1), (blocks, len(trials)))
+    c1 = np.broadcast_to(np.arange(block, block + blocks, dtype=_U64)[:, None], c0.shape)
+    c2 = c3 = np.zeros(c0.shape, dtype=_U64)
     for i in range(10):
         hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
         hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
@@ -190,6 +191,17 @@ def _philox_uniforms(seed: int, trials: np.ndarray, block: int, blocks: int = 1)
     uniforms = words.astype(np.float64)
     uniforms *= 2.0**-53
     return uniforms
+
+
+def _block_uniforms(seed: int, first: int, count: int, block: int) -> np.ndarray:
+    """:func:`_philox_uniforms` of one block for trials ``first .. first + count - 1``,
+    transposed: one draw of NumPy's C Philox, which steps the trial word."""
+    words = np.random.Philox(key=seed, counter=[first, block, 0, 0]).random_raw(4 * count)
+    words >>= _U64(11)
+    uniforms = words.view(np.float64)
+    np.copyto(uniforms, words, casting="unsafe")  # element by element, each read before written
+    uniforms *= 2.0**-53
+    return uniforms.reshape(count, 4)
 
 
 #: Outcome of each fate code of ``step`` and ``resume``; code 0 marks a trial still walking.
@@ -451,7 +463,7 @@ def _run_range(model: MicSMPModel, mode: str, alpha_cum, alpha_masks, seed: int,
     counts = np.zeros(len(_OUTCOMES), dtype=np.int64)
     for first in range(lo, hi, block):
         trials = np.arange(first, min(first + block, hi), dtype=_U64)
-        uniforms = _philox_uniforms(seed, trials, 0).T
+        uniforms = _block_uniforms(seed, first, len(trials), 0)
         state, fate = sampler.begin(alpha_masks, np.searchsorted(alpha_cum, uniforms[:, 0]))
         walking, step, lane = len(trials), 0, 1  # the next step takes uniform step + 1
         while True:
@@ -466,8 +478,13 @@ def _run_range(model: MicSMPModel, mode: str, alpha_cum, alpha_masks, seed: int,
             if not walking:
                 break
             if lane == uniforms.shape[1]:  # uniform step + 1 starts a Philox block
-                blocks = max(1, _PHILOX_COUNTERS // walking)
-                uniforms = _philox_uniforms(seed, trials[:walking], (step + 1) // 4, blocks).T
+                pblock = (step + 1) // 4
+                if walking >= _PHILOX_COUNTERS:  # one C draw for the block; the walking rows
+                    uniforms = _block_uniforms(seed, first, len(trials), pblock)
+                    uniforms = uniforms[trials[:walking] - first]
+                else:
+                    blocks = max(1, _PHILOX_COUNTERS // walking)
+                    uniforms = _philox_uniforms(seed, trials[:walking], pblock, blocks).T
                 lane = 0
             if walking >= sampler.handoff:
                 span = 1

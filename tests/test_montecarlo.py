@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -35,6 +36,7 @@ from spatialmoran.montecarlo import (
     LOCKSTEP_MIN_TRIALS,
     TABLE_MAX_VERTICES,
     WALKER_LOCKSTEP_MIN_TRIALS,
+    _block_uniforms,
     _philox_uniforms,
     _sampler,
     _Walker,
@@ -44,13 +46,14 @@ GALANIS_SINGLE = InitialDistribution.point_mass(0b001, 3)
 
 
 def _stream(seed, trial, block=0):
-    """Trial ``trial``'s uniforms from uniform ``4 block`` on, by NumPy's own Philox4x64-10,
-    as a ``next_uniform`` callable."""
-    gen = np.random.Generator(np.random.Philox(key=seed, counter=[block, 0, 0, trial]))
+    """Trial ``trial``'s uniforms from uniform ``4 block`` on, as a ``next_uniform`` callable:
+    uniforms ``4 k .. 4 k + 3`` are the words of NumPy's own Philox4x64-10 at counter
+    ``(trial, k, 0, 0)``, one ``Philox`` per block, each turned into ``(word >> 11) 2^-53``."""
 
     def uniforms():
-        while True:
-            yield from gen.random(32).tolist()
+        for k in itertools.count(block):
+            words = np.random.Philox(key=seed, counter=[trial, k, 0, 0]).random_raw(4)
+            yield from ((words >> np.uint64(11)) * 2.0**-53).tolist()
 
     return uniforms().__next__
 
@@ -505,19 +508,35 @@ class TestPhiloxKernel:
             kernel = _philox_uniforms(5, np.array([9], dtype=np.uint64), block, 5)
             assert kernel.ravel().tolist() == draws[4 * block:4 * block + 20]
 
+    def test_c_block_draw_matches_the_kernel(self):
+        # NumPy's Philox steps counter word 0 before its first block, and key=seed
+        # is the key (seed, 0); both make the C draw the kernel's counters
+        for seed in (0, 1, 2**63 + 5, 2**64 - 1):
+            for first in (0, 7, 2**40):
+                trials = np.arange(first, first + 37, dtype=np.uint64)
+                for block in (0, 7, 2**20):
+                    assert np.array_equal(_block_uniforms(seed, first, 37, block),
+                                          _philox_uniforms(seed, trials, block).T)
+
+    def test_words_become_uniforms_as_numpy_random_does(self):
+        bits = np.random.Philox(key=3, counter=[5, 0, 0, 0])
+        words = np.random.Philox(key=3, counter=[5, 0, 0, 0]).random_raw(64)
+        assert ((words >> np.uint64(11)) * 2.0**-53).tolist() == \
+            np.random.Generator(bits).random(64).tolist()
+
 
 #: Per case: the counts of 100 trials, of 2^14 + 37 trials, and of 100 trials with
 #: max_steps 3; then simulate_trajectory from each of two starts, with the default
-#: max_steps and with 3.  Recorded at commit 17dc7b5.
+#: max_steps and with 3.  Recorded on the streams that ``_stream`` draws.
 _TABLE_PINS = {
-    ('galanis', 'event', 0): ([(44, 56, 0), (7763, 8658, 0), (34, 52, 14)], [('EXTINCTION', 2), ('EXTINCTION', 2), ('FIXATION', 2), ('FIXATION', 2)]),
-    ('galanis', 'event', 2**64 - 1): ([(51, 49, 0), (7790, 8631, 0), (40, 46, 14)], [('FIXATION', 3), ('FIXATION', 3), ('FIXATION', 4), ('CENSORED', 3)]),
-    ('galanis', 'faithful', 0): ([(51, 49, 0), (7719, 8702, 0), (23, 42, 35)], [('EXTINCTION', 2), ('EXTINCTION', 2), ('FIXATION', 2), ('FIXATION', 2)]),
-    ('galanis', 'faithful', 2**64 - 1): ([(46, 54, 0), (7677, 8744, 0), (24, 43, 33)], [('FIXATION', 5), ('CENSORED', 3), ('EXTINCTION', 12), ('CENSORED', 3)]),
-    ('random10', 'event', 0): ([(56, 44, 0), (8645, 7776, 0), (0, 20, 80)], [('EXTINCTION', 2), ('EXTINCTION', 2), ('FIXATION', 7), ('CENSORED', 3)]),
-    ('random10', 'event', 2**64 - 1): ([(55, 45, 0), (8596, 7825, 0), (0, 21, 79)], [('FIXATION', 32), ('CENSORED', 3), ('FIXATION', 11), ('CENSORED', 3)]),
-    ('random10', 'faithful', 0): ([(59, 41, 0), (8666, 7755, 0), (0, 2, 98)], [('EXTINCTION', 12), ('CENSORED', 3), ('FIXATION', 22), ('CENSORED', 3)]),
-    ('random10', 'faithful', 2**64 - 1): ([(50, 50, 0), (8642, 7779, 0), (0, 6, 94)], [('FIXATION', 43), ('CENSORED', 3), ('FIXATION', 43), ('CENSORED', 3)]),
+    ('galanis', 'event', 0): ([(43, 57, 0), (7826, 8595, 0), (32, 55, 13)], [('EXTINCTION', 2), ('EXTINCTION', 2), ('FIXATION', 2), ('FIXATION', 2)]),
+    ('galanis', 'event', 2**64 - 1): ([(39, 61, 0), (7930, 8491, 0), (31, 59, 10)], [('FIXATION', 3), ('FIXATION', 3), ('FIXATION', 4), ('CENSORED', 3)]),
+    ('galanis', 'faithful', 0): ([(45, 55, 0), (7780, 8641, 0), (23, 47, 30)], [('EXTINCTION', 2), ('EXTINCTION', 2), ('FIXATION', 2), ('FIXATION', 2)]),
+    ('galanis', 'faithful', 2**64 - 1): ([(45, 55, 0), (7819, 8602, 0), (28, 48, 24)], [('FIXATION', 6), ('CENSORED', 3), ('FIXATION', 7), ('CENSORED', 3)]),
+    ('random10', 'event', 0): ([(47, 53, 0), (8582, 7839, 0), (0, 22, 78)], [('EXTINCTION', 2), ('EXTINCTION', 2), ('FIXATION', 7), ('CENSORED', 3)]),
+    ('random10', 'event', 2**64 - 1): ([(54, 46, 0), (8664, 7757, 0), (0, 19, 81)], [('EXTINCTION', 26), ('CENSORED', 3), ('FIXATION', 9), ('CENSORED', 3)]),
+    ('random10', 'faithful', 0): ([(53, 47, 0), (8682, 7739, 0), (0, 3, 97)], [('EXTINCTION', 14), ('CENSORED', 3), ('EXTINCTION', 84), ('CENSORED', 3)]),
+    ('random10', 'faithful', 2**64 - 1): ([(53, 47, 0), (8659, 7762, 0), (0, 2, 98)], [('FIXATION', 40), ('CENSORED', 3), ('FIXATION', 51), ('CENSORED', 3)]),
 }
 
 
@@ -552,24 +571,24 @@ class TestTableWalkerPins:
 
 #: Per case: the counts of 300 trials from two mutants, with the default max_steps
 #: and with 3; then simulate_trajectory from each of two starts, with the default
-#: max_steps and with 3.  Recorded at commit 832bcab.
+#: max_steps and with 3.  Recorded on the streams that ``_stream`` draws.
 _WALKER_PINS = {
-    ('random13', 'event', 0): ([(150, 150, 0), (0, 49, 251)], [('EXTINCTION', 2), ('EXTINCTION', 2), ('FIXATION', 59), ('CENSORED', 3)]),
-    ('random13', 'event', 2**64 - 1): ([(151, 149, 0), (0, 44, 256)], [('FIXATION', 43), ('CENSORED', 3), ('FIXATION', 29), ('CENSORED', 3)]),
-    ('random13', 'faithful', 0): ([(150, 150, 0), (0, 5, 295)], [('EXTINCTION', 178), ('CENSORED', 3), ('FIXATION', 118), ('CENSORED', 3)]),
-    ('random13', 'faithful', 2**64 - 1): ([(153, 147, 0), (0, 2, 298)], [('EXTINCTION', 14), ('CENSORED', 3), ('EXTINCTION', 13), ('CENSORED', 3)]),
-    ('random16', 'event', 0): ([(157, 143, 0), (0, 59, 241)], [('EXTINCTION', 2), ('EXTINCTION', 2), ('FIXATION', 74), ('CENSORED', 3)]),
-    ('random16', 'event', 2**64 - 1): ([(162, 138, 0), (0, 47, 253)], [('EXTINCTION', 10), ('CENSORED', 3), ('FIXATION', 40), ('CENSORED', 3)]),
-    ('random16', 'faithful', 0): ([(159, 141, 0), (0, 5, 295)], [('FIXATION', 86), ('CENSORED', 3), ('FIXATION', 103), ('CENSORED', 3)]),
-    ('random16', 'faithful', 2**64 - 1): ([(155, 145, 0), (0, 2, 298)], [('FIXATION', 70), ('CENSORED', 3), ('FIXATION', 155), ('CENSORED', 3)]),
-    ('random30', 'event', 0): ([(145, 155, 0), (0, 53, 247)], [('EXTINCTION', 2), ('EXTINCTION', 2), ('FIXATION', 41), ('CENSORED', 3)]),
-    ('random30', 'event', 2**64 - 1): ([(153, 147, 0), (0, 49, 251)], [('FIXATION', 144), ('CENSORED', 3), ('FIXATION', 35), ('CENSORED', 3)]),
-    ('random30', 'faithful', 0): ([(144, 156, 0), (0, 4, 296)], [('FIXATION', 440), ('CENSORED', 3), ('FIXATION', 312), ('CENSORED', 3)]),
-    ('random30', 'faithful', 2**64 - 1): ([(159, 141, 0), (0, 1, 299)], [('FIXATION', 186), ('CENSORED', 3), ('FIXATION', 242), ('CENSORED', 3)]),
-    ('complete40', 'event', 0): ([(15, 285, 0), (0, 79, 221)], [('EXTINCTION', 2), ('EXTINCTION', 2), ('EXTINCTION', 746), ('CENSORED', 3)]),
-    ('complete40', 'event', 2**64 - 1): ([(16, 284, 0), (0, 76, 224)], [('EXTINCTION', 214), ('CENSORED', 3), ('FIXATION', 222), ('CENSORED', 3)]),
-    ('complete40', 'faithful', 0): ([(13, 287, 0), (0, 0, 300)], [('EXTINCTION', 70), ('CENSORED', 3), ('FIXATION', 473), ('CENSORED', 3)]),
-    ('complete40', 'faithful', 2**64 - 1): ([(16, 284, 0), (0, 2, 298)], [('EXTINCTION', 146), ('CENSORED', 3), ('FIXATION', 617), ('CENSORED', 3)]),
+    ('random13', 'event', 0): ([(158, 142, 0), (0, 37, 263)], [('EXTINCTION', 2), ('EXTINCTION', 2), ('FIXATION', 21), ('CENSORED', 3)]),
+    ('random13', 'event', 2**64 - 1): ([(156, 144, 0), (0, 47, 253)], [('FIXATION', 15), ('CENSORED', 3), ('FIXATION', 79), ('CENSORED', 3)]),
+    ('random13', 'faithful', 0): ([(170, 130, 0), (0, 10, 290)], [('FIXATION', 130), ('CENSORED', 3), ('FIXATION', 187), ('CENSORED', 3)]),
+    ('random13', 'faithful', 2**64 - 1): ([(162, 138, 0), (0, 10, 290)], [('FIXATION', 75), ('CENSORED', 3), ('FIXATION', 50), ('CENSORED', 3)]),
+    ('random16', 'event', 0): ([(160, 140, 0), (0, 41, 259)], [('EXTINCTION', 2), ('EXTINCTION', 2), ('FIXATION', 18), ('CENSORED', 3)]),
+    ('random16', 'event', 2**64 - 1): ([(172, 128, 0), (0, 49, 251)], [('FIXATION', 88), ('CENSORED', 3), ('FIXATION', 24), ('CENSORED', 3)]),
+    ('random16', 'faithful', 0): ([(160, 140, 0), (0, 5, 295)], [('EXTINCTION', 88), ('CENSORED', 3), ('FIXATION', 88), ('CENSORED', 3)]),
+    ('random16', 'faithful', 2**64 - 1): ([(154, 146, 0), (0, 5, 295)], [('FIXATION', 115), ('CENSORED', 3), ('FIXATION', 116), ('CENSORED', 3)]),
+    ('random30', 'event', 0): ([(166, 134, 0), (0, 38, 262)], [('EXTINCTION', 2), ('EXTINCTION', 2), ('FIXATION', 83), ('CENSORED', 3)]),
+    ('random30', 'event', 2**64 - 1): ([(155, 145, 0), (0, 52, 248)], [('FIXATION', 78), ('CENSORED', 3), ('FIXATION', 167), ('CENSORED', 3)]),
+    ('random30', 'faithful', 0): ([(159, 141, 0), (0, 3, 297)], [('EXTINCTION', 28), ('CENSORED', 3), ('FIXATION', 230), ('CENSORED', 3)]),
+    ('random30', 'faithful', 2**64 - 1): ([(170, 130, 0), (0, 1, 299)], [('EXTINCTION', 27), ('CENSORED', 3), ('FIXATION', 402), ('CENSORED', 3)]),
+    ('complete40', 'event', 0): ([(18, 282, 0), (0, 58, 242)], [('EXTINCTION', 2), ('EXTINCTION', 2), ('FIXATION', 118), ('CENSORED', 3)]),
+    ('complete40', 'event', 2**64 - 1): ([(14, 286, 0), (0, 76, 224)], [('FIXATION', 422), ('CENSORED', 3), ('FIXATION', 1322), ('CENSORED', 3)]),
+    ('complete40', 'faithful', 0): ([(13, 287, 0), (0, 1, 299)], [('EXTINCTION', 47), ('CENSORED', 3), ('FIXATION', 1475), ('CENSORED', 3)]),
+    ('complete40', 'faithful', 2**64 - 1): ([(9, 291, 0), (0, 2, 298)], [('EXTINCTION', 40), ('CENSORED', 3), ('EXTINCTION', 994), ('CENSORED', 3)]),
 }
 
 
