@@ -6,13 +6,13 @@ fixation probabilities solve ``A h = b`` with ``A = I - J``,
 :func:`~spatialmoran.dynamics.flip_masses` and ``d_x = sum_u f_xu``;
 :func:`_jump_system` writes ``A`` straight into CSR, each row sorted without a sort.
 :func:`_certified_solve` serves every ``n <= 20``, the one size bound: dense LU up to ``n = 10``
-(``solver.method == "dense"``) and restarted GMRES (Saad & Schultz 1986) above (``"iterative"``).
+(``solver.method == "dense"``) and BiCGSTAB (van der Vorst 1992) above (``"iterative"``).
 It also solves ``A T = 1``, the expected number of jumps to absorption (Kemeny & Snell, *Finite
-Markov Chains*), whose maximum certifies the max-norm error of ``h``.  GMRES solves ``T`` first
-(2-norm residual 0.01), then ``h`` from the Moran value of each level.  Under a stationary policy
-(``max|mu W - mu| <= 1e-12``) above ``n = 10``, :func:`_closed_form` certifies ``h``, the Moran
-value (the paper's theorem), and ``T``, the gambler's-ruin time, by level in one blocked pass
-with no matrix (``"closed-form"``, 0 steps); a model that misses the targets goes to GMRES.
+Markov Chains*), whose maximum certifies the max-norm error of ``h``.  BiCGSTAB solves ``T``
+first (2-norm residual 0.01), then ``h`` from the Moran value of each level.  Under a stationary
+policy (``max|mu W - mu| <= 1e-12``) above ``n = 10``, :func:`_closed_form` certifies ``h``, the
+Moran value (the paper's theorem), and ``T``, the gambler's-ruin time, by level in one blocked
+pass with no matrix (``"closed-form"``, 0 steps); a model that misses the targets goes to BiCGSTAB.
 
 The solve has a leading model axis: :func:`_fixation_stack` solves ``k``
 models with the same ``n`` by one stacked LU and certifies each of them, and
@@ -33,7 +33,7 @@ from functools import partial, reduce
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.linalg import gmres
+from scipy.sparse.linalg import bicgstab
 
 from .dynamics import (MicSMPModel, _flip_masses, _flip_totals, _require_exact_size,
                        _require_fitness, _sorted_places)
@@ -42,7 +42,7 @@ from .graph import STOCHASTIC_TOL, Configuration, _integer, _require_policies, l
 
 #: Largest certified max-norm error of the returned fixation probabilities.
 SOLVE_RESIDUAL_TOL = 1e-10
-#: Most rows solved by dense LU, the transient masks of ``n = 10``; GMRES is faster above.
+#: Most rows solved by dense LU, the transient masks of ``n = 10``; BiCGSTAB is faster above.
 _DENSE_MAX_ROWS = 2**10 - 2
 #: Most atoms :meth:`InitialDistribution.level_uniform` enumerates; every level
 #: of an exact-size model fits, since ``C(20, 10) = 184,756``.
@@ -124,8 +124,9 @@ class InitialDistribution:
 
 @dataclass(frozen=True)
 class SolverInfo:
-    """``"dense"`` (LU), ``"iterative"`` (GMRES) or ``"closed-form"`` (a stationary policy above
-    ``n = 10``), GMRES steps (1 for LU, 0 for the closed form), certified error bound."""
+    """``"dense"`` (LU), ``"iterative"`` (BiCGSTAB) or ``"closed-form"`` (a stationary policy
+    above ``n = 10``); BiCGSTAB iterations, two products with ``A`` each (1 for LU, 0 for the
+    closed form); certified error bound."""
 
     method: str
     iterations: int
@@ -198,19 +199,21 @@ def _certificate(t_max: np.ndarray, t_residual: np.ndarray, terms: int):
     return drift, tau, lambda h_residual: t_max / (1.0 - drift) * (h_residual + slack)
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _certified_solve(indptr, indices, data, rhs, terms: int, guess, labels: list):
     """Solve ``A_i X_i = [b_i, 1]`` for ``k`` systems ``A_i = I - J_i`` of ``m`` rows in CSR:
     values ``data[i]`` on a shared ``(indptr, indices)``; ``rhs`` has shape ``(k, m, 2)``.
 
     Up to :data:`_DENSE_MAX_ROWS` rows, one stacked dense LU per chunk of at most
-    ``_DENSE_MAX_ROWS^2`` entries; above, restarted GMRES on each CSR matrix as given.
+    ``_DENSE_MAX_ROWS^2`` entries; above, BiCGSTAB on each CSR matrix as given.
     ``X[i] = [h_i, T_i]``, and the :class:`SolverInfo` of each system carries the
     :func:`_certificate` bound for ``A = I - J_i``; the CSR arrays of ``A^T`` solve with ``A^T``.
-    GMRES solves ``T`` first, to the 2-norm residual 0.01 (the bound grows by at most
+    BiCGSTAB solves ``T`` first, to the 2-norm residual 0.01 (the bound grows by at most
     ``1 / 0.99``), then ``h`` to the max-norm residual ``tau``: ``h`` is the start ``guess(i)``
     if within ``tau``, else a pass from it aims at the 2-norm ``tau sqrt(m)``, and a miss
     resumes from ``h``, at most twice, aiming at ``||r||_2 tau / (2 ||r||_inf)``, unless a pass
-    ran out of restarts; ``iterations`` counts every pass's steps.  Raises
+    ran out of iterations or left NaN; ``iterations`` counts every pass's.  Floating-point
+    warnings are off, so a pass that diverges to overflow or NaN fails the certificate.  Raises
     :class:`NumericalFailure`, opening with ``labels[i]``, when ``||1 - A T||`` reaches 1
     (before solving for ``h``) or a bound exceeds :data:`SOLVE_RESIDUAL_TOL`.
     Each system's solution and bound are bitwise those of its solve alone.
@@ -232,11 +235,12 @@ def _certified_solve(indptr, indices, data, rhs, terms: int, guess, labels: list
     else:
         method = "iterative"
         systems = [csr_matrix((data[i], indices, indptr), shape=(m, m)) for i in range(k)]
-        steps = [[] for _ in range(k)]
-        solve = partial(gmres, restart=50, maxiter=200, callback_type="pr_norm")
+        steps = [[] for _ in range(k)]  # one entry per iteration, not the iterate it is passed
+        tick = [lambda _, count=count: count.append(None) for count in steps]
+        solve = partial(bicgstab, maxiter=5_000)
         for i, A in enumerate(systems):
             X[i, :, 1] = solve(A, rhs[i, :, 1], atol=0.0, rtol=0.01 / math.sqrt(m),
-                               callback=steps[i].append)[0]
+                               callback=tick[i])[0]
             residual[i, 1] = np.abs(rhs[i, :, 1] - A @ X[i, :, 1]).max()
     drift, tau, bound = _certificate(np.abs(X[:, :, 1]).max(axis=1), residual[:, 1], terms)
     unbounded = ~(drift < 1.0)
@@ -250,10 +254,9 @@ def _certified_solve(indptr, indices, data, rhs, terms: int, guess, labels: list
             h, atol = X[i, :, 0], tau[i] * math.sqrt(m)  # atol: a residual of tau in every row
             res = np.abs(rhs[i, :, 0] - A @ h).max()  # no pass if the guess meets tau, else one,
             for _ in range(0 if res.max() <= tau[i] else 3):  # and at most two resumed from h
-                h, info = solve(A, rhs[i, :, 0], x0=h, atol=atol, rtol=0.0,
-                                callback=steps[i].append)
+                h, info = solve(A, rhs[i, :, 0], x0=h, atol=atol, rtol=0.0, callback=tick[i])
                 res = np.abs(rhs[i, :, 0] - A @ h)
-                if res.max() <= tau[i] or info > 0:  # met, or GMRES ran out of restarts
+                if not res.max() > tau[i] or info > 0:  # met or NaN, or out of iterations
                     break
                 atol = math.sqrt(res @ res) * tau[i] / (2.0 * res.max())
             X[i, :, 0], residual[i, 0], iterations[i] = h, res.max(), len(steps[i])
@@ -270,7 +273,7 @@ def _closed_form(W: np.ndarray, mu: np.ndarray, r: float):
     """``(h, SolverInfo)`` of a model under a stationary policy, with no matrix held, else
     ``None``.  Each jump then raises the level with probability ``r / (1 + r)``, so ``h`` and
     ``T`` are the Moran value and the gambler's-ruin time of each level, which one blocked pass
-    certifies unless a configuration never changes or they miss the GMRES targets.  The pass
+    certifies unless a configuration never changes or they miss the BiCGSTAB targets.  The pass
     stops at the first block that misses them: both residuals only grow, and ``tau`` shrinks."""
     n, j = len(mu), np.arange(len(mu) + 1)
     moran, levels = _moran_by_level(n, r), _mask_levels(n)
@@ -347,7 +350,7 @@ def fixation_probabilities(model: MicSMPModel,
     """Solve the absorbing chain for every configuration's fixation probability.
 
     Dense LU up to ``n = 10``; above, ``"closed-form"`` (:func:`_closed_form`) if ``mu`` is
-    stationary and it certifies, else GMRES.  When ``alpha`` is given, the report carries
+    stationary and it certifies, else BiCGSTAB.  When ``alpha`` is given, the report carries
     ``rho_alpha = sum alpha(x) rho_x``; :func:`_fixation_stack` solves many models at once.
 
     Raises :class:`TooLarge` above ``n = 20``, :class:`DegenerateCase` when

@@ -19,9 +19,11 @@ and ``handoff`` is the fewest walking trials worth a lockstep step.  Both
 :data:`BLOCK_TRIALS` (``2^14``), fewer where a block's ``(trials, n)`` arrays
 would pass 2^20 entries.  The first draw in a block takes uniforms 0..3 of
 every trial (uniform 0 picks its start), later ones the next four of every
-walking trial: while :data:`_PHILOX_COUNTERS` or more walk, by one call of
-NumPy's C Philox (which steps the trial word) over the whole block, else by
-a vectorised Philox kernel, several times four uniforms when few walk.
+walking trial: by one call of NumPy's C Philox (which steps the trial word)
+over the whole block while :data:`_PHILOX_COUNTERS` or more walk, or while
+the C draws that one kernel call would replace come to at most
+``4 _PHILOX_COUNTERS`` trial blocks, else by a vectorised Philox kernel,
+several times four uniforms when few walk.
 Philox is counter-based, so these are exactly the uniforms of the per-trial
 streams, and the counts for a given seed are bit-identical to walking the
 trials one at a time.  A lockstep step costs a fixed number of NumPy calls
@@ -99,7 +101,7 @@ WALKER_LOCKSTEP_MIN_TRIALS = 32
 #: Most entries of a block's ``(trials, n)`` arrays: 8 MiB per float array.
 _BLOCK_ENTRIES = 1 << 20
 #: Fewest Philox counters one kernel evaluation takes (it costs about 300 NumPy
-#: calls however few), and fewest walking trials one C draw of a block serves.
+#: calls however few), and fewest walking trials one C draw of any block serves.
 _PHILOX_COUNTERS = 1 << 10
 
 
@@ -478,12 +480,13 @@ def _run_range(model: MicSMPModel, mode: str, alpha_cum, alpha_masks, seed: int,
             if not walking:
                 break
             if lane == uniforms.shape[1]:  # uniform step + 1 starts a Philox block
-                pblock = (step + 1) // 4
-                if walking >= _PHILOX_COUNTERS:  # one C draw for the block; the walking rows
+                pblock, blocks = (step + 1) // 4, max(1, _PHILOX_COUNTERS // walking)
+                # one C draw of the block, then its walking rows, while many walk or the
+                # ``blocks`` C draws one kernel call would save cost less than its fixed cost
+                if walking >= _PHILOX_COUNTERS or len(trials) * blocks <= 4 * _PHILOX_COUNTERS:
                     uniforms = _block_uniforms(seed, first, len(trials), pblock)
                     uniforms = uniforms[trials[:walking] - first]
                 else:
-                    blocks = max(1, _PHILOX_COUNTERS // walking)
                     uniforms = _philox_uniforms(seed, trials[:walking], pblock, blocks).T
                 lane = 0
             if walking >= sampler.handoff:

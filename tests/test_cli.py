@@ -100,7 +100,7 @@ class TestExactCommand:
         assert first == second
 
     @pytest.mark.parametrize("indent", [None, 0, 2])
-    # dense LU; a stationary policy certified in closed form; GMRES for a policy that is not
+    # dense LU; a stationary policy certified in closed form; BiCGSTAB for a policy that is not
     @pytest.mark.parametrize("model", ["@galanis", "@complete:11",
                                        pytest.param(MIXED_POLICY, id="@complete:11-mu")])
     @pytest.mark.parametrize("init", [(), ("--init", "level:1:uniform")])

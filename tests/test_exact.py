@@ -1,5 +1,6 @@
 import logging
 import math
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 from scipy.sparse import csr_matrix, identity
+from scipy.sparse.linalg import gmres
 
 from spatialmoran import (
     AtomOnAbsorbing,
@@ -227,7 +229,7 @@ class TestFixationProbabilities:
             fixation_probabilities(huge)
 
     def test_sparse_iterative_path_above_dense_limit(self, monkeypatch):
-        # n = 13 is above the dense LU branch: CSR matrix + GMRES, which a stationary model
+        # n = 13 is above the dense LU branch: CSR matrix + BiCGSTAB, which a stationary model
         # reaches when its closed-form certificate misses
         without_closed_form(monkeypatch)
         model = build_model(complete_graph_weights(13), mu="uniform", r=2.0)
@@ -238,7 +240,7 @@ class TestFixationProbabilities:
 
 
 def without_closed_form(monkeypatch):
-    """Send stationary models above the dense size to GMRES, as when their closed-form
+    """Send stationary models above the dense size to BiCGSTAB, as when their closed-form
     residuals miss the targets."""
     monkeypatch.setattr(exact, "_closed_form", lambda *args: None)
 
@@ -305,7 +307,7 @@ class TestCertifiedSolve:
                     for mask in range(1 << n))
         assert error <= report.solver.residual <= 1e-10
 
-    def test_gmres_against_dense_solve(self):
+    def test_bicgstab_against_dense_solve(self):
         rng = np.random.default_rng(54)
         n = 11
         W = random_strongly_connected_weights(n, rng)
@@ -331,22 +333,22 @@ class TestCertifiedSolve:
             assert error <= report.solver.residual <= 1e-10
 
     @staticmethod
-    def recorded_gmres(monkeypatch, result=None):
-        """Record (a copy of) the ``x0`` of every GMRES call; return ``result(b)`` instead
+    def recorded_bicgstab(monkeypatch, result=None):
+        """Record (a copy of) the ``x0`` of every BiCGSTAB call; return ``result(b)`` instead
         when given."""
-        calls, original = [], exact.gmres
+        calls, original = [], exact.bicgstab
 
-        def gmres(A, b, x0=None, **options):
+        def bicgstab(A, b, x0=None, **options):
             calls.append(None if x0 is None else x0.copy())
             return (result(b), 0) if result else original(A, b, x0=x0, **options)
 
-        monkeypatch.setattr(exact, "gmres", gmres)
+        monkeypatch.setattr(exact, "bicgstab", bicgstab)
         return calls
 
     @pytest.mark.parametrize("model", ["stationary", "ring"])
     def test_stationary_solves_stop_near_n_steps(self, monkeypatch, model):
-        # rho is constant on each level, so the Krylov space closes after about n steps;
-        # a 2-norm target below MGS-GMRES's rounding floor would spin on to the restart
+        # rho is constant on each level, so the Krylov space closes after about n products
+        # with A; a 2-norm target below the solver's rounding floor would spin on to its limit
         without_closed_form(monkeypatch)
         if model == "ring":
             n, W = 15, ring_weights(15, 0.9)
@@ -373,7 +375,7 @@ class TestCertifiedSolve:
         return np.array([moran_rho(mask.bit_count(), n, r) for mask in range(1, (1 << n) - 1)])
 
     def test_a_missed_target_resumes_from_h(self, monkeypatch):
-        calls = self.recorded_gmres(monkeypatch)
+        calls = self.recorded_bicgstab(monkeypatch)
         model = self.nonstationary_model()
         W, mu = model.W, model.mu.mu
         report = fixation_probabilities(model)
@@ -389,49 +391,87 @@ class TestCertifiedSolve:
         assert np.abs(report.rho[1:-1] - h).max() <= report.solver.residual <= 1e-11
 
     def test_unbounded_absorption_time_raises_before_h(self, monkeypatch):
-        calls = self.recorded_gmres(monkeypatch, result=np.zeros_like)  # T = 0: ||1 - A T|| = 1
+        calls = self.recorded_bicgstab(monkeypatch, result=np.zeros_like)  # T = 0: ||1 - A T|| = 1
         with pytest.raises(NumericalFailure, match="absorption-time residual"):
             fixation_probabilities(self.nonstationary_model())
         assert calls == [None]
 
-    def test_a_pass_out_of_restarts_is_the_last(self, monkeypatch):
-        # every pass on h stops after one restart of two steps, short of its target:
+    def test_a_pass_out_of_iterations_is_the_last(self, monkeypatch):
+        # every pass on h stops after one iteration, short of its target:
         # the bound check raises after that pass, with no pass resumed from h
-        passes, original = [], exact.gmres
+        passes, original = [], exact.bicgstab
 
-        def gmres(A, b, x0=None, **options):
+        def bicgstab(A, b, x0=None, **options):
             if not passes:  # A T = 1 as usual
                 passes.append("T")
                 return original(A, b, x0=x0, **options)
             passes.append("h")
-            h, info = original(A, b, x0=x0, **{**options, "restart": 2, "maxiter": 1})
+            h, info = original(A, b, x0=x0, **{**options, "maxiter": 1})
             assert info > 0
             return h, info
 
-        monkeypatch.setattr(exact, "gmres", gmres)
+        monkeypatch.setattr(exact, "bicgstab", bicgstab)
         # not stationary, so the Moran guess misses tau and the first pass runs
         with pytest.raises(NumericalFailure, match="certified error bound"):
             fixation_probabilities(self.nonstationary_model())
         assert passes == ["T", "h"]
 
+    def test_a_breakdown_fails_the_bound(self, monkeypatch):
+        # a pass on h that breaks down (info < 0) resumes from its h like a miss; one that
+        # leaves NaN starts no further pass, and its NaN residual fails the bound check
+        passes, original = [], exact.bicgstab
+
+        def bicgstab(A, b, x0=None, **options):
+            passes.append("h" if passes else "T")
+            if len(passes) == 1:  # A T = 1 as usual
+                return original(A, b, x0=x0, **options)
+            return (x0.copy(), -10) if len(passes) == 2 else (np.full_like(b, np.nan), -10)
+
+        monkeypatch.setattr(exact, "bicgstab", bicgstab)
+        with pytest.raises(NumericalFailure, match="certified error bound nan"):
+            fixation_probabilities(self.nonstationary_model())
+        assert passes == ["T", "h", "h"]
+
+    @pytest.mark.parametrize("n", [11, 13])
+    @pytest.mark.parametrize("policy", ["uniform", "random"])
+    @pytest.mark.parametrize("r", [0.5, 1.0, 1.05, 3.0])
+    def test_nonstationary_models_are_certified(self, n, policy, r):
+        # at n = 13 the dense matrix would take 512 MiB: the reference is SciPy's GMRES
+        # driven to a 2-norm residual of 1e-14, far below the bound
+        rng = np.random.default_rng([n, round(r * 100)])
+        W = random_strongly_connected_weights(n, rng)
+        mu = rng.uniform(0.2, 1.0, n) if policy == "random" else np.ones(n)
+        model = build_model(W, mu=mu / mu.sum(), r=r)
+        report = fixation_probabilities(model)
+        assert report.solver.method == "iterative"
+        indptr, indices, data, rhs = _jump_system(W.entries[None], model.mu.mu[None],
+                                                  np.array([r]), [""])
+        A = csr_matrix((data[0], indices, indptr))
+        if n == 11:
+            h = np.linalg.solve(A.toarray(), rhs[0, :, 0])
+        else:
+            h, info = gmres(A, rhs[0, :, 0], rtol=1e-14, atol=0.0, restart=200, maxiter=50)
+            assert info == 0
+        assert np.abs(report.rho[1:-1] - h).max() <= report.solver.residual <= 1e-11
+
     @pytest.mark.parametrize("n", [11, 13])
     @pytest.mark.parametrize("r", [1.0, 3.0])
     def test_stationary_solves_start_at_the_answer(self, monkeypatch, n, r):
-        # under stationary selection rho is the Moran value of each level, and GMRES
+        # under stationary selection rho is the Moran value of each level, and BiCGSTAB
         # starts h there: h is that guess bit for bit, and only A T = 1 takes steps
         without_closed_form(monkeypatch)
-        steps, original = [], exact.gmres
+        steps, original = [], exact.bicgstab
 
-        def gmres(A, b, x0=None, callback=None, **options):
+        def bicgstab(A, b, x0=None, callback=None, **options):
             steps.append(0)
 
-            def count(norm):
+            def count(x):
                 steps[-1] += 1
-                callback(norm)
+                callback(x)
 
             return original(A, b, x0=x0, callback=count, **options)
 
-        monkeypatch.setattr(exact, "gmres", gmres)
+        monkeypatch.setattr(exact, "bicgstab", bicgstab)
         rng = np.random.default_rng(n)
         model = build_model(random_strongly_connected_weights(n, rng), mu="stationary", r=r)
         report = fixation_probabilities(model)
@@ -441,16 +481,16 @@ class TestCertifiedSolve:
         assert report.solver.residual <= 1e-10
 
     def test_a_target_below_rounding_fails_the_bound(self, monkeypatch):
-        # tau less the slack is negative here; GMRES aims at the slack instead
+        # tau less the slack is negative here; BiCGSTAB aims at the slack instead
         monkeypatch.setattr(exact, "_DENSE_MAX_ROWS", 2)
         monkeypatch.setattr(exact, "SOLVE_RESIDUAL_TOL", 1e-16)
         with pytest.raises(NumericalFailure, match="certified error bound"):
             fixation_probabilities(galanis_model(2.0))
 
-    @pytest.mark.parametrize("N, r", [(3, 2.0), (100, 1.5), (300, 1.0), (1000, 0.7)])
-    def test_complete_graph_birth_death_chain(self, N, r):
-        # the mutant count of @complete:N rises with probability r / (1 + r) per jump;
-        # row k holds k + 1 mutants
+    @staticmethod
+    def birth_death_chain(N, r):
+        """``_certified_solve`` on the mutant count of @complete:N, which rises with
+        probability r / (1 + r) per jump; row k holds k + 1 mutants."""
         up = r / (1.0 + r)
         k = np.arange(N - 2)
         rows, cols = np.concatenate((k, k + 1)), np.concatenate((k + 1, k))
@@ -459,21 +499,33 @@ class TestCertifiedSolve:
         rhs[:, 0] = 0.0
         rhs[-1, 0] = up
         A = identity(N - 1, format="csr") - csr_matrix((jump, (rows, cols)), shape=(N - 1, N - 1))
-        X, (solver,) = _certified_solve(A.indptr, A.indices, A.data[None], rhs[None], terms=4,
-                                        guess=lambda i: np.zeros(N - 1), labels=[""])
+        return _certified_solve(A.indptr, A.indices, A.data[None], rhs[None], terms=4,
+                                guess=lambda i: np.zeros(N - 1), labels=[""])
+
+    @pytest.mark.parametrize("N, r", [(3, 2.0), (100, 1.5), (300, 1.0), (1000, 0.7)])
+    def test_complete_graph_birth_death_chain(self, N, r):
+        X, (solver,) = self.birth_death_chain(N, r)
         error = np.abs(X[0, :, 0] - [moran_rho(i, N, r) for i in range(1, N)]).max()
         assert error <= solver.residual <= 1e-10
+
+    def test_a_diverging_chain_fails_loudly(self):
+        # above the dense cut BiCGSTAB diverges on this chain; the overflow reaches the
+        # certificate as NumericalFailure, not as a NumPy warning, and within a second
+        start = time.perf_counter()
+        with pytest.raises(NumericalFailure, match="absorption-time residual"):
+            self.birth_death_chain(1500, 1.5)
+        assert time.perf_counter() - start < 1.0
 
 
 class TestClosedForm:
     """Stationary models above the dense size: the Moran value by level, certified by one
-    blocked residual pass with no matrix and no GMRES."""
+    blocked residual pass with no matrix and no BiCGSTAB."""
 
     @staticmethod
     def recorded_solvers(monkeypatch):
-        """Wrap ``_jump_system`` and ``gmres``; return the list of the names called."""
+        """Wrap ``_jump_system`` and ``bicgstab``; return the list of the names called."""
         calls = []
-        for name in ("_jump_system", "gmres"):
+        for name in ("_jump_system", "bicgstab"):
             def wrapper(*args, _name=name, _original=getattr(exact, name), **options):
                 calls.append(_name)
                 return _original(*args, **options)
@@ -482,8 +534,8 @@ class TestClosedForm:
         return calls
 
     def assert_closed_form(self, monkeypatch, model):
-        """The route is taken with no matrix and no GMRES, ``rho`` is the Moran vector bit
-        for bit, and the bound is within a factor 2 of the one GMRES certifies."""
+        """The route is taken with no matrix and no BiCGSTAB, ``rho`` is the Moran vector bit
+        for bit, and the bound is within a factor 2 of the one BiCGSTAB certifies."""
         n, r = model.n, model.r
         with monkeypatch.context() as patch:
             calls = self.recorded_solvers(patch)
@@ -549,7 +601,7 @@ class TestClosedForm:
     @pytest.mark.parametrize("shift", [1e-13, 8e-13])
     def test_a_policy_near_the_threshold_reports_a_bound_its_residuals_support(self, shift):
         # a gap of about 1e-13 is certified in closed form here, one of about 1e-12 falls
-        # back to GMRES; either way the bound covers the residual and meets its target
+        # back to BiCGSTAB; either way the bound covers the residual and meets its target
         n, r = 11, 2.0
         W = random_strongly_connected_weights(n, np.random.default_rng(420))
         mu = stationary_distribution(W).pi + shift * (np.eye(n)[0] - np.eye(n)[1])
@@ -584,7 +636,7 @@ class TestClosedForm:
             certified = exact._closed_form(W.entries, mu, r)
         assert sizes == [exact._CERTIFY_BLOCK, (1 << n) - 2 - exact._CERTIFY_BLOCK][:blocks]
         assert (certified is None) == (blocks == 1)
-        if certified is None:  # a miss takes the GMRES route, as when the pass ran to its end
+        if certified is None:  # a miss takes the BiCGSTAB route, as when the pass ran to its end
             report = fixation_probabilities(model)
             with monkeypatch.context() as patch:
                 without_closed_form(patch)

@@ -510,13 +510,15 @@ class TestPhiloxKernel:
 
     def test_c_block_draw_matches_the_kernel(self):
         # NumPy's Philox steps counter word 0 before its first block, and key=seed
-        # is the key (seed, 0); both make the C draw the kernel's counters
+        # is the key (seed, 0); both make the C draw the kernel's counters, also over
+        # a block of 400 trials, which takes the C draw while 94 or more walk
         for seed in (0, 1, 2**63 + 5, 2**64 - 1):
             for first in (0, 7, 2**40):
-                trials = np.arange(first, first + 37, dtype=np.uint64)
-                for block in (0, 7, 2**20):
-                    assert np.array_equal(_block_uniforms(seed, first, 37, block),
-                                          _philox_uniforms(seed, trials, block).T)
+                for count in (37, 400):
+                    trials = np.arange(first, first + count, dtype=np.uint64)
+                    for block in (0, 7, 2**20):
+                        assert np.array_equal(_block_uniforms(seed, first, count, block),
+                                              _philox_uniforms(seed, trials, block).T)
 
     def test_words_become_uniforms_as_numpy_random_does(self):
         bits = np.random.Philox(key=3, counter=[5, 0, 0, 0])
