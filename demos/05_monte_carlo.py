@@ -30,7 +30,7 @@ result = estimate_fixation(model, alpha, trials, cfg)
 elapsed = time.perf_counter() - started
 sigma = math.sqrt(exact * (1 - exact) / trials)
 print(f"event-driven, {trials} trials in {elapsed:.2f}s:"
-      f" frequency {result.frequency:.6f} (CI half-width {result.ci_halfwidth:.6f},"
+      f" frequency {result.frequency:.6f} (Wilson z = 3 half-width {result.ci_halfwidth:.6f},"
       f" {abs(result.frequency - exact) / sigma:.2f} sigma from exact)")
 
 for workers in (4, 8):

@@ -11,8 +11,8 @@ It also solves ``A T = 1``, the expected number of jumps to absorption (Kemeny &
 Markov Chains*), whose maximum certifies the max-norm error of ``h``.  BiCGSTAB solves ``T``
 first (2-norm residual 0.01), then ``h`` from the Moran value of each level.  Under a stationary
 policy (``max|mu W - mu| <= 1e-12``) above ``n = 10``, :func:`_closed_form` certifies ``h``, the
-Moran value (the paper's theorem), and ``T``, the gambler's-ruin time, by level in one blocked
-pass with no matrix (``"closed-form"``, 0 steps); a model that misses the targets goes to BiCGSTAB.
+Moran value (the paper's theorem), and ``T``, the gambler's-ruin time, by level from the gap
+``mu W - mu`` in ``O(n^3)`` (``"closed-form"``, 0 steps); a model that misses goes to BiCGSTAB.
 
 The solve has a leading model axis: :func:`_fixation_stack` solves ``k``
 models with the same ``n`` by one stacked LU and certifies each of them, and
@@ -42,13 +42,12 @@ from .graph import STOCHASTIC_TOL, Configuration, _integer, _require_policies, l
 
 #: Largest certified max-norm error of the returned fixation probabilities.
 SOLVE_RESIDUAL_TOL = 1e-10
-#: Most rows solved by dense LU, the transient masks of ``n = 10``; BiCGSTAB is faster above.
+#: Most rows solved by dense LU, the transient masks of ``n = 10``; BiCGSTAB is faster at 9 and
+#: 10 too, but birth-death chains of this size need LU: BiCGSTAB diverges on them.
 _DENSE_MAX_ROWS = 2**10 - 2
 #: Most atoms :meth:`InitialDistribution.level_uniform` enumerates; every level
 #: of an exact-size model fits, since ``C(20, 10) = 184,756``.
 MAX_LEVEL_ATOMS = 10**6
-#: Masks per block of :func:`_closed_form`, each of which rebuilds a subset-sum table.
-_CERTIFY_BLOCK = 1 << 14
 _EPS = float(np.finfo(float).eps)
 _NEUTRAL_TOL = 1e-12
 #: Where :func:`_fixation_stack` logs the route of its models.
@@ -70,9 +69,7 @@ def moran_rho(i: int, n: int, r: float) -> float:
         raise NotStochastic(f"mutant count {i} outside [0, {n}]")
     if i == 0:
         return 0.0
-    if i == n:
-        return 1.0
-    if abs(r - 1.0) <= _NEUTRAL_TOL:
+    if i == n or abs(r - 1.0) <= _NEUTRAL_TOL:
         return i / n
     log_r = math.log1p(r - 1.0) if r - 1.0 != -1.0 else math.log(r)
     try:
@@ -90,8 +87,7 @@ class InitialDistribution:
 
     def __post_init__(self):
         full = (1 << self.n) - 1
-        cleaned = []
-        total = 0.0
+        cleaned, total = [], 0.0
         for mask, weight in self.atoms:
             mask = mask.bits if isinstance(mask, Configuration) else _integer("mask", mask)
             weight = float(weight)
@@ -191,7 +187,7 @@ def _certificate(t_max: np.ndarray, t_residual: np.ndarray, terms: int):
     ``||1 - A T||`` plus slack, is below 1; ``tau`` is the ``||b - A h||`` that puts it at
     ``SOLVE_RESIDUAL_TOL / 10``, less the slack (at least the slack).  The slack ``4 terms eps``
     covers rounding in ``A``, ``b`` and residual rows of ``terms`` terms, each at most 1 per unit
-    of the solution, as in :func:`_closed_form`: bitwise the entries of :func:`_jump_system`."""
+    of the solution; :func:`_closed_form` takes ``n + 2`` for rows of 3 terms, with no ``A``."""
     slack = 4 * terms * _EPS
     drift = t_residual + slack * (1.0 + t_max)
     with np.errstate(divide="ignore", invalid="ignore"):  # tau is read only where drift < 1
@@ -205,9 +201,9 @@ def _certified_solve(indptr, indices, data, rhs, terms: int, guess, labels: list
     values ``data[i]`` on a shared ``(indptr, indices)``; ``rhs`` has shape ``(k, m, 2)``.
 
     Up to :data:`_DENSE_MAX_ROWS` rows, one stacked dense LU per chunk of at most
-    ``_DENSE_MAX_ROWS^2`` entries; above, BiCGSTAB on each CSR matrix as given.
-    ``X[i] = [h_i, T_i]``, and the :class:`SolverInfo` of each system carries the
-    :func:`_certificate` bound for ``A = I - J_i``; the CSR arrays of ``A^T`` solve with ``A^T``.
+    ``_DENSE_MAX_ROWS^2`` entries (BiCGSTAB is faster at ``n = 9`` and 10, but diverges on
+    birth-death chains that long); above, BiCGSTAB on each CSR matrix.  ``X[i] = [h_i, T_i]``
+    with a :func:`_certificate` bound each; the CSR arrays of ``A^T`` solve with ``A^T``.
     BiCGSTAB solves ``T`` first, to the 2-norm residual 0.01 (the bound grows by at most
     ``1 / 0.99``), then ``h`` to the max-norm residual ``tau``: ``h`` is the start ``guess(i)``
     if within ``tau``, else a pass from it aims at the 2-norm ``tau sqrt(m)``, and a miss
@@ -270,31 +266,36 @@ def _certified_solve(indptr, indices, data, rhs, terms: int, guess, labels: list
 
 
 def _closed_form(W: np.ndarray, mu: np.ndarray, r: float):
-    """``(h, SolverInfo)`` of a model under a stationary policy, with no matrix held, else
-    ``None``.  Each jump then raises the level with probability ``r / (1 + r)``, so ``h`` and
-    ``T`` are the Moran value and the gambler's-ruin time of each level, which one blocked pass
-    certifies unless a configuration never changes or they miss the BiCGSTAB targets.  The pass
-    stops at the first block that misses them: both residuals only grow, and ``tau`` shrinks."""
+    """``(h, SolverInfo)`` of a model under a stationary policy, from ``n``-vectors, else
+    ``None``: ``h`` and ``T`` are the Moran value and the gambler's-ruin time by level.  With
+    ``A``, ``B`` the flows of ``W_mu`` out of and into mask ``x`` of level ``l``, the residual
+    there of ``v`` by level is ``e_l(v) + r / (1 + r) (v_{l+1} - v_{l-1}) x.g / (r A + B)``:
+    ``e_l`` in the Moran chain, ``A - B = x.g`` for the exact gap ``g = mu (W 1) - mu W``, and
+    ``r A + B >= min(r, 1) lambda_2 l (n - l) / n`` (Fiedler 1973).  Declines a negative
+    ``W_mu``, a ``lambda_2`` not above its rounding, or residuals that miss BiCGSTAB's targets."""
     n, j = len(mu), np.arange(len(mu) + 1)
-    moran, levels = _moran_by_level(n, r), _mask_levels(n)
+    w_mu = mu[:, None] * W
+    cut = (w_mu + w_mu.T) * (1.0 - np.eye(n))
+    laplacian = np.diag(cut.sum(axis=1)) - cut
+    # Weyl: forming L and eigvalsh each move lambda_2 by a modest multiple of n eps ||L||_F
+    fiedler = np.linalg.eigvalsh(laplacian)[1] - 4 * n * _EPS * np.linalg.norm(laplacian)
+    if (w_mu < 0.0).any() or not fiedler > 0.0:  # :func:`_jump_system` names a stuck mask
+        return None
+    # g exactly: each float64 is an integer times 2^-1074, so each g_v is one times 2^-2148
+    a, w = (np.array([p << 1075 - q.bit_length() for p, q in map(float.as_integer_ratio,
+                     x.ravel().tolist())], object).reshape(x.shape) for x in (mu, W))
+    gap = a * w.sum(axis=1) - a @ w  # ||g|| rounded twice below, so raised by 2 eps
+    norm = math.sqrt(int(gap @ gap) / (1 << 4 * 1074)) * (1.0 + 2 * _EPS)
+    kappa = norm / (min(r, 1.0) * fiedler * np.sqrt(j[1:-1] * (n - j[1:-1]) / n))
+    moran, up, down = _moran_by_level(n, r), r / (1.0 + r), 1.0 / (1.0 + r)
     t = j * (n - j) if abs(r - 1.0) <= _NEUTRAL_TOL else (n * moran - j) * (r + 1.0) / (r - 1.0)
-    residual, bits = np.zeros(2), 1 << np.arange(n)
-    for lo in range(1, len(levels) - 1, _CERTIFY_BLOCK):
-        masks = np.arange(lo, min(lo + _CERTIFY_BLOCK, len(levels) - 1))
-        jumps = _flip_masses(W[None], mu[None], np.array([r]), masks)[0]
-        if not (leave := _flip_totals(jumps)).min() > 0.0:  # :func:`_jump_system` names it
-            return None
-        jumps /= leave[:, None]
-        near, here = levels[masks[:, None] ^ bits], levels[masks]  # h and T go by level
-        residual = np.maximum(residual, (  # ||b - A h|| and ||1 - A T||, h 0 and 1 at the ends
-            np.abs(np.einsum("xu,xu->x", jumps, moran[near]) - moran[here]).max(),
-            np.abs(1.0 - t[here] + np.einsum("xu,xu->x", jumps, t[near])).max()))
-        drift, tau, bound = _certificate(np.abs(t).max(), residual[1], n + 2)
-        if not (drift <= 0.01 and residual[0] <= tau):
-            return None
-    bound = float(bound(residual[0]))
-    certified = bound <= SOLVE_RESIDUAL_TOL
-    return (moran[levels[1:-1]], SolverInfo("closed-form", 0, bound)) if certified else None
+    h_residual, t_residual = (  # ||b - A h|| and ||1 - A T||, h 0 and 1 at the ends
+        (np.abs(b + up * v[2:] + down * v[:-2] - v[1:-1]) + up * np.abs(v[2:] - v[:-2]) * kappa)
+        .max() for b, v in ((0.0, moran), (1.0, t)))
+    drift, tau, bound = _certificate(np.abs(t).max(), t_residual, n + 2)
+    if not (drift <= 0.01 and h_residual <= tau and bound(h_residual) <= SOLVE_RESIDUAL_TOL):
+        return None
+    return moran[_mask_levels(n)[1:-1]], SolverInfo("closed-form", 0, float(bound(h_residual)))
 
 
 def _fixation_stack(W: np.ndarray, mu: np.ndarray, r: np.ndarray):
@@ -349,9 +350,10 @@ def fixation_probabilities(model: MicSMPModel,
                            alpha: InitialDistribution | None = None) -> FixationReport:
     """Solve the absorbing chain for every configuration's fixation probability.
 
-    Dense LU up to ``n = 10``; above, ``"closed-form"`` (:func:`_closed_form`) if ``mu`` is
-    stationary and it certifies, else BiCGSTAB.  When ``alpha`` is given, the report carries
-    ``rho_alpha = sum alpha(x) rho_x``; :func:`_fixation_stack` solves many models at once.
+    Dense LU up to ``n = 10``; above, ``"closed-form"`` (:func:`_closed_form`, no pass over
+    the masks) if ``mu`` is stationary and it certifies, else BiCGSTAB.  When ``alpha`` is
+    given, the report carries ``rho_alpha = sum alpha(x) rho_x``; :func:`_fixation_stack`
+    solves many models at once.
 
     Raises :class:`TooLarge` above ``n = 20``, :class:`DegenerateCase` when
     some transient configuration can never change, and
@@ -363,10 +365,7 @@ def fixation_probabilities(model: MicSMPModel,
         raise NotStochastic("initial distribution dimension mismatch")
     (rho,), (solver,) = _fixation_stack(model.W.entries[None], model.mu.mu[None],
                                         np.array([model.r]))
-    rho_alpha = None
-    if alpha is not None:
-        rho_alpha = float(sum(w * rho[mask] for mask, w in alpha.atoms))
-
+    rho_alpha = None if alpha is None else float(sum(w * rho[mask] for mask, w in alpha.atoms))
     return FixationReport(n=n, r=model.r, rho=rho,
                           per_level_deviation=_per_level_deviation(rho, model.r),
                           solver=solver, rho_alpha=rho_alpha)

@@ -132,7 +132,8 @@ class TrajectoryConfig:
 
 @dataclass(frozen=True)
 class SimulationResult:
-    """Aggregated trial counts; ``frequency`` excludes censored trajectories."""
+    """Aggregated trial counts; ``frequency`` excludes censored trajectories, and
+    ``frequency +/- ci_halfwidth`` holds its Wilson score interval at z = 3, never of width 0."""
 
     trials: int
     fixations: int
@@ -522,10 +523,7 @@ def estimate_fixation(model: MicSMPModel, alpha: InitialDistribution, trials: in
         raise NotStochastic("initial distribution dimension mismatch")
 
     alpha_masks = [mask for mask, _ in alpha.atoms]
-    alpha_cum, acc = [], 0.0
-    for _, w in alpha.atoms:
-        acc += w
-        alpha_cum.append(acc)
+    alpha_cum = list(itertools.accumulate(w for _, w in alpha.atoms))
     alpha_cum[-1] = 1.0
 
     usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
@@ -545,10 +543,12 @@ def estimate_fixation(model: MicSMPModel, alpha: InitialDistribution, trials: in
     effective = trials - censored
     if effective > 0:
         frequency = fixations / effective
-        ci = 3.0 * math.sqrt(frequency * (1.0 - frequency) / effective)
+        # Wilson's score interval at z = 3, shrink = z^2 / N: half-width plus centre's offset
+        shrink = 9.0 / effective
+        ci = (3.0 * math.sqrt((frequency * (1.0 - frequency) + shrink / 4.0) / effective)
+              + shrink * abs(0.5 - frequency)) / (1.0 + shrink)
     else:
-        frequency = math.nan
-        ci = math.nan
+        frequency = ci = math.nan
     return SimulationResult(trials=trials, fixations=fixations,
                             extinctions=extinctions, censored=censored,
                             frequency=frequency, ci_halfwidth=ci,

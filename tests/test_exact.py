@@ -518,14 +518,14 @@ class TestCertifiedSolve:
 
 
 class TestClosedForm:
-    """Stationary models above the dense size: the Moran value by level, certified by one
-    blocked residual pass with no matrix and no BiCGSTAB."""
+    """Stationary models above the dense size: the Moran value by level, certified from the
+    stationarity gap with no flip masses, no matrix and no BiCGSTAB."""
 
     @staticmethod
     def recorded_solvers(monkeypatch):
-        """Wrap ``_jump_system`` and ``bicgstab``; return the list of the names called."""
+        """Wrap ``_flip_masses``, ``_jump_system`` and ``bicgstab``; return the names called."""
         calls = []
-        for name in ("_jump_system", "bicgstab"):
+        for name in ("_flip_masses", "_jump_system", "bicgstab"):
             def wrapper(*args, _name=name, _original=getattr(exact, name), **options):
                 calls.append(_name)
                 return _original(*args, **options)
@@ -534,8 +534,9 @@ class TestClosedForm:
         return calls
 
     def assert_closed_form(self, monkeypatch, model):
-        """The route is taken with no matrix and no BiCGSTAB, ``rho`` is the Moran vector bit
-        for bit, and the bound is within a factor 2 of the one BiCGSTAB certifies."""
+        """The route is taken with no flip masses, no matrix and no BiCGSTAB, ``rho`` is the
+        Moran vector bit for bit, and the bound is within a factor 2 of the one BiCGSTAB
+        certifies."""
         n, r = model.n, model.r
         with monkeypatch.context() as patch:
             calls = self.recorded_solvers(patch)
@@ -616,33 +617,21 @@ class TestClosedForm:
         assert T.max() * h_residual <= report.solver.residual <= 1e-11
         assert np.abs(report.rho[1:-1] - h).max() <= report.solver.residual
 
-    @pytest.mark.parametrize("shift, blocks", [(0.0, 2), (8e-13, 1)])
-    def test_a_miss_stops_the_pass_at_its_first_block(self, monkeypatch, shift, blocks):
-        # n = 15 makes two blocks; a policy about 8.5e-13 off stationary is offered the route,
-        # and its first block's ||b - A h|| already exceeds every tau the drift allows
+    def test_a_declined_model_gets_the_bicgstab_report(self, monkeypatch):
+        # a policy about 8.5e-13 off stationary is offered the route, and its gap bound
+        # already exceeds every tau the drift allows
         n, r = 15, 2.0
         W = random_strongly_connected_weights(n, np.random.default_rng(440))
-        mu = stationary_distribution(W).pi + shift * (np.eye(n)[0] - np.eye(n)[1])
+        mu = stationary_distribution(W).pi + 8e-13 * (np.eye(n)[0] - np.eye(n)[1])
         model = build_model(W, mu=mu, r=r)
         assert model.stationarity_gap() <= 1e-12
-        sizes = []
-
-        def flip_masses(*args):
-            sizes.append(len(args[3]))
-            return _flip_masses(*args)
-
+        assert exact._closed_form(W.entries, mu, r) is None
+        report = fixation_probabilities(model)
         with monkeypatch.context() as patch:
-            patch.setattr(exact, "_flip_masses", flip_masses)
-            certified = exact._closed_form(W.entries, mu, r)
-        assert sizes == [exact._CERTIFY_BLOCK, (1 << n) - 2 - exact._CERTIFY_BLOCK][:blocks]
-        assert (certified is None) == (blocks == 1)
-        if certified is None:  # a miss takes the BiCGSTAB route, as when the pass ran to its end
-            report = fixation_probabilities(model)
-            with monkeypatch.context() as patch:
-                without_closed_form(patch)
-                fallback = fixation_probabilities(model)
-            assert report.solver.method == "iterative"
-            assert np.array_equal(report.rho, fallback.rho) and report.solver == fallback.solver
+            without_closed_form(patch)
+            fallback = fixation_probabilities(model)
+        assert report.solver.method == "iterative"
+        assert np.array_equal(report.rho, fallback.rho) and report.solver == fallback.solver
 
     def test_memory_stays_below_a_quarter_of_the_matrix(self):
         n = 18
@@ -657,6 +646,94 @@ class TestClosedForm:
         assert report.solver.method == "closed-form"
         csr = ((1 << n) - 2) * (n + 1) * (8 + 4)  # float64 data and int32 indices, n + 1 a row
         assert peak < csr / 4
+
+
+class TestStationarityGap:
+    """The identity behind :func:`exact._closed_form` and the bound it takes from it."""
+
+    @pytest.mark.parametrize("n", range(6, 11))
+    @pytest.mark.parametrize("r", [0.5, 1.0, 3.0])
+    def test_the_moran_residual_is_the_gap_identity(self, n, r):
+        # per mask of level l: e_l + r / (1 + r) (phi_{l+1} - phi_{l-1}) x.g / (r A + B)
+        rng = np.random.default_rng(500 + n)
+        W = random_strongly_connected_weights(n, rng).entries
+        mu = rng.uniform(0.2, 1.0, n)
+        mu /= mu.sum()
+        indptr, indices, data, rhs = _jump_system(W[None], mu[None], np.array([r]), [""])
+        phi = np.array([moran_rho(j, n, r) for j in range(n + 1)])
+        x = ((np.arange(1, (1 << n) - 1)[:, None] >> np.arange(n)) & 1).astype(float)
+        level = x.sum(axis=1).astype(int)
+        w_mu = mu[:, None] * W
+        A, B = ((x @ w_mu) * (1 - x)).sum(axis=1), (((1 - x) @ w_mu) * x).sum(axis=1)
+        g = mu * W.sum(axis=1) - mu @ W
+        up, down = r / (1 + r), 1 / (1 + r)
+        moran_residual = up * phi[2:] + down * phi[:-2] - phi[1:-1]
+        expected = moran_residual[level - 1] + up * (phi[level + 1] - phi[level - 1]) * (
+            x @ g) / (r * A + B)
+        residual = rhs[0, :, 0] - csr_matrix((data[0], indices, indptr)) @ phi[level]
+        assert np.abs(x @ g).max() > 1e-3  # the policy is far from stationary
+        assert np.abs(residual - expected).max() <= 1e-14
+
+    def test_the_bound_covers_the_true_residual(self, monkeypatch):
+        # ||1 - A T|| that _closed_form hands to _certificate, against the CSR's, on policies
+        # far from stationary; both residuals take the same bound on kappa
+        handed, certificate = [], exact._certificate
+        monkeypatch.setattr(exact, "_certificate",
+                            lambda *args: handed.append(args[1]) or certificate(*args))
+        rng = np.random.default_rng(520)
+        for case in range(60):
+            n, r = int(rng.integers(6, 11)), float(rng.choice([0.5, 1.0, 3.0]))
+            W = random_strongly_connected_weights(n, rng).entries
+            mu = rng.uniform(0.2, 1.0, n)
+            mu /= mu.sum()
+            assert exact._closed_form(W, mu, r) is None
+            j = np.arange(n + 1)
+            phi = np.array([moran_rho(i, n, r) for i in j])
+            t = j * (n - j) if r == 1.0 else (n * phi - j) * (r + 1) / (r - 1)
+            indptr, indices, data, _ = _jump_system(W[None], mu[None], np.array([r]), [""])
+            level = [mask.bit_count() for mask in range(1, (1 << n) - 1)]
+            true = np.abs(1.0 - csr_matrix((data[0], indices, indptr)) @ t[level]).max()
+            assert true <= handed[-1] <= 100 * true, case
+
+    def test_a_certificate_is_never_false(self):
+        # stationary policies moved by 1e-14 .. 1e-8, weights whose rows are off by 9e-13; only
+        # gaps below about 1e-13 certify, so most of the 200 cases decline
+        rng = np.random.default_rng(510)
+        certified = declined = 0
+        for case in range(200):
+            n, r = int(rng.integers(6, 11)), float(rng.choice([0.5, 1.0, 1.5, 3.0]))
+            weights = random_strongly_connected_weights(n, rng)
+            direction = rng.standard_normal(n)
+            direction -= direction.mean()
+            mu = stationary_distribution(weights).pi + 10.0 ** rng.uniform(-14, -8) * direction
+            W = weights.entries * (1.0 + rng.choice([-9e-13, 0.0, 9e-13], n))[:, None]
+            solved = exact._closed_form(W, mu, r)
+            if solved is None:
+                declined += 1
+                continue
+            certified += 1
+            (h, solver), moran = solved, TestCertifiedSolve.moran_rows(n, r)
+            indptr, indices, data, rhs = _jump_system(W[None], mu[None], np.array([r]), [""])
+            dense = np.linalg.solve(csr_matrix((data[0], indices, indptr)).toarray(), rhs[0, :, 0])
+            assert np.array_equal(h, moran)
+            assert np.abs(dense - moran).max() <= solver.residual <= 1e-11, case
+        assert certified >= 10 and declined >= 10
+
+    @pytest.mark.parametrize("entry, certified", [(1e-13, True), (-1e-13, False)])
+    def test_a_negative_entry_of_C_declines(self, entry, certified):
+        # uniform on a ring, with C[0, 2] = entry from equal shifts of W[0, 2] and W[2, 0]
+        # that keep every row and column sum, so the gap stays 0
+        n = 11
+        W = ring_weights(n, 0.5).entries.copy()
+        shift = entry * n / 2
+        W[0, 2] = W[2, 0] = shift
+        W[0, 0] -= shift
+        W[2, 2] -= shift
+        solved = exact._closed_form(W, np.full(n, 1.0 / n), 2.0)
+        assert (solved is not None) == certified
+
+    def test_a_model_that_never_changes_declines(self):
+        assert exact._closed_form(np.eye(7), np.full(7, 1.0 / 7), 2.0) is None
 
 
 def coo_jump_system(W, mu, r):

@@ -239,11 +239,29 @@ class TestEstimateFixation:
             result = estimate_fixation(model, alpha, trials, TrajectoryConfig(seed=seed))
             assert abs(result.frequency - exact) <= 4 * sigma
 
+    @staticmethod
+    def wilson(f, trials, z=3.0):
+        """Wilson's score interval of frequency ``f`` over ``trials``: ``(low, high)``."""
+        center = (f + z * z / (2 * trials)) / (1 + z * z / trials)
+        half = z / (1 + z * z / trials) * math.sqrt(f * (1 - f) / trials
+                                                    + z * z / (4 * trials * trials))
+        return center - half, center + half
+
     def test_ci_halfwidth_formula(self):
         result = estimate_fixation(galanis_model(1.0), GALANIS_SINGLE, 5000,
                                    TrajectoryConfig(seed=4))
         f = result.frequency
-        assert result.ci_halfwidth == pytest.approx(3 * math.sqrt(f * (1 - f) / 5000))
+        low, high = self.wilson(f, 5000)
+        assert result.ci_halfwidth == pytest.approx(max(f - low, high - f), rel=1e-12)
+        assert f - result.ci_halfwidth <= low and high <= f + result.ci_halfwidth
+
+    def test_ci_halfwidth_is_positive_without_fixations(self):
+        # 0 of 200 fix, where the exact value is 0.00294: the interval still covers it
+        model = galanis_model(0.05, mu="uniform")
+        result = estimate_fixation(model, GALANIS_SINGLE, 200, TrajectoryConfig(seed=2))
+        assert (result.fixations, result.frequency) == (0, 0.0)
+        assert result.ci_halfwidth == pytest.approx(self.wilson(0.0, 200)[1], rel=1e-12)
+        assert result.ci_halfwidth > fixation_for_initial(model, GALANIS_SINGLE)
 
 
 def _random_policy_model(n, seed, r):
