@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 from datetime import datetime, timezone
@@ -42,12 +43,24 @@ def _manifest(command: str, argv: list[str], seed: int | None) -> dict:
     }
 
 
+def _finite(value):
+    """``value`` with each non-finite float in it, in nested dicts and lists too, as ``None``."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _finite(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite(item) for item in value]
+    return value
+
+
 def _emit(doc: dict, indent: int | None, rho: np.ndarray | None = None) -> None:
-    """Write ``json.dumps(doc, indent=indent)``, where float64 ``rho`` fills ``"rho": null`` (only
+    """Write ``json.dumps(doc, indent=indent)`` with each NaN or infinity as ``null``, which
+    strict JSON has no other way to write, and where float64 ``rho`` fills ``"rho": null`` (only
     the key matches, as strings escape quotes) with ``[{"mask": x, "value": rho[x]}, ...]`` in one
     pass.  Each distinct bit pattern is written once (``-0.0`` apart from ``0.0``): a stationary
     model's ``2^n`` values are its ``n + 1`` Moran values."""
-    text = json.dumps(doc, indent=indent)
+    text = json.dumps(_finite(doc), indent=indent, allow_nan=False)
     if rho is not None:
         at1, at2, at3 = ("" if indent is None else "\n" + " " * (indent * d) for d in (1, 2, 3))
         comma = "," if at1 else ", "

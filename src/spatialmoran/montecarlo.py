@@ -10,33 +10,35 @@ state is hit); faithful mode samples the one-step law including idles and
 exists to validate that shortcut.
 
 Two samplers draw from the same law, and one block driver runs both.  Each
-offers the same four members: ``begin`` builds the state of a batch of
-trials, one row each; ``step`` advances every row of a state one step in
-lockstep; ``resume`` walks one row on alone, one ``next_uniform()`` per step;
-and ``handoff`` is the fewest walking trials worth a lockstep step.  Both
+offers three members: ``begin`` builds the state of a batch of trials, one
+row each; ``step`` advances every row of a state one step in lockstep; and
+``resume`` walks one row on alone, one ``next_uniform()`` per step.  Both
 ``step`` and ``resume`` report fate codes: 0 while a trial walks, then 1
-(fixation), 2 (extinction) or 3 (censored).  Trials go in blocks of
-:data:`BLOCK_TRIALS` (``2^14``), fewer where a block's ``(trials, n)`` arrays
-would pass 2^20 entries.  The first draw in a block takes uniforms 0..3 of
-every trial (uniform 0 picks its start), later ones the next four of every
-walking trial: by one call of NumPy's C Philox (which steps the trial word)
-over the whole block while :data:`_PHILOX_COUNTERS` or more walk, or while
-the C draws that one kernel call would replace come to at most
-``4 _PHILOX_COUNTERS`` trial blocks, else by a vectorised Philox kernel,
-several times four uniforms when few walk.
+(fixation), 2 (extinction) or 3 (censored).  The walk policy is the
+driver's, the same for both samplers.  Trials go in blocks of
+:data:`BLOCK_TRIALS` (``2^14``), fewer where a block's ``(trials, n)``
+arrays would pass 2^20 entries.  The first draw in a block takes uniforms
+0..3 of every trial (uniform 0 picks its start).  A later draw, with
+``blocks = max(1, _PHILOX_COUNTERS // walking)``, is one call of NumPy's C
+Philox (which steps the trial word) for the next four uniforms of every
+trial of the block, walking or not, if ``blocks`` such calls take at most
+``16 _PHILOX_COUNTERS`` counters in all, which C Philox draws in about the
+time of one kernel call; else it is one call of a vectorised Philox kernel
+for the next ``4 blocks`` uniforms of every walking trial, at least
+:data:`_PHILOX_COUNTERS` counters however few walk.
 Philox is counter-based, so these are exactly the uniforms of the per-trial
 streams, and the counts for a given seed are bit-identical to walking the
 trials one at a time.  A lockstep step costs a fixed number of NumPy calls
-however few trials walk, so while fewer than ``handoff`` walk (the tail of a
-block, a short run) each goes on through ``resume`` over the uniforms
-already drawn for it, and the next draw covers only the trials still
-walking.  A single trajectory is a state of one row, walked by ``resume``
-from the start on trial 0's uniforms.
+however few trials walk, so while fewer than :data:`LOCKSTEP_MIN_TRIALS`
+walk (the tail of a block, a short run) each goes on through ``resume`` over
+the uniforms already drawn for it, and the next draw covers only the trials
+still walking.  A single trajectory is a state of one row, walked by
+``resume`` from the start on trial 0's uniforms.
 
 Up to ``n = 12`` (:data:`TABLE_MAX_VERTICES`) every transient configuration
 gets a cumulative sampling table, built up front in one
 :func:`~spatialmoran.dynamics.flip_masses` batch; a step bisects every
-walking trial's table row at once (hand-off :data:`LOCKSTEP_MIN_TRIALS`).
+walking trial's table row at once.
 Above ``n = 12`` the tables would not fit, and the walker follows
 Gillespie's direct method instead: per trajectory it keeps the type vector
 and the unnormalised masses of mutant and of wildtype parents placed onto
@@ -63,8 +65,7 @@ cast to float64, whose entries are still sorted, so a vertex of zero mass
 is never picked; each boundary is in any case only as exact as a double
 (``2^-53`` of the running sum).  A lockstep step is one row-wise
 cumulative sum, one count of the entries at or below each row's target and
-one row update (hand-off :data:`WALKER_LOCKSTEP_MIN_TRIALS`).  There is no
-vertex limit.
+one row update.  There is no vertex limit.
 
 A configuration that can never change (every flip mass zero, possible only
 when the policy has zeros or, in the walker, when the weights that would
@@ -92,16 +93,14 @@ from .graph import Configuration, _integer, mask_bits
 
 #: Largest vertex count sampled from prebuilt per-configuration tables.
 TABLE_MAX_VERTICES = 12
-#: Trials the table walker advances in lockstep.
+#: Most trials of one lockstep block.
 BLOCK_TRIALS = 1 << 14
-#: Fewest trials the table walker walks in lockstep; fewer go on one at a time.
-LOCKSTEP_MIN_TRIALS = 256
-#: Fewest trials the incremental walker walks in lockstep; fewer go on one at a time.
-WALKER_LOCKSTEP_MIN_TRIALS = 32
+#: Fewest trials walked in lockstep, by either sampler; fewer go on one at a time.
+LOCKSTEP_MIN_TRIALS = 32
 #: Most entries of a block's ``(trials, n)`` arrays: 8 MiB per float array.
 _BLOCK_ENTRIES = 1 << 20
 #: Fewest Philox counters one kernel evaluation takes (it costs about 300 NumPy
-#: calls however few), and fewest walking trials one C draw of any block serves.
+#: calls however few); C draws of at most 16 times as many cost about as much.
 _PHILOX_COUNTERS = 1 << 10
 
 
@@ -257,10 +256,6 @@ class _Tables:
         self._fate[0], self._fate[full] = 2, 1
         self._fate[1:full][count > 0] = 0
 
-    @property
-    def handoff(self) -> int:
-        return LOCKSTEP_MIN_TRIALS
-
     @cached_property
     def _lists(self):
         """``cum``, ``targets`` and ``fate`` as lists, for walks of one trial."""
@@ -328,10 +323,6 @@ class _Walker:
         self._signed_rows = np.concatenate((rows, -rows))
         dweight = rows.sum(axis=(1, 2))
         self._signed_dweight = np.concatenate((dweight, -dweight))
-
-    @property
-    def handoff(self) -> int:
-        return WALKER_LOCKSTEP_MIN_TRIALS
 
     def begin(self, alpha_masks, picks: np.ndarray):
         """Lockstep state of trials starting on atoms ``picks``, and their fates.
@@ -482,15 +473,15 @@ def _run_range(model: MicSMPModel, mode: str, alpha_cum, alpha_masks, seed: int,
                 break
             if lane == uniforms.shape[1]:  # uniform step + 1 starts a Philox block
                 pblock, blocks = (step + 1) // 4, max(1, _PHILOX_COUNTERS // walking)
-                # one C draw of the block, then its walking rows, while many walk or the
-                # ``blocks`` C draws one kernel call would save cost less than its fixed cost
-                if walking >= _PHILOX_COUNTERS or len(trials) * blocks <= 4 * _PHILOX_COUNTERS:
+                # one C draw of the block, then its walking rows, while the ``blocks`` C
+                # draws that one kernel call would save cost no more than that call
+                if len(trials) * blocks <= 16 * _PHILOX_COUNTERS:
                     uniforms = _block_uniforms(seed, first, len(trials), pblock)
                     uniforms = uniforms[trials[:walking] - first]
                 else:
                     uniforms = _philox_uniforms(seed, trials[:walking], pblock, blocks).T
                 lane = 0
-            if walking >= sampler.handoff:
+            if walking >= LOCKSTEP_MIN_TRIALS:
                 span = 1
                 fate = sampler.step([a[:walking] for a in state], uniforms[:walking, lane])
             else:  # each trial walks alone over the lanes already drawn

@@ -8,7 +8,7 @@ import pytest
 
 from spatialmoran import N2Params, moran_rho, montecarlo, n2_F, transition_kernel, galanis_model
 import spatialmoran.cli as cli_module
-from spatialmoran import exact
+from spatialmoran import exact, verification
 from spatialmoran.cli import main
 
 
@@ -33,9 +33,15 @@ def run(capsys, *argv):
     return code, out
 
 
+def _reject(constant):
+    raise ValueError(f"{constant} is not JSON")
+
+
 def run_json(capsys, schema, *argv):
+    """Exit code and output of ``main(argv)``, parsed as strict JSON (no NaN, no Infinity:
+    ``jsonschema`` would take a float NaN for a number) and validated against the schema."""
     code, out = run(capsys, *argv)
-    doc = json.loads(out)
+    doc = json.loads(out, parse_constant=_reject)
     jsonschema.validate(doc, schema)
     return code, doc
 
@@ -185,6 +191,14 @@ class TestSimulateCommand:
         assert doc["mode"] == "faithful"
         assert doc["censored"] + doc["fixations"] + doc["extinctions"] == 500
 
+    def test_every_trial_censored_writes_null(self, capsys, schema):
+        # the library's NaN frequency and interval are written as null, strict JSON
+        code, doc = run_json(capsys, schema, "simulate", "--model", "@complete:10",
+                             "--init", "level:5:uniform", "--trials", "5", "--max-steps", "1")
+        assert code == 0
+        assert doc["censored"] == 5
+        assert doc["frequency"] is None and doc["ci_halfwidth"] is None
+
     def test_identical_across_worker_counts(self, capsys):
         docs = []
         for workers in ("1", "4", "8"):
@@ -281,6 +295,15 @@ class TestVerifyCommand:
         assert report["ratio_constancy"] > 1e-6
         assert report["policy_is_stationary"] is False
 
+    def test_infinite_ratio_writes_null(self, capsys, schema):
+        # a zero policy entry: vertex 2 is never selected, so from mask 4 no mutant is gained
+        code, doc = run_json(capsys, schema, "verify", "--model", "@galanis",
+                             "--mu", "0.5,0.5,0")
+        assert code == 0
+        report = doc["model_report"]
+        assert report["ratio_constancy"] is None
+        assert report["single_mutant_ratio_witness"] == {"mask": 4, "deviation": None}
+
     def test_complete_graph_model_is_lumpable(self, capsys, schema):
         code, doc = run_json(capsys, schema, "verify", "--model", "@complete:4", "--r", "1")
         assert code == 0
@@ -306,6 +329,14 @@ class TestVerifyCommand:
         code, out = run(capsys, "verify", "--graphs", "1")
         assert code == 1
         assert json.loads(out)["pass"] is False
+
+    def test_infinite_deviation_writes_null(self, capsys, schema, monkeypatch):
+        monkeypatch.setattr(verification, "_galanis_suite", lambda rng: float("inf"))
+        code, doc = run_json(capsys, schema, "verify", "--graphs", "1")
+        assert code == 1
+        check = doc["checks"]["galanis_closed_form"]
+        assert check["pass"] is False and check["max_deviation"] is None
+        assert doc["checks"]["n2_closed_form"]["max_deviation"] is not None
 
     def test_dump_kernel(self, capsys, tmp_path):
         path = tmp_path / "kernel.csv"

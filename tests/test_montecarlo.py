@@ -35,7 +35,6 @@ from spatialmoran.montecarlo import (
     BLOCK_TRIALS,
     LOCKSTEP_MIN_TRIALS,
     TABLE_MAX_VERTICES,
-    WALKER_LOCKSTEP_MIN_TRIALS,
     _block_uniforms,
     _philox_uniforms,
     _sampler,
@@ -501,6 +500,36 @@ def _counts(result):
     return result.fixations, result.extinctions, result.censored
 
 
+def _driver_log(monkeypatch, sampler):
+    """Record the block driver's draws and walks in order: ``("C", block)`` for a C Philox
+    draw of Philox block ``block``, ``("kernel", walking)`` for a kernel draw, and
+    ``("step",)`` and ``("resume",)`` for the members of ``sampler`` (a class)."""
+    log = []
+
+    def record(owner, name, entry):
+        wrapped = getattr(owner, name)
+
+        def recorded(*args):
+            log.append(entry(*args))
+            return wrapped(*args)
+
+        monkeypatch.setattr(owner, name, recorded)
+
+    record(montecarlo, "_block_uniforms", lambda seed, first, count, block: ("C", block))
+    record(montecarlo, "_philox_uniforms",
+           lambda seed, trials, block, blocks=1: ("kernel", len(trials)))
+    record(sampler, "step", lambda *args: ("step",))
+    record(sampler, "resume", lambda *args: ("resume",))
+    return log
+
+
+def _fed(log, draw, walk):
+    """Whether a draw of kind ``draw`` (``"C"`` from the second Philox block on, or
+    ``"kernel"``) is followed directly by ``walk``: ``"step"`` or ``"resume"``."""
+    return any(first[0] == draw and (draw == "kernel" or first[1] > 0) and then == (walk,)
+               for first, then in zip(log, log[1:]))
+
+
 class TestPhiloxKernel:
     def test_matches_the_trial_streams(self):
         trials = [0, 7, 2**32 + 1, 2**40]
@@ -653,6 +682,7 @@ class TestLockstepWalk:
         # trials walking in a block go on one at a time
         monkeypatch.setattr(montecarlo, "BLOCK_TRIALS", 64)
         monkeypatch.setattr(montecarlo, "LOCKSTEP_MIN_TRIALS", 8)
+        log = _driver_log(monkeypatch, montecarlo._Tables)
         model = _random_policy_model(n, 100 + n, 1.4)
         alpha = _several_atoms(n, n)
         for max_steps in (3, 10**7):
@@ -660,6 +690,10 @@ class TestLockstepWalk:
             result = estimate_fixation(model, alpha, 300, cfg)
             assert _counts(result) == _reference_counts(model, alpha, 300, cfg)
         assert result.censored == 0
+        # from four walking trials of a 64-trial block up to the hand-off, a later draw is
+        # the block's C draw, and they walk alone (at n = 2 every flip absorbs, so no trial
+        # walks past the first Philox block)
+        assert _fed(log, "C", "resume") == (n > 2)
 
     @pytest.mark.parametrize("mode", ["event", "faithful"])
     def test_few_trials_match_per_trial_walk(self, mode):
@@ -670,7 +704,8 @@ class TestLockstepWalk:
             assert _counts(estimate_fixation(model, alpha, trials, cfg)) == \
                 _reference_counts(model, alpha, trials, cfg)
 
-    def test_block_and_a_part(self):
+    def test_block_and_a_part(self, monkeypatch):
+        log = _driver_log(monkeypatch, montecarlo._Tables)
         model = galanis_model(1.0)
         alpha = InitialDistribution(n=3, atoms=((0b001, 0.5), (0b110, 0.3), (0b010, 0.2)))
         trials = BLOCK_TRIALS + 37
@@ -678,6 +713,24 @@ class TestLockstepWalk:
             cfg = TrajectoryConfig(seed=2**64 - 1, mode=mode)
             assert _counts(estimate_fixation(model, alpha, trials, cfg)) == \
                 _reference_counts(model, alpha, trials, cfg)
+        # at most 512 walking trials of the full block take a kernel draw, and from
+        # LOCKSTEP_MIN_TRIALS of them on they step in lockstep
+        assert _fed(log, "kernel", "step")
+
+    @pytest.mark.parametrize("mode", ["event", "faithful"])
+    def test_long_walk_in_lockstep(self, mode, monkeypatch):
+        # a hand-off of one trial keeps every trial in lockstep to absorption
+        monkeypatch.setattr(montecarlo, "BLOCK_TRIALS", 64)
+        monkeypatch.setattr(montecarlo, "LOCKSTEP_MIN_TRIALS", 1)
+        log = _driver_log(monkeypatch, montecarlo._Tables)
+        model = build_model(complete_graph_weights(12), mu="uniform", r=1.0)
+        alpha = InitialDistribution.point_mass(0b111111, 12)
+        cfg = TrajectoryConfig(seed=5, mode=mode)
+        walk = partial(_reference_walk, _reference_tables(model, mode), (1 << 12) - 1)
+        counts, longest = _per_trial_counts(walk, alpha, 150, cfg)
+        assert longest > 100
+        assert _counts(estimate_fixation(model, alpha, 150, cfg)) == counts
+        assert ("step",) in log and ("resume",) not in log
 
     def test_configurations_that_never_change(self):
         # from 0b001 the stuck cycle moves to 0b011 and stays; 0b100 never moves;
@@ -725,7 +778,7 @@ class TestLockstepWalker:
         # blocks of 64 trials: 300 trials end on a part block, and the last
         # trials walking in a block go on one at a time
         monkeypatch.setattr(montecarlo, "BLOCK_TRIALS", 64)
-        monkeypatch.setattr(montecarlo, "WALKER_LOCKSTEP_MIN_TRIALS", handoff)
+        monkeypatch.setattr(montecarlo, "LOCKSTEP_MIN_TRIALS", handoff)
 
     @pytest.mark.parametrize("n", [13, 16, 30])
     @pytest.mark.parametrize("mode", ["event", "faithful"])
@@ -785,7 +838,7 @@ class TestLockstepWalker:
     def test_masks_wider_than_int64(self):
         model = build_model(complete_graph_weights(70), mu="uniform", r=1.5)
         alpha = InitialDistribution(n=70, atoms=(((1 << 69) | (1 << 64), 0.5), (0b111, 0.5)))
-        trials = 2 * WALKER_LOCKSTEP_MIN_TRIALS
+        trials = 2 * LOCKSTEP_MIN_TRIALS
         cfg = TrajectoryConfig(seed=70)
         assert _counts(estimate_fixation(model, alpha, trials, cfg)) == \
             _walker_counts(model, alpha, trials, cfg)[0]
@@ -811,7 +864,7 @@ class TestShortRuns:
         model = _random_policy_model(n, 50 + n, 1.3)
         alpha = _several_atoms(n, n)
         tables = n <= TABLE_MAX_VERTICES
-        trials = (LOCKSTEP_MIN_TRIALS if tables else WALKER_LOCKSTEP_MIN_TRIALS) - 1
+        trials = LOCKSTEP_MIN_TRIALS - 1
         for max_steps in (1, 2, 3, 4, 5, 7, 8):
             cfg = TrajectoryConfig(seed=max_steps, mode=mode, max_steps=max_steps)
             result = estimate_fixation(model, alpha, trials, cfg)
