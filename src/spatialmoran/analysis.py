@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import MicSMPModel, _level_rates, _require_exact_size, build_model
+from .dynamics import MicSMPModel, _as_stack, _level_rates, _require_exact_size, build_model
 from .errors import DegenerateCase, DegenerateDenominator, OutOfRange, ZeroDenominator
 from .exact import InitialDistribution, moran_rho
 from .graph import (SelectionPolicy, WeightMatrix, complete_graph_weights,
@@ -40,16 +40,22 @@ def _transient_rates(model: MicSMPModel):
     """Read-only level, ``p_plus`` and ``p_minus`` of every transient mask, in one batch;
     index ``i`` holds mask ``i + 1``.  Models are immutable, so the memo cannot go stale."""
     _require_exact_size(model.n)
-    rates = _level_rates(model, np.arange(1, (1 << model.n) - 1))
+    levels, pp, pm = _level_rates(*_as_stack(model), np.arange(1, (1 << model.n) - 1))
+    rates = levels, pp[0], pm[0]
     for array in rates:
         array.setflags(write=False)
     return rates
 
 
-def _ratio_deviation(pp: np.ndarray, pm: np.ndarray, r: float) -> np.ndarray:
+def _ratio_deviation(pp: np.ndarray, pm: np.ndarray, r) -> np.ndarray:
     """``|p_minus / p_plus - 1/r|`` per configuration, ``inf`` where ``p_plus == 0``."""
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(pp > 0.0, np.abs(pm / pp - 1.0 / r), np.inf)
+
+
+def _drifts(pp: np.ndarray, pm: np.ndarray, r):
+    """:class:`MartingaleReport`'s ``drift`` and ``exp_drift`` per configuration."""
+    return pp - pm, r * pm + (1.0 - pp - pm) + pp / r - 1.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,10 +80,8 @@ def martingale_report(model: MicSMPModel) -> MartingaleReport:
     Raises :class:`TooLarge` above ``n = 20``, as do :func:`ratio_constancy`
     and :func:`macro_markov_check`.
     """
-    r = model.r
     pp, pm = (np.pad(rate, 1) for rate in _transient_rates(model)[1:])  # 0 at masks 0, 2^n - 1
-    drift = pp - pm
-    exp_drift = r * pm + (1.0 - pp - pm) + pp / r - 1.0
+    drift, exp_drift = _drifts(pp, pm, model.r)
     return MartingaleReport(drift, exp_drift, float(np.abs(drift).max()),
                             float(np.abs(exp_drift).max()))
 
@@ -101,7 +105,7 @@ def single_mutant_ratio_witness(model: MicSMPModel) -> tuple[int, float]:
     ``mu_v - (mu W)_v``.  Of equal deviations, the lowest mask is returned.
     """
     masks = [1 << v for v in range(model.n)]
-    _, pp, pm = _level_rates(model, masks)
+    _, (pp,), (pm,) = _level_rates(*_as_stack(model), masks)
     deviation = _ratio_deviation(pp, pm, model.r)
     best = int(deviation.argmax())
     return masks[best], float(deviation[best])

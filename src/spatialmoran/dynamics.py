@@ -140,12 +140,12 @@ class TransitionKernel:
 
 def p_plus(x: Configuration, model: MicSMPModel) -> float:
     """Probability that one update increases the mutant count by one."""
-    return float(_level_rates(model, [_mask_of(x, model)])[1][0])
+    return float(_level_rates(*_as_stack(model), [_mask_of(x, model)])[1][0, 0])
 
 
 def p_minus(x: Configuration, model: MicSMPModel) -> float:
     """Probability that one update decreases the mutant count by one."""
-    return float(_level_rates(model, [_mask_of(x, model)])[2][0])
+    return float(_level_rates(*_as_stack(model), [_mask_of(x, model)])[2][0, 0])
 
 
 def _mask_of(x: Configuration, model: MicSMPModel) -> int:
@@ -166,7 +166,12 @@ def flip_masses(model: MicSMPModel, masks) -> np.ndarray:
     low ones from a table filled by doubling, ``T[2^v : 2^(v+1)] = T[:2^v] + row_v`` (no
     BLAS): a row is bitwise the same in any batch and stack of :func:`_flip_masses`.
     """
-    return _flip_masses(model.W.entries[None], model.mu.mu[None], np.array([model.r]), masks)[0]
+    return _flip_masses(*_as_stack(model), masks)[0]
+
+
+def _as_stack(model: MicSMPModel):
+    """``(W, mu, r)`` of ``model`` as a stack of one, the arguments of :func:`_flip_masses`."""
+    return model.W.entries[None], model.mu.mu[None], np.array([model.r])
 
 
 def _flip_masses(W: np.ndarray, mu: np.ndarray, r: np.ndarray, masks) -> np.ndarray:
@@ -196,11 +201,11 @@ def _flip_masses(W: np.ndarray, mu: np.ndarray, r: np.ndarray, masks) -> np.ndar
     return out
 
 
-def _level_rates(model: MicSMPModel, masks):
-    """Level, ``p_plus`` and ``p_minus`` of each configuration in ``masks``, as arrays:
-    the row sums of its flip masses over the wildtype and over the mutant vertices."""
-    bits = mask_bits(masks, model.n)
-    flips = flip_masses(model, masks)
+def _level_rates(W: np.ndarray, mu: np.ndarray, r: np.ndarray, masks):
+    """Level of each configuration in ``masks``, then ``(k, len(masks))`` ``p_plus`` and ``p_minus``
+    of the models of :func:`_flip_masses`: flip mass sums over the wildtype and the mutants."""
+    bits = mask_bits(masks, mu.shape[1])
+    flips = _flip_masses(W, mu, r, masks)
     return (bits.sum(axis=1), _flip_totals(np.where(bits, 0.0, flips)),
             _flip_totals(np.where(bits, flips, 0.0)))
 

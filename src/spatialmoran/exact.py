@@ -35,8 +35,8 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.linalg import bicgstab
 
-from .dynamics import (MicSMPModel, _flip_masses, _flip_totals, _require_exact_size,
-                       _require_fitness, _sorted_places)
+from .dynamics import (MicSMPModel, _as_stack, _flip_masses, _flip_totals,
+                       _require_exact_size, _require_fitness, _sorted_places)
 from .errors import AtomOnAbsorbing, DegenerateCase, NotStochastic, NumericalFailure, TooLarge
 from .graph import STOCHASTIC_TOL, Configuration, _integer, _require_policies, level_masks
 
@@ -45,6 +45,8 @@ SOLVE_RESIDUAL_TOL = 1e-10
 #: Most rows solved by dense LU, the transient masks of ``n = 10``; BiCGSTAB is faster at 9 and
 #: 10 too, but birth-death chains of this size need LU: BiCGSTAB diverges on them.
 _DENSE_MAX_ROWS = 2**10 - 2
+#: Most matrix entries per chunk of a stacked dense LU (2 MiB); a taller system is one chunk.
+_DENSE_CHUNK_ENTRIES = 2**18
 #: Most atoms :meth:`InitialDistribution.level_uniform` enumerates; every level
 #: of an exact-size model fits, since ``C(20, 10) = 184,756``.
 MAX_LEVEL_ATOMS = 10**6
@@ -201,9 +203,10 @@ def _certified_solve(indptr, indices, data, rhs, terms: int, guess, labels: list
     values ``data[i]`` on a shared ``(indptr, indices)``; ``rhs`` has shape ``(k, m, 2)``.
 
     Up to :data:`_DENSE_MAX_ROWS` rows, one stacked dense LU per chunk of at most
-    ``_DENSE_MAX_ROWS^2`` entries (BiCGSTAB is faster at ``n = 9`` and 10, but diverges on
-    birth-death chains that long); above, BiCGSTAB on each CSR matrix.  ``X[i] = [h_i, T_i]``
-    with a :func:`_certificate` bound each; the CSR arrays of ``A^T`` solve with ``A^T``.
+    :data:`_DENSE_CHUNK_ENTRIES` entries or of one system (BiCGSTAB is faster at ``n = 9`` and
+    10, but diverges on birth-death chains that long); above, BiCGSTAB on each CSR matrix.
+    ``X[i] = [h_i, T_i]`` with a :func:`_certificate` bound each; the CSR arrays of ``A^T``
+    solve with ``A^T``.
     BiCGSTAB solves ``T`` first, to the 2-norm residual 0.01 (the bound grows by at most
     ``1 / 0.99``), then ``h`` to the max-norm residual ``tau``: ``h`` is the start ``guess(i)``
     if within ``tau``, else a pass from it aims at the 2-norm ``tau sqrt(m)``, and a miss
@@ -220,7 +223,7 @@ def _certified_solve(indptr, indices, data, rhs, terms: int, guess, labels: list
     iterations = [1] * k
     if m <= _DENSE_MAX_ROWS:
         method = "dense"
-        step = max(1, _DENSE_MAX_ROWS**2 // m**2)
+        step = max(1, _DENSE_CHUNK_ENTRIES // m**2)
         rows = np.repeat(np.arange(m), np.diff(indptr))
         for lo in range(0, k, step):
             chunk = slice(lo, lo + step)
@@ -363,8 +366,7 @@ def fixation_probabilities(model: MicSMPModel,
     _require_exact_size(n)
     if alpha is not None and alpha.n != n:
         raise NotStochastic("initial distribution dimension mismatch")
-    (rho,), (solver,) = _fixation_stack(model.W.entries[None], model.mu.mu[None],
-                                        np.array([model.r]))
+    (rho,), (solver,) = _fixation_stack(*_as_stack(model))
     rho_alpha = None if alpha is None else float(sum(w * rho[mask] for mask, w in alpha.atoms))
     return FixationReport(n=n, r=model.r, rho=rho,
                           per_level_deviation=_per_level_deviation(rho, model.r),

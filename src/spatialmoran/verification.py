@@ -4,6 +4,9 @@ The builtin suite exercises every structural identity on seeded random model
 families; each check reports a pass flag, its worst deviation, and a witness
 where one exists.  For a user-supplied model the same quantities are
 reported descriptively without pass/fail semantics.
+
+Random graphs are solved in one stack per vertex count, each time it fills a dense chunk, and
+their drifts and ratios read from one flip-mass batch per graph, with the diagnostics' formulas.
 """
 
 from __future__ import annotations
@@ -14,8 +17,10 @@ from .analysis import (
     GALANIS_WEIGHTS,
     GalanisParams,
     N2Params,
+    _drifts,
     _n2_surface,
     _n2_weights,
+    _ratio_deviation,
     classic_moran_check,
     galanis_case3_initial_weight,
     galanis_model,
@@ -28,12 +33,13 @@ from .analysis import (
     ratio_constancy,
     single_mutant_ratio_witness,
 )
-from .dynamics import MicSMPModel, build_model
+from .dynamics import MicSMPModel, _level_rates, build_model
 from .errors import OutOfRange, SpatialMoranError, ZeroDenominator
-from .exact import _fixation_stack, _moran_by_level, _per_level_deviation, fixation_probabilities
+from .exact import (_DENSE_CHUNK_ENTRIES, _fixation_stack, _mask_levels, _moran_by_level,
+                    fixation_probabilities)
 from .generators import random_doubly_stochastic, random_strongly_connected_weights
-from .graph import (WeightMatrix, _integer, complete_graph_weights, is_isothermal,
-                    stationary_distribution, validate_weight_matrix)
+from .graph import (_integer, complete_graph_weights, is_isothermal, stationary_distribution,
+                    validate_weight_matrix)
 
 DEFAULT_SEED = 20260811
 _R_SET = (0.5, 1.0, 2.0)
@@ -48,53 +54,51 @@ def _check(max_deviation: float, threshold: float, witness=None) -> dict:
 
 
 def _stationary_and_isothermal(rng, graphs: int):
-    residual = 0.0
-    fixation_dev = 0.0
-    iso_dev = 0.0
-    for k in range(graphs):
-        n = int(rng.integers(3, 9))
-        W = random_strongly_connected_weights(n, rng)
-        pi = stationary_distribution(W)
-        residual = max(residual, float(np.max(np.abs(pi.pi @ W.entries - pi.pi))))
-        fixation_dev = max(fixation_dev, _moran_deviation(W, pi.pi))
-        D = random_doubly_stochastic(n, rng)
-        if not is_isothermal(D):
-            iso_dev = float("inf")
-        iso_dev = max(iso_dev, _moran_deviation(D, np.full(n, 1.0 / n)))
-    return residual, fixation_dev, iso_dev
-
-
-def _moran_deviation(W: WeightMatrix, mu: np.ndarray) -> float:
-    """Largest per-level deviation of ``(W, mu)`` over :data:`_R_SET`, in one stacked solve."""
-    n, k = W.n, len(_R_SET)
-    rho, _ = _fixation_stack(np.broadcast_to(W.entries, (k, n, n)), np.tile(mu, (k, 1)),
-                             np.array(_R_SET))
-    return max(float(_per_level_deviation(row, r).max()) for row, r in zip(rho, _R_SET))
-
-
-def _martingale_and_ratio(rng, graphs: int):
-    drift_dev = 0.0
-    exp_dev = 0.0
-    ratio_dev = 0.0
-    witness_floor = float("inf")
-    witness = None
+    residual, isothermal, worst, stacks = 0.0, True, [], {}
     for _ in range(graphs):
         n = int(rng.integers(3, 9))
         W = random_strongly_connected_weights(n, rng)
         pi = stationary_distribution(W).pi
-        drift_dev = max(drift_dev, martingale_report(build_model(W, mu=pi, r=1.0)).max_abs_drift)
-        for r in (0.25, 0.5, 2.0, 4.0):
-            model = build_model(W, mu=pi, r=r)  # both checks share its one batch
-            exp_dev = max(exp_dev, martingale_report(model).max_abs_exp_drift)
-            ratio_dev = max(ratio_dev, ratio_constancy(model))
+        residual = max(residual, float(np.max(np.abs(pi @ W.entries - pi))))
+        D = random_doubly_stochastic(n, rng)
+        isothermal &= is_isothermal(D)
+        stacks.setdefault(n, []).extend(((W.entries, pi), (D.entries, np.full(n, 1.0 / n))))
+        if len(stacks[n]) * len(_R_SET) * ((1 << n) - 2) ** 2 >= _DENSE_CHUNK_ENTRIES:
+            worst.append(_moran_deviations(stacks.pop(n)))
+    fixation_dev, iso_dev = np.max(worst + list(map(_moran_deviations, stacks.values())), axis=0)
+    return residual, float(fixation_dev), float(iso_dev) if isothermal else float("inf")
+
+
+def _moran_deviations(stack: list) -> np.ndarray:
+    """Largest deviation over :data:`_R_SET` of the even and the odd ``(W, mu)`` of one ``n``."""
+    W, mu = map(np.stack, zip(*stack))
+    (k, n), rs = mu.shape, len(_R_SET)
+    rho, _ = _fixation_stack(W.repeat(rs, axis=0), mu.repeat(rs, axis=0), np.tile(_R_SET, k))
+    moran = np.stack([_moran_by_level(n, r) for r in _R_SET])[:, _mask_levels(n)]
+    return np.abs(rho.reshape(-1, 2, rs, 1 << n) - moran).max(axis=(0, 2, 3))
+
+
+def _martingale_and_ratio(rng, graphs: int):
+    drift_dev = exp_dev = ratio_dev = 0.0
+    witness_floor, witness = float("inf"), None
+    r = np.array([[1.0], [0.25], [0.5], [2.0], [4.0], [2.0]])  # five for pi, the last for mu
+    for _ in range(graphs):
+        n = int(rng.integers(3, 9))
+        W = random_strongly_connected_weights(n, rng)
+        pi = stationary_distribution(W).pi
         # strictly positive non-stationary policy must leave a witness
         mu = pi * rng.uniform(0.5, 2.0, n)
         mu /= mu.sum()
-        if np.max(np.abs(mu @ W.entries - mu)) > 1e-3:
-            mask, dev = single_mutant_ratio_witness(build_model(W, mu=mu, r=2.0))
-            if dev < witness_floor:
-                witness_floor = dev
-                witness = {"mask": mask, "deviation": dev}
+        _, pp, pm = _level_rates(np.broadcast_to(W.entries, (6, n, n)), np.vstack([pi] * 5 + [mu]),
+                                 r[:, 0], np.arange(1, (1 << n) - 1))  # mask i + 1 at index i
+        (drift, exp_drift), ratio = _drifts(pp, pm, r), _ratio_deviation(pp, pm, r)
+        drift_dev = max(drift_dev, float(np.abs(drift[0]).max()))
+        exp_dev = max(exp_dev, float(np.abs(exp_drift[1:5]).max()))
+        ratio_dev = max(ratio_dev, float(ratio[1:5].max()))
+        single = ratio[5, (1 << np.arange(n)) - 1]  # as in single_mutant_ratio_witness
+        if np.max(np.abs(mu @ W.entries - mu)) > 1e-3 and single.max() < witness_floor:
+            witness_floor = float(single.max())
+            witness = {"mask": 1 << int(single.argmax()), "deviation": witness_floor}
     return drift_dev, exp_dev, ratio_dev, witness_floor, witness
 
 

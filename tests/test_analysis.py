@@ -487,9 +487,9 @@ class TestBatchedDiagnostics:
     def test_describe_model_computes_one_transient_batch(self, monkeypatch):
         calls = []
 
-        def counted(model, masks):
+        def counted(W, mu, r, masks):
             calls.append(len(masks))
-            return _level_rates(model, masks)
+            return _level_rates(W, mu, r, masks)
 
         monkeypatch.setattr(analysis, "_level_rates", counted)
         describe_model(build_model(complete_graph_weights(5), mu="uniform", r=2.0))

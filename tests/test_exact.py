@@ -814,8 +814,11 @@ class TestFixationStack:
         W, mu, r = self.family(4, 9, np.random.default_rng(7))
         whole = _fixation_stack(W, mu, r)
         # 20^2 entries per chunk hold two systems of 14 rows: the nine solve in five chunks
-        monkeypatch.setattr(exact, "_DENSE_MAX_ROWS", 20)
+        monkeypatch.setattr(exact, "_DENSE_CHUNK_ENTRIES", 20**2)
+        sizes, solve = [], np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda A, b: sizes.append(len(A)) or solve(A, b))
         chunked = _fixation_stack(W, mu, r)
+        assert sizes == [2, 2, 2, 2, 1]
         assert np.array_equal(whole[0], chunked[0]) and whole[1] == chunked[1]
 
     def test_a_model_that_never_changes_is_named(self):

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,8 +12,11 @@ from spatialmoran import (
     galanis_model,
     galanis_neutral_fixation,
     is_isothermal,
+    martingale_report,
     random_doubly_stochastic,
     random_strongly_connected_weights,
+    ratio_constancy,
+    single_mutant_ratio_witness,
     stationary_distribution,
     verification,
 )
@@ -21,8 +25,8 @@ from spatialmoran.exact import _fixation_stack
 from spatialmoran.verification import DEFAULT_SEED, builtin_suite
 
 
-# The per-model loops that the stacked solves replaced, kept as the reference: each
-# draws from ``rng`` in the same order and solves one model at a time.
+# The per-model loops that the stacked solves and batches replaced, kept as the reference:
+# each draws from ``rng`` in the same order and solves or diagnoses one model at a time.
 
 def stationary_and_isothermal_per_model(rng, graphs):
     residual = fixation_dev = iso_dev = 0.0
@@ -41,6 +45,27 @@ def stationary_and_isothermal_per_model(rng, graphs):
             report = fixation_probabilities(build_model(D, mu="uniform", r=r))
             iso_dev = max(iso_dev, report.per_level_deviation.max())
     return residual, fixation_dev, iso_dev
+
+
+def martingale_and_ratio_per_model(rng, graphs):
+    drift_dev = exp_dev = ratio_dev = 0.0
+    witness_floor, witness = float("inf"), None
+    for _ in range(graphs):
+        n = int(rng.integers(3, 9))
+        W = random_strongly_connected_weights(n, rng)
+        pi = stationary_distribution(W).pi
+        drift_dev = max(drift_dev, martingale_report(build_model(W, mu=pi, r=1.0)).max_abs_drift)
+        for r in (0.25, 0.5, 2.0, 4.0):
+            model = build_model(W, mu=pi, r=r)
+            exp_dev = max(exp_dev, martingale_report(model).max_abs_exp_drift)
+            ratio_dev = max(ratio_dev, ratio_constancy(model))
+        mu = pi * rng.uniform(0.5, 2.0, n)
+        mu /= mu.sum()
+        if np.max(np.abs(mu @ W.entries - mu)) > 1e-3:
+            mask, dev = single_mutant_ratio_witness(build_model(W, mu=mu, r=2.0))
+            if dev < witness_floor:
+                witness_floor, witness = dev, {"mask": mask, "deviation": dev}
+    return drift_dev, exp_dev, ratio_dev, witness_floor, witness
 
 
 def n2_grid_per_model():
@@ -70,9 +95,24 @@ def test_builtin_suite_matches_per_model_solves(monkeypatch, seed):
     stacked = builtin_suite(seed)
     monkeypatch.setattr(verification, "_stationary_and_isothermal",
                         stationary_and_isothermal_per_model)
+    monkeypatch.setattr(verification, "_martingale_and_ratio", martingale_and_ratio_per_model)
     monkeypatch.setattr(verification, "_n2_grid_deviation", n2_grid_per_model)
     monkeypatch.setattr(verification, "_galanis_policy_deviation", galanis_policies_per_model)
     assert builtin_suite(seed) == stacked
+
+
+@pytest.mark.parametrize("graphs", [10, 200])
+def test_stacked_solves_stay_within_four_mib(graphs):
+    # each vertex count's stack is solved once it holds one dense chunk (2 MiB), so the
+    # peak does not grow with the number of random graphs
+    builtin_suite(1, graphs)  # imports and caches outside the measurement
+    tracemalloc.start()
+    try:
+        builtin_suite(1, graphs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20
 
 
 @pytest.mark.parametrize("graphs", [0, -1])
