@@ -27,7 +27,7 @@ a wildtype ``u`` flips with ``r S(x)[u] / D`` and a mutant ``u`` with ``S(full ^
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -58,8 +58,6 @@ class MicSMPModel:
     W: WeightMatrix
     mu: SelectionPolicy
     r: float
-    #: diag(mu) @ W, precomputed once (derived, read-only).
-    w_mu: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         _require_fitness(np.array([self.r]))
@@ -67,9 +65,6 @@ class MicSMPModel:
             raise NotStochastic(
                 f"policy length {self.mu.n} does not match vertex count {self.W.n}"
             )
-        w_mu = self.mu.mu[:, None] * self.W.entries
-        w_mu.setflags(write=False)
-        object.__setattr__(self, "w_mu", w_mu)
 
     @property
     def n(self) -> int:

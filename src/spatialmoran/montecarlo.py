@@ -315,7 +315,8 @@ class _Walker:
         # mutant (wildtype) parent, clipped at zero (a policy entry may lie
         # down to -1e-12) and rounded once; each entry is at most 2^61
         scale = 2.0**61 / max(r, 1.0)
-        placed = np.maximum(np.stack((r * model.w_mu, model.w_mu)), 0.0)
+        w_mu = model.mu.mu[:, None] * model.W.entries
+        placed = np.maximum(np.stack((r * w_mu, w_mu)), 0.0)
         self._placed = np.rint(placed * scale).astype(np.int64)
         # rows[u]: change of the masses when vertex u turns mutant; row n + u,
         # when it turns wildtype.  Likewise for the selection weight.

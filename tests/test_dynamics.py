@@ -119,7 +119,7 @@ class TestLevelProbabilities:
                     pp, pm = p_plus(x, model), p_minus(x, model)
                     xv = x.vector()
                     z = float(xv @ pi)
-                    quad = float(xv @ model.w_mu @ xv)
+                    quad = float(xv @ (model.mu.mu[:, None] * model.W.entries) @ xv)
                     expected = (r - 1.0) / (1.0 + (r - 1.0) * z) * (z - quad)
                     assert abs((pp - pm) - expected) <= 1e-12
                     assert abs(r * pm + (1.0 - pp - pm) + pp / r - 1.0) <= 1e-12

@@ -334,12 +334,12 @@ class TestCertifiedSolve:
 
     @staticmethod
     def recorded_bicgstab(monkeypatch, result=None):
-        """Record (a copy of) the ``x0`` of every BiCGSTAB call; return ``result(b)`` instead
-        when given."""
+        """Record (a copy of) the ``x0`` and the options of every BiCGSTAB call; return
+        ``result(b)`` instead when given."""
         calls, original = [], exact.bicgstab
 
         def bicgstab(A, b, x0=None, **options):
-            calls.append(None if x0 is None else x0.copy())
+            calls.append((None if x0 is None else x0.copy(), options))
             return (result(b), 0) if result else original(A, b, x0=x0, **options)
 
         monkeypatch.setattr(exact, "bicgstab", bicgstab)
@@ -374,17 +374,31 @@ class TestCertifiedSolve:
         """The Moran value of each transient mask's level, by row."""
         return np.array([moran_rho(mask.bit_count(), n, r) for mask in range(1, (1 << n) - 1)])
 
-    def test_a_missed_target_resumes_from_h(self, monkeypatch):
+    @staticmethod
+    def recorded_certificates(monkeypatch):
+        """Record the ``(drift, tau, bound)`` of every certificate the solve draws up."""
+        certificates, original = [], exact._certificate
+
+        def certificate(*args):
+            certificates.append(original(*args))
+            return certificates[-1]
+
+        monkeypatch.setattr(exact, "_certificate", certificate)
+        return certificates
+
+    def test_h_is_one_pass_from_the_moran_guess(self, monkeypatch):
         calls = self.recorded_bicgstab(monkeypatch)
+        certificates = self.recorded_certificates(monkeypatch)
         model = self.nonstationary_model()
         W, mu = model.W, model.mu.mu
         report = fixation_probabilities(model)
-        moran = self.moran_rows(11, 2.0)
-        # T from zero, then the first pass for h from the Moran guess
-        assert calls[0] is None and np.array_equal(calls[1], moran)
-        # the first pass missed tau: a later pass resumes from its h, not from zero or the guess
-        assert len(calls) > 2 and all(x0 is not None for x0 in calls[2:])
-        assert not any(np.array_equal(x0, moran) for x0 in calls[2:])
+        # T from zero, then h from the Moran guess, each aimed at its max-norm target as a
+        # 2-norm residual, and no further pass
+        (t_x0, t_options), (h_x0, h_options) = calls
+        (_, tau, _), = certificates
+        assert t_x0 is None and (t_options["atol"], t_options["rtol"]) == (0.01, 0.0)
+        assert np.array_equal(h_x0, self.moran_rows(11, 2.0))
+        assert (h_options["atol"], h_options["rtol"]) == (tau[0], 0.0)
         indptr, indices, data, rhs = _jump_system(W.entries[None], mu[None], np.array([2.0]), [""])
         A = csr_matrix((data[0], indices, indptr)).toarray()
         h = np.linalg.solve(A, rhs[0, :, 0])
@@ -394,7 +408,7 @@ class TestCertifiedSolve:
         calls = self.recorded_bicgstab(monkeypatch, result=np.zeros_like)  # T = 0: ||1 - A T|| = 1
         with pytest.raises(NumericalFailure, match="absorption-time residual"):
             fixation_probabilities(self.nonstationary_model())
-        assert calls == [None]
+        assert [x0 for x0, _ in calls] == [None]
 
     def test_a_pass_out_of_iterations_is_the_last(self, monkeypatch):
         # every pass on h stops after one iteration, short of its target:
@@ -417,30 +431,50 @@ class TestCertifiedSolve:
         assert passes == ["T", "h"]
 
     def test_a_breakdown_fails_the_bound(self, monkeypatch):
-        # a pass on h that breaks down (info < 0) resumes from its h like a miss; one that
-        # leaves NaN starts no further pass, and its NaN residual fails the bound check
-        passes, original = [], exact.bicgstab
+        # a pass on h that breaks down (info < 0) starts no second pass: what it returns goes
+        # to the bound check as it is, so NaN fails it, and so does the guess handed back
+        model = self.nonstationary_model()
+        certificates = self.recorded_certificates(monkeypatch)
+        original, errors = exact.bicgstab, []
+        for broken in (lambda x0: np.full_like(x0, np.nan), np.copy):
+            passes = []
 
-        def bicgstab(A, b, x0=None, **options):
-            passes.append("h" if passes else "T")
-            if len(passes) == 1:  # A T = 1 as usual
-                return original(A, b, x0=x0, **options)
-            return (x0.copy(), -10) if len(passes) == 2 else (np.full_like(b, np.nan), -10)
+            def bicgstab(A, b, x0=None, **options):
+                passes.append("h" if passes else "T")
+                if len(passes) == 1:  # A T = 1 as usual
+                    return original(A, b, x0=x0, **options)
+                return broken(x0), -10
 
-        monkeypatch.setattr(exact, "bicgstab", bicgstab)
-        with pytest.raises(NumericalFailure, match="certified error bound nan"):
-            fixation_probabilities(self.nonstationary_model())
-        assert passes == ["T", "h", "h"]
+            monkeypatch.setattr(exact, "bicgstab", bicgstab)
+            with pytest.raises(NumericalFailure) as error:
+                fixation_probabilities(model)
+            assert passes == ["T", "h"]
+            errors.append(str(error.value))
+        indptr, indices, data, rhs = _jump_system(model.W.entries[None], model.mu.mu[None],
+                                                  np.array([2.0]), [""])
+        A = csr_matrix((data[0], indices, indptr))
+        guess = np.abs(rhs[0, :, 0] - A @ self.moran_rows(11, 2.0)).max()
+        bound = certificates[-1][2](np.array([guess]))[0]
+        assert errors == [f"certified error bound nan above {exact.SOLVE_RESIDUAL_TOL:g}",
+                          f"certified error bound {bound:.3e} above {exact.SOLVE_RESIDUAL_TOL:g}"]
 
-    @pytest.mark.parametrize("n", [11, 13])
-    @pytest.mark.parametrize("policy", ["uniform", "random"])
-    @pytest.mark.parametrize("r", [0.5, 1.0, 1.05, 3.0])
+    @pytest.mark.parametrize("r, policy, n", [
+        *((r, policy, n) for r in (0.5, 1.0, 1.05, 3.0) for policy in ("uniform", "random")
+          for n in (11, 13)),
+        (1.05, "ring", 13)])
     def test_nonstationary_models_are_certified(self, n, policy, r):
         # at n = 13 the dense matrix would take 512 MiB: the reference is SciPy's GMRES
-        # driven to a 2-norm residual of 1e-14, far below the bound
+        # driven to a 2-norm residual of 1e-14, far below the bound.  The ring mixes slowly:
+        # asymmetric neighbour weights, random self-loops and a random policy
         rng = np.random.default_rng([n, round(r * 100)])
-        W = random_strongly_connected_weights(n, rng)
-        mu = rng.uniform(0.2, 1.0, n) if policy == "random" else np.ones(n)
+        if policy == "ring":
+            W = np.zeros((n, n))
+            for v, (loop, left, right) in enumerate(rng.uniform(0.1, 1.0, (n, 3))):
+                W[v, [v, (v - 1) % n, (v + 1) % n]] = loop, left, right
+            W = validate_weight_matrix(W / W.sum(axis=1, keepdims=True))
+        else:
+            W = random_strongly_connected_weights(n, rng)
+        mu = np.ones(n) if policy == "uniform" else rng.uniform(0.2, 1.0, n)
         model = build_model(W, mu=mu / mu.sum(), r=r)
         report = fixation_probabilities(model)
         assert report.solver.method == "iterative"
