@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import MicSMPModel, _as_stack, _level_rates, _require_exact_size, build_model
+from .dynamics import (MicSMPModel, _as_stack, _level_rates, _require_exact_size,
+                       _require_fitness, build_model)
 from .errors import DegenerateCase, DegenerateDenominator, OutOfRange, ZeroDenominator
 from .exact import InitialDistribution, moran_rho
 from .graph import (SelectionPolicy, WeightMatrix, complete_graph_weights,
@@ -390,11 +391,16 @@ def classic_moran_check(n: int, r: float) -> float:
     ``j``-only formulas; the reduction is exact, so the result should sit at
     rounding level.
     """
+    return float(_classic_deviations(n, np.array([r], dtype=float))[0])
+
+
+def _classic_deviations(n: int, r: np.ndarray) -> np.ndarray:
+    """:func:`classic_moran_check` at each fitness of ``r``, from one batch."""
     if not 2 <= n <= 12:
         raise OutOfRange(f"check supported for 2 <= n <= 12, got {n}")
-    model = build_model(complete_graph_weights(n), mu="uniform", r=r)
-    levels, pp, pm = _transient_rates(model)
-    expected_pp = np.array([classic_p_plus(j, n, r) for j in range(n)])
-    expected_pm = np.array([classic_p_minus(j, n, r) for j in range(n)])
-    return float(max(np.abs(pp - expected_pp[levels]).max(),
-                     np.abs(pm - expected_pm[levels]).max()))
+    _require_fitness(r)
+    W = np.broadcast_to(complete_graph_weights(n).entries, (len(r), n, n))
+    levels, pp, pm = _level_rates(W, np.full(W.shape[:2], 1.0 / n), r, np.arange(1, (1 << n) - 1))
+    expected = np.array([[[classic_p_plus(j, n, x), classic_p_minus(j, n, x)] for j in range(n)]
+                         for x in r.tolist()])[:, levels]
+    return np.abs(np.stack((pp, pm), axis=-1) - expected).max(axis=(1, 2))

@@ -250,24 +250,9 @@ def transition_kernel(model: MicSMPModel) -> TransitionKernel:
     # n flips then the idle mass on the diagonal, per row; absorbing rows have
     # no flip mass, so their idle mass is exactly 1
     values = np.column_stack((flips, np.maximum(1.0 - _flip_totals(flips), 0.0)))
-    data, cols = np.empty(size * (n + 1)), np.empty(size * (n + 1), np.int32)
-    indptr = np.arange(0, size * (n + 1) + 1, n + 1)
-    for u, (bit, at) in enumerate(_sorted_places(masks, n, indptr[:-1])):
-        data[at], cols[at] = values[:, u], masks ^ bit
-    P = csr_matrix((data, cols, indptr), shape=(size, size))
+    cols = (masks[:, None] ^ np.append(1 << np.arange(n), 0)).astype(np.int32)
+    indptr = np.arange(0, values.size + 1, n + 1, dtype=np.int32)
+    P = csr_matrix((values.ravel(), cols.ravel(), indptr), shape=(size, size))
+    P.sort_indices()
     P.eliminate_zeros()
     return TransitionKernel(n=n, P=P)
-
-
-def _sorted_places(masks: np.ndarray, n: int, starts: np.ndarray):
-    """Yield ``(1 << u, starts + place)`` per flip ``u`` of ``masks``, then ``(0, starts + level)``.
-    A row sorted by target holds the set bits high to low, the diagonal, then the unset bits
-    low to high: with ``c`` set bits in ``0..u``, a set ``u`` sits at ``level - c``, an unset
-    one at ``level + 1 + u - c``."""
-    diagonal = starts + mask_bits(masks, n).sum(axis=1)
-    below = np.zeros_like(masks)  # c
-    for u in range(n):
-        bit = (masks >> u) & 1
-        below += bit
-        yield 1 << u, diagonal - below + (u + 1) * (1 - bit)
-    yield 0, diagonal

@@ -3,10 +3,11 @@
 Idle steps do not change which absorbing state is hit, so the transient
 fixation probabilities solve ``A h = b`` with ``A = I - J``,
 ``J[x, x ^ (1 << u)] = f_xu / d_x``, ``f`` the flip masses of
-:func:`~spatialmoran.dynamics.flip_masses` and ``d_x = sum_u f_xu``;
-:func:`_jump_system` writes ``A`` straight into CSR, each row sorted without a sort.
-:func:`_certified_solve` serves every ``n <= 20``, the one size bound: dense LU up to ``n = 10``
-(``solver.method == "dense"``) and BiCGSTAB (van der Vorst 1992) above (``"iterative"``).
+:func:`~spatialmoran.dynamics.flip_masses` and ``d_x = sum_u f_xu``.  A jump changes the parity
+of the mutant count, so with the even masks first ``A = [[I, -E], [-F, I]]`` (Property A; Reid
+1972): :func:`_certified_solve` solves ``(I - E F) x_e = b_e + E b_o``, then ``x_o = b_o + F x_e``,
+for every ``n <= 20`` (the one size bound): by dense LU up to ``n = 10`` (``"dense"``), and above
+by BiCGSTAB (van der Vorst 1992; ``"iterative"``) in half the iterations it takes on ``A``.
 It also solves ``A T = 1``, the expected number of jumps to absorption (Kemeny & Snell, *Finite
 Markov Chains*), whose maximum certifies the max-norm error of ``h``.  BiCGSTAB makes one pass
 for ``T`` (to 0.01), then one for ``h`` from the Moran value of each level.  Under a stationary
@@ -33,10 +34,10 @@ from functools import partial, reduce
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.linalg import bicgstab
+from scipy.sparse.linalg import LinearOperator, bicgstab
 
 from .dynamics import (MicSMPModel, _as_stack, _flip_masses, _flip_totals,
-                       _require_exact_size, _require_fitness, _sorted_places)
+                       _require_exact_size, _require_fitness)
 from .errors import AtomOnAbsorbing, DegenerateCase, NotStochastic, NumericalFailure, TooLarge
 from .graph import STOCHASTIC_TOL, Configuration, _integer, _require_policies, level_masks
 
@@ -123,8 +124,8 @@ class InitialDistribution:
 @dataclass(frozen=True)
 class SolverInfo:
     """``"dense"`` (LU), ``"iterative"`` (BiCGSTAB) or ``"closed-form"`` (a stationary policy
-    above ``n = 10``); BiCGSTAB iterations, two products with ``A`` each (1 for LU, 0 for the
-    closed form); certified error bound."""
+    above ``n = 10``); BiCGSTAB iterations on the reduced system ``I - E F``, each two products'
+    worth of ``A`` (1 for LU, 0 for the closed form); certified error bound."""
 
     method: str
     iterations: int
@@ -151,35 +152,53 @@ class FixationReport:
 
 
 def _jump_system(W: np.ndarray, mu: np.ndarray, r: np.ndarray, labels: list):
-    """``(indptr, indices, data, rhs)`` of ``k`` models with the same ``n``: ``A_i = I - J_i``
-    in CSR, values ``data[i]`` and sorted int32 ``indices``, and ``rhs[i] = [b_i, 1]``.  Row
-    ``x - 1`` holds the diagonal and the flips of mask ``x``, those of zero mass as explicit
-    zeros, but not the flip to mask 0 or to the full mask.  Errors open with ``labels[i]``."""
+    """``(E, e_cols, b_e)``, ``(F, f_cols, b_o)`` and the row masks of ``A_i = I - J_i`` for ``k``
+    models of one ``n``: ``E[i, x, u]`` is flip ``u``'s jump from the ``x``-th even-level mask to
+    the ``e_cols[x, u]``-th odd one, mask ``y`` being ``(y >> 1) - [y even]``-th in its class, and
+    ``F`` back; a flip to mask 0 or the full mask is a zero at index 0.  ``b[i, x] = [b_i, 1]``,
+    ``b_i`` the jump to the full mask.  Errors open with ``labels[i]``."""
     k, n = mu.shape
-    full = (1 << n) - 1
-    masks = np.arange(1, full)
+    full, vertex, odd = (1 << n) - 1, np.arange(n), _mask_levels(n)[1:-1] & 1
+    masks, split = np.append(np.flatnonzero(odd == 0), np.flatnonzero(odd)) + 1, (odd == 0).sum()
+    odd.sort()  # odd[x] now tells whether row x is odd, so its targets are even, one index lower
     flips = _flip_masses(W, mu, r, masks)
     leave = _flip_totals(flips)
     stuck = leave.min(axis=1) <= 0.0
     if stuck.any():
         i = int(stuck.argmax())
         raise DegenerateCase(f"{labels[i]}configuration "
-                             f"{int(masks[leave[i].argmin()]):#b} can never change")
+                             f"{int(masks[leave[i] <= 0.0].min()):#b} can never change")
     flips /= leave[:, :, None]
+    cols = np.empty(flips.shape[1:], np.int32)
+    for u in vertex:
+        cols[:, u] = ((masks ^ (1 << u)) >> 1) - odd
     # rows of level 1, whose flip u reaches mask 0, and of level n - 1, whose flip u is absorbed
-    bottom, top = (1 << np.arange(n)) - 1, full - (1 << np.arange(n)) - 1
+    bottom = split + ((1 << vertex) >> 1)
+    top = ((full ^ (1 << vertex)) >> 1) - 1 + ((n - 1) & 1) * (split + 1)
     rhs = np.stack((np.zeros_like(leave), np.ones_like(leave)), axis=2)
-    rhs[:, top, 0] = flips[:, top, np.arange(n)]
-    ends = np.cumsum(n + 1 - np.bincount(np.append(bottom, top), minlength=len(masks)))
-    # row starts, less one at level 1, where the flip to mask 0 would take place 0
-    starts = ends - (n + 1) + np.bincount(top, minlength=len(masks))
-    # a flip that leaves the system lands on a spare last entry, or on the entry of vertex n or
-    # the diagonal of the row before (level 1) or after (level n - 1), both written after it
-    indices, data = np.empty(ends[-1] + 1, np.int32), np.empty((k, ends[-1] + 1))
-    for u, (bit, at) in enumerate(_sorted_places(masks, n, starts)):
-        data[:, at] = 0.0 - flips[:, :, u] if bit else 1.0
-        indices[at] = (masks ^ bit) - 1
-    return np.append(0, ends).astype(np.int32), indices[:-1], data[:, :-1], rhs
+    rhs[:, top, 0] = flips[:, top, vertex]
+    flips[:, top, vertex] = flips[:, bottom, vertex] = 0.0
+    cols[top, vertex] = cols[bottom, vertex] = 0
+    return ((flips[:, :split], cols[:split], rhs[:, :split]),
+            (flips[:, split:], cols[split:], rhs[:, split:]), masks)
+
+
+def _jumps(data: np.ndarray, cols: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``J x`` on one half's rows of a stack, added in vertex order, for ``x`` of the other."""
+    out = np.zeros(data.shape[:2] + x.shape[2:])
+    for u in range(data.shape[2] if x.shape[1] else 0):  # at n = 2 the even half is empty
+        out += data[:, :, u, None] * x[:, cols[:, u]]
+    return out
+
+
+def _schur(E: np.ndarray, F: np.ndarray, e_cols: np.ndarray, f_cols: np.ndarray) -> np.ndarray:
+    """``I - E F`` of each system of a stack, dense, by one ``bincount`` of the ``w^2`` two-jump
+    paths of each row, ``E[x, u] F[y, v]`` at ``f_cols[y, v]`` for ``y = e_cols[x, u]``."""
+    k, m = E.shape[:2]
+    at = np.arange(k * m).reshape(k, m, 1, 1) * m + f_cols[e_cols]
+    S = np.bincount(at.ravel(), (E[..., None] * -F[:, e_cols]).ravel(), k * m * m)
+    S.reshape(k, m * m)[:, ::m + 1] += 1  # an int: with no paths (n = 2) S counts in ints
+    return S.reshape(k, m, m)
 
 
 def _certificate(t_max: np.ndarray, t_residual: np.ndarray, terms: int):
@@ -198,48 +217,61 @@ def _certificate(t_max: np.ndarray, t_residual: np.ndarray, terms: int):
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def _certified_solve(indptr, indices, data, rhs, terms: int, guess, labels: list):
-    """Solve ``A_i X_i = [b_i, 1]`` for ``k`` systems ``A_i = I - J_i`` of ``m`` rows in CSR:
-    values ``data[i]`` on a shared ``(indptr, indices)``; ``rhs`` has shape ``(k, m, 2)``.
+def _certified_solve(even, odd, terms: int, guess, labels: list):
+    """Solve ``A_i X_i = [b_i, 1]`` for ``k`` systems ``A_i = [[I, -E_i], [-F_i, I]]``, given by
+    the halves ``(E, e_cols, b_e)``, ``(F, f_cols, b_o)`` of :func:`_jump_system`.
 
-    Up to :data:`_DENSE_MAX_ROWS` rows, one stacked dense LU per chunk of at most
-    :data:`_DENSE_CHUNK_ENTRIES` entries or of one system (BiCGSTAB is faster at ``n = 9`` and
-    10, but diverges on birth-death chains that long); above, BiCGSTAB on each CSR matrix.
-    ``X[i] = [h_i, T_i]`` with a :func:`_certificate` bound each; the CSR arrays of ``A^T``
-    solve with ``A^T``.
+    One elimination serves both branches: ``S x_e = b_e + E b_o``, ``S = I - E F``, then
+    ``x_o = b_o + F x_e``.  Up to :data:`_DENSE_MAX_ROWS` rows of ``A``, one stacked LU of
+    :func:`_schur` per chunk of :data:`_DENSE_CHUNK_ENTRIES` entries or one system (BiCGSTAB is
+    faster at ``n = 9``, 10 but diverges on birth-death chains that long); above, BiCGSTAB on
+    ``S``.  ``X[i] = [h_i, T_i]``, even rows first, with a :func:`_certificate` bound from ``A``.
     BiCGSTAB makes one pass per right-hand side, aimed at the 2-norm residual equal to the
     max-norm target it must meet (``||r||_inf <= ||r||_2``): ``T`` from zero to 0.01 (the bound
-    grows by at most ``1 / 0.99``), then ``h`` from ``guess(i)`` to ``tau``, with no pass if the
-    guess already meets ``tau``; ``iterations`` counts both passes'.  A pass that misses, runs
-    out of iterations or breaks down goes to the bound check as it is.  Floating-point
+    grows by at most ``1 / 0.99``), then ``h`` from the even half of ``guess(i)`` to ``tau``, with
+    no pass if all of it meets ``tau``; ``iterations`` counts both passes'.  A pass that misses,
+    runs out of iterations or breaks down goes to the bound check as it is.  Floating-point
     warnings are off, so a pass that diverges to overflow or NaN fails the certificate.  Raises
-    :class:`NumericalFailure`, opening with ``labels[i]``, when ``||1 - A T||`` reaches 1
-    (before solving for ``h``) or a bound exceeds :data:`SOLVE_RESIDUAL_TOL`.
-    Each system's solution and bound are bitwise those of its solve alone.
+    :class:`NumericalFailure`, opening with ``labels[i]``, when ``||1 - A T||`` reaches 1 (before
+    solving for ``h``) or a bound exceeds :data:`SOLVE_RESIDUAL_TOL`.  Each system's solution and
+    bound are bitwise those of its solve alone.
     """
-    k, m = rhs.shape[:2]
-    X = np.empty_like(rhs)
-    residual = np.empty((k, 2))
-    iterations = [1] * k
-    if m <= _DENSE_MAX_ROWS:
-        method = "dense"
-        step = max(1, _DENSE_CHUNK_ENTRIES // m**2)
-        rows = np.repeat(np.arange(m), np.diff(indptr))
-        for lo in range(0, k, step):
-            chunk = slice(lo, lo + step)
-            A = np.zeros((len(rhs[chunk]), m, m))
-            A[:, rows, indices] = data[chunk]
-            X[chunk] = np.linalg.solve(A, rhs[chunk])
-            residual[chunk] = np.abs(rhs[chunk] - A @ X[chunk]).max(axis=1)
+    (E, e_cols, b_e), (F, f_cols, b_o) = even, odd
+    k, m = b_e.shape[:2]
+    X, residual = np.empty((k, m + len(f_cols), 2)), np.empty((k, 2))
+    x_e, x_o = X[:, :m], X[:, m:]
+
+    def settle(e_jumps, f_jumps, at, back=True):
+        """``||b - A x||`` by column of ``X[at]``, after ``x_o = b_o + F x_e`` if ``back``."""
+        flips = f_jumps(x_e[at])
+        if back:
+            x_o[at] = b_o[at] + flips
+        return np.maximum(np.abs(b_e[at] - x_e[at] + e_jumps(x_o[at])).max(axis=-2, initial=0.0),
+                          np.abs(b_o[at] - x_o[at] + flips).max(axis=-2))
+
+    if X.shape[1] <= _DENSE_MAX_ROWS:
+        method, step, steps = "dense", max(1, _DENSE_CHUNK_ENTRIES // max(m, 1)**2), [[1]] * k
+        for c in (slice(lo, lo + step) for lo in range(0, k, step)):
+            E_c, F_c = partial(_jumps, E[c], e_cols), partial(_jumps, F[c], f_cols)
+            x_e[c] = np.linalg.solve(_schur(E[c], F[c], e_cols, f_cols), b_e[c] + E_c(b_o[c]))
+            residual[c] = settle(E_c, F_c, c)
     else:
-        method = "iterative"
-        systems = [csr_matrix((data[i], indices, indptr), shape=(m, m)) for i in range(k)]
-        steps = [[] for _ in range(k)]  # one entry per iteration, not the iterate it is passed
-        tick = [lambda _, count=count: count.append(None) for count in steps]
-        solve = partial(bicgstab, maxiter=5_000)
-        for i, A in enumerate(systems):
-            X[i, :, 1] = solve(A, rhs[i, :, 1], atol=0.01, rtol=0.0, callback=tick[i])[0]
-            residual[i, 1] = np.abs(rhs[i, :, 1] - A @ X[i, :, 1]).max()
+        method, steps = "iterative", [[] for _ in range(k)]  # one entry per iteration
+
+        def csr(data, cols, width):  # the rows as they are, w entries each
+            indptr = np.arange(0, data.size + 1, data.shape[1], dtype=np.int32)
+            return csr_matrix((data.ravel(), cols.ravel(), indptr), shape=(len(cols), width)).dot
+
+        halves = [(csr(E[i], e_cols, len(f_cols)), csr(F[i], f_cols, m)) for i in range(k)]
+
+        def solve(i, j, **target):  # one pass on S for column j of system i; the residual after
+            E_i, F_i = halves[i]
+            S = LinearOperator((m, m), lambda v: v - E_i(F_i(v)), dtype=float)
+            x_e[i, :, j] = bicgstab(S, b_e[i, :, j] + E_i(b_o[i, :, j]), maxiter=5_000, rtol=0.0,
+                                    callback=lambda _: steps[i].append(None), **target)[0]
+            return settle(E_i, F_i, np.s_[i, :, j:j + 1])[0]
+
+        residual[:, 1] = [solve(i, 1, atol=0.01) for i in range(k)]
     drift, tau, bound = _certificate(np.abs(X[:, :, 1]).max(axis=1), residual[:, 1], terms)
     unbounded = ~(drift < 1.0)
     if unbounded.any():
@@ -247,21 +279,18 @@ def _certified_solve(indptr, indices, data, rhs, terms: int, guess, labels: list
         raise NumericalFailure(f"{labels[i]}absorption-time residual "
                                f"{drift[i]:.3e} leaves the error unbounded")
     if method == "iterative":
-        for i, A in enumerate(systems):
+        for i in range(k):
             X[i, :, 0] = guess(i)  # held in X's row, so a pass from it takes no more memory
-            residual[i, 0] = np.abs(rhs[i, :, 0] - A @ X[i, :, 0]).max()
+            residual[i, 0] = settle(*halves[i], np.s_[i, :, :1], back=False)[0]
             if residual[i, 0] > tau[i]:  # no pass if the guess meets tau
-                X[i, :, 0] = solve(A, rhs[i, :, 0], x0=X[i, :, 0], atol=tau[i], rtol=0.0,
-                                   callback=tick[i])[0]
-                residual[i, 0] = np.abs(rhs[i, :, 0] - A @ X[i, :, 0]).max()
-            iterations[i] = len(steps[i])
+                residual[i, 0] = solve(i, 0, x0=x_e[i, :, 0], atol=tau[i])
     bound = bound(residual[:, 0])
     failed = ~(bound <= SOLVE_RESIDUAL_TOL)
     if failed.any():
         i = int(failed.argmax())
         raise NumericalFailure(f"{labels[i]}certified error bound {bound[i]:.3e} "
                                f"above {SOLVE_RESIDUAL_TOL:g}")
-    return X, [SolverInfo(method, it, b) for it, b in zip(iterations, bound.tolist())]
+    return X, [SolverInfo(method, len(count), b) for count, b in zip(steps, bound.tolist())]
 
 
 def _closed_form(W: np.ndarray, mu: np.ndarray, r: float):
@@ -322,11 +351,11 @@ def _fixation_stack(W: np.ndarray, mu: np.ndarray, r: np.ndarray):
             h[i], solvers[i] = certified
     if todo := [i for i in range(k) if solvers[i] is None]:
         named = [labels[i] for i in todo]
+        *halves, order = _jump_system(W[todo], mu[todo], r[todo], named)
         # h starts at the Moran value by level; the levels are built per model, not held
-        X, solved = _certified_solve(
-            *_jump_system(W[todo], mu[todo], r[todo], named), terms=n + 2, labels=named,
-            guess=lambda i: _moran_by_level(n, float(r[todo[i]]))[_mask_levels(n)[1:-1]])
-        h[todo], solved = X[:, :, 0], iter(solved)
+        X, solved = _certified_solve(*halves, terms=n + 2, labels=named, guess=lambda i:
+                                     _moran_by_level(n, float(r[todo[i]]))[_mask_levels(n)[order]])
+        h[np.ix_(todo, order - 1)], solved = X[:, :, 0], iter(solved)
         solvers = [solver or next(solved) for solver in solvers]
     bound = np.array([solver.residual for solver in solvers])
     if _log.isEnabledFor(logging.DEBUG):

@@ -17,11 +17,11 @@ from .analysis import (
     GALANIS_WEIGHTS,
     GalanisParams,
     N2Params,
+    _classic_deviations,
     _drifts,
     _n2_surface,
     _n2_weights,
     _ratio_deviation,
-    classic_moran_check,
     galanis_case3_initial_weight,
     galanis_model,
     galanis_moran_condition,
@@ -205,7 +205,7 @@ def builtin_suite(seed: int = DEFAULT_SEED, graphs: int = 10) -> dict:
         "threshold": 1e-9, "witness": witness,
     }
 
-    classic_dev = max(classic_moran_check(n, r) for n in range(2, 9) for r in _R_SET)
+    classic_dev = max(float(_classic_deviations(n, np.array(_R_SET)).max()) for n in range(2, 9))
     checks["classic_reduction"] = _check(classic_dev, 1e-12)
 
     complete_ok = all(macro_markov_check(build_model(complete_graph_weights(n),

@@ -367,6 +367,12 @@ class TestClassicReduction:
         with pytest.raises(OutOfRange):
             classic_moran_check(13, 1.0)
 
+    def test_a_stack_of_fitnesses_is_bitwise_each_alone(self):
+        # the builtin suite reads each n's three fitnesses from one batch
+        for n in range(2, 9):
+            stacked = analysis._classic_deviations(n, np.array([0.5, 1.0, 2.0]))
+            assert stacked.tolist() == [classic_moran_check(n, r) for r in (0.5, 1.0, 2.0)]
+
 
 def brute_force_rates(model, mask):
     """``(p_plus, p_minus)`` of one configuration, summed over every ordered (parent, target) pair."""

@@ -3,12 +3,13 @@ import math
 import time
 import tracemalloc
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
 import scipy.linalg
 from scipy.sparse import csr_matrix, identity
-from scipy.sparse.linalg import gmres
+from scipy.sparse.linalg import bicgstab, gmres
 
 from spatialmoran import (
     AtomOnAbsorbing,
@@ -397,12 +398,30 @@ class TestCertifiedSolve:
         (t_x0, t_options), (h_x0, h_options) = calls
         (_, tau, _), = certificates
         assert t_x0 is None and (t_options["atol"], t_options["rtol"]) == (0.01, 0.0)
-        assert np.array_equal(h_x0, self.moran_rows(11, 2.0))
+        even = [mask - 1 for mask in range(1, 2047) if mask.bit_count() % 2 == 0]
+        assert np.array_equal(h_x0, self.moran_rows(11, 2.0)[even])
         assert (h_options["atol"], h_options["rtol"]) == (tau[0], 0.0)
-        indptr, indices, data, rhs = _jump_system(W.entries[None], mu[None], np.array([2.0]), [""])
-        A = csr_matrix((data[0], indices, indptr)).toarray()
-        h = np.linalg.solve(A, rhs[0, :, 0])
+        (A,), rhs = jump_matrix(W.entries[None], mu[None], np.array([2.0]))
+        h = np.linalg.solve(A.toarray(), rhs[0, :, 0])
         assert np.abs(report.rho[1:-1] - h).max() <= report.solver.residual <= 1e-11
+
+    def test_the_reduced_system_takes_at_most_six_tenths_of_the_iterations(self, monkeypatch):
+        # BiCGSTAB on S = I - E F against BiCGSTAB on the whole A with the same targets: T from
+        # zero to 0.01, then h from the Moran guess to the tau of the reduced solve
+        certificates = self.recorded_certificates(monkeypatch)
+        n, r, rng = 13, 2.0, np.random.default_rng(3)
+        W = random_strongly_connected_weights(n, rng)
+        mu = rng.uniform(0.2, 1.0, n)
+        mu /= mu.sum()
+        report = fixation_probabilities(build_model(W, mu=mu, r=r))
+        (_, tau, _), = certificates
+        (A,), rhs = jump_matrix(W.entries[None], mu[None], np.array([r]))
+        steps = []
+        solve = partial(bicgstab, A, maxiter=5_000, rtol=0.0, callback=steps.append)
+        assert solve(rhs[0, :, 1], atol=0.01)[1] == 0
+        assert solve(rhs[0, :, 0], x0=self.moran_rows(n, r), atol=tau[0])[1] == 0
+        assert report.solver.method == "iterative" and report.solver.residual <= 1e-11
+        assert report.solver.iterations <= 0.6 * len(steps)
 
     def test_unbounded_absorption_time_raises_before_h(self, monkeypatch):
         calls = self.recorded_bicgstab(monkeypatch, result=np.zeros_like)  # T = 0: ||1 - A T|| = 1
@@ -450,10 +469,12 @@ class TestCertifiedSolve:
                 fixation_probabilities(model)
             assert passes == ["T", "h"]
             errors.append(str(error.value))
-        indptr, indices, data, rhs = _jump_system(model.W.entries[None], model.mu.mu[None],
-                                                  np.array([2.0]), [""])
-        A = csr_matrix((data[0], indices, indptr))
-        guess = np.abs(rhs[0, :, 0] - A @ self.moran_rows(11, 2.0)).max()
+        # the even half handed back is the Moran guess, and the odd half follows from it
+        (A,), rhs = jump_matrix(model.W.entries[None], model.mu.mu[None], np.array([2.0]))
+        h = self.moran_rows(11, 2.0)
+        odd = [mask - 1 for mask in range(1, 2047) if mask.bit_count() % 2]
+        h[odd] = rhs[0, odd, 0] + (h - A @ h)[odd]
+        guess = np.abs(rhs[0, :, 0] - A @ h).max()
         bound = certificates[-1][2](np.array([guess]))[0]
         assert errors == [f"certified error bound nan above {exact.SOLVE_RESIDUAL_TOL:g}",
                           f"certified error bound {bound:.3e} above {exact.SOLVE_RESIDUAL_TOL:g}"]
@@ -478,9 +499,7 @@ class TestCertifiedSolve:
         model = build_model(W, mu=mu / mu.sum(), r=r)
         report = fixation_probabilities(model)
         assert report.solver.method == "iterative"
-        indptr, indices, data, rhs = _jump_system(W.entries[None], model.mu.mu[None],
-                                                  np.array([r]), [""])
-        A = csr_matrix((data[0], indices, indptr))
+        (A,), rhs = jump_matrix(W.entries[None], model.mu.mu[None], np.array([r]))
         if n == 11:
             h = np.linalg.solve(A.toarray(), rhs[0, :, 0])
         else:
@@ -524,17 +543,24 @@ class TestCertifiedSolve:
     @staticmethod
     def birth_death_chain(N, r):
         """``_certified_solve`` on the mutant count of @complete:N, which rises with
-        probability r / (1 + r) per jump; row k holds k + 1 mutants."""
+        probability r / (1 + r) per jump, by the parity of the count: count ``c`` sits at
+        ``(c >> 1) - [c even]`` of its half, as a mask does, with its jumps down and up.
+        Returns ``X`` with row ``c - 1`` for count ``c``."""
         up = r / (1.0 + r)
-        k = np.arange(N - 2)
-        rows, cols = np.concatenate((k, k + 1)), np.concatenate((k + 1, k))
-        jump = np.repeat([up, 1.0 - up], N - 2)
-        rhs = np.ones((N - 1, 2))
-        rhs[:, 0] = 0.0
-        rhs[-1, 0] = up
-        A = identity(N - 1, format="csr") - csr_matrix((jump, (rows, cols)), shape=(N - 1, N - 1))
-        return _certified_solve(A.indptr, A.indices, A.data[None], rhs[None], terms=4,
-                                guess=lambda i: np.zeros(N - 1), labels=[""])
+        halves = []
+        for parity in (0, 1):
+            counts = np.arange(2 - parity, N, 2)
+            targets = counts[:, None] + np.array([-1, 1])
+            absorbed = (targets == 0) | (targets == N)
+            jump = np.where(absorbed, 0.0, [1.0 - up, up])
+            rhs = np.ones((1, len(counts), 2))
+            rhs[0, :, 0] = np.where(targets[:, 1] == N, up, 0.0)
+            cols = np.where(absorbed, 0, (targets >> 1) - parity).astype(np.int32)
+            halves.append((jump[None], cols, rhs))
+        X, solvers = _certified_solve(*halves, terms=4, guess=lambda i: np.zeros(N - 1),
+                                      labels=[""])
+        order = np.concatenate((np.arange(2, N, 2), np.arange(1, N, 2)))
+        return X[:, np.argsort(order)], solvers
 
     @pytest.mark.parametrize("N, r", [(3, 2.0), (100, 1.5), (300, 1.0), (1000, 0.7)])
     def test_complete_graph_birth_death_chain(self, N, r):
@@ -644,8 +670,8 @@ class TestClosedForm:
         assert shift < model.stationarity_gap() <= 1e-12
         report = fixation_probabilities(model)
         assert report.solver.method in ("closed-form", "iterative")
-        indptr, indices, data, rhs = _jump_system(W.entries[None], mu[None], np.array([r]), [""])
-        A = csr_matrix((data[0], indices, indptr)).toarray()
+        (A,), rhs = jump_matrix(W.entries[None], mu[None], np.array([r]))
+        A = A.toarray()
         h, T = np.linalg.solve(A, rhs[0]).T
         h_residual = np.abs(rhs[0, :, 0] - A @ report.rho[1:-1]).max()
         assert T.max() * h_residual <= report.solver.residual <= 1e-11
@@ -693,7 +719,7 @@ class TestStationarityGap:
         W = random_strongly_connected_weights(n, rng).entries
         mu = rng.uniform(0.2, 1.0, n)
         mu /= mu.sum()
-        indptr, indices, data, rhs = _jump_system(W[None], mu[None], np.array([r]), [""])
+        (system,), rhs = jump_matrix(W[None], mu[None], np.array([r]))
         phi = np.array([moran_rho(j, n, r) for j in range(n + 1)])
         x = ((np.arange(1, (1 << n) - 1)[:, None] >> np.arange(n)) & 1).astype(float)
         level = x.sum(axis=1).astype(int)
@@ -704,7 +730,7 @@ class TestStationarityGap:
         moran_residual = up * phi[2:] + down * phi[:-2] - phi[1:-1]
         expected = moran_residual[level - 1] + up * (phi[level + 1] - phi[level - 1]) * (
             x @ g) / (r * A + B)
-        residual = rhs[0, :, 0] - csr_matrix((data[0], indices, indptr)) @ phi[level]
+        residual = rhs[0, :, 0] - system @ phi[level]
         assert np.abs(x @ g).max() > 1e-3  # the policy is far from stationary
         assert np.abs(residual - expected).max() <= 1e-14
 
@@ -724,9 +750,9 @@ class TestStationarityGap:
             j = np.arange(n + 1)
             phi = np.array([moran_rho(i, n, r) for i in j])
             t = j * (n - j) if r == 1.0 else (n * phi - j) * (r + 1) / (r - 1)
-            indptr, indices, data, _ = _jump_system(W[None], mu[None], np.array([r]), [""])
+            (A,), _ = jump_matrix(W[None], mu[None], np.array([r]))
             level = [mask.bit_count() for mask in range(1, (1 << n) - 1)]
-            true = np.abs(1.0 - csr_matrix((data[0], indices, indptr)) @ t[level]).max()
+            true = np.abs(1.0 - A @ t[level]).max()
             assert true <= handed[-1] <= 100 * true, case
 
     def test_a_certificate_is_never_false(self):
@@ -747,8 +773,8 @@ class TestStationarityGap:
                 continue
             certified += 1
             (h, solver), moran = solved, TestCertifiedSolve.moran_rows(n, r)
-            indptr, indices, data, rhs = _jump_system(W[None], mu[None], np.array([r]), [""])
-            dense = np.linalg.solve(csr_matrix((data[0], indices, indptr)).toarray(), rhs[0, :, 0])
+            (A,), rhs = jump_matrix(W[None], mu[None], np.array([r]))
+            dense = np.linalg.solve(A.toarray(), rhs[0, :, 0])
             assert np.array_equal(h, moran)
             assert np.abs(dense - moran).max() <= solver.residual <= 1e-11, case
         assert certified >= 10 and declined >= 10
@@ -788,25 +814,52 @@ def coo_jump_system(W, mu, r):
             for i in range(k)], rhs
 
 
+def jump_matrix(W, mu, r):
+    """``I - J_i`` of each model and its right-hand sides, in mask order, reassembled from the
+    halves of ``_jump_system`` and the identity as :func:`coo_jump_system` assembles its own.
+    Checks that each column index is the target's place among the masks of the other parity,
+    and that each flip to mask 0 or to the full mask is a zero at index 0."""
+    k, n = mu.shape
+    full = (1 << n) - 1
+    masks = np.arange(1, full)
+    parity = np.array([mask.bit_count() % 2 for mask in range(1, full)])
+    classes = [masks[parity == p] for p in (0, 1)]
+    place = np.zeros(full + 1, int)
+    for members in classes:
+        place[members] = np.arange(len(members))
+    (E, e_cols, b_e), (F, f_cols, b_o), order = _jump_system(W, mu, r, [""] * k)
+    assert np.array_equal(order, np.concatenate(classes))
+    assert E.shape == (k, len(classes[0]), n) and F.shape == (k, len(classes[1]), n)
+    assert e_cols.dtype == f_cols.dtype == np.int32
+    row = np.argsort(order)  # the row of each mask in its half, stacked
+    jump, cols = np.concatenate((E, F), axis=1)[:, row], np.concatenate((e_cols, f_cols))[row]
+    targets = masks[:, None] ^ (1 << np.arange(n))
+    inside = (targets != 0) & (targets != full)
+    assert np.array_equal(cols[inside], place[targets[inside]])
+    assert not jump[:, ~inside].any() and not cols[~inside].any()
+    rows, flipped = np.nonzero(inside)
+    shape = (len(masks),) * 2
+    return [identity(shape[0], format="csr")
+            - csr_matrix((jump[i, rows, flipped], (rows, targets[rows, flipped] - 1)), shape=shape)
+            for i in range(k)], np.concatenate((b_e, b_o), axis=1)[:, row]
+
+
 class TestJumpSystem:
-    """``_jump_system`` against :func:`coo_jump_system`, bit for bit.  The CSR form stores
-    a flip of zero mass as an explicit zero, which the COO form drops, so each system is
-    compared after ``eliminate_zeros()``."""
+    """``_jump_system``, reassembled by :func:`jump_matrix`, against :func:`coo_jump_system`
+    bit for bit.  The halves store a flip of zero mass as an explicit zero, which the COO form
+    drops, so each system is compared after ``eliminate_zeros()``."""
 
     @staticmethod
     def assert_matches_coo(W, mu, r):
-        indptr, indices, data, rhs = _jump_system(W, mu, r, [""] * len(r))
-        systems, coo_rhs = coo_jump_system(W, mu, r)
-        assert indices.dtype == np.int32 and data.shape == (len(mu), len(indices))
+        systems, rhs = jump_matrix(W, mu, r)
+        expected, coo_rhs = coo_jump_system(W, mu, r)
         assert rhs.tobytes() == coo_rhs.tobytes()
-        for i, expected in enumerate(systems):
-            A = csr_matrix((data[i], indices, indptr), shape=expected.shape, copy=True)
-            assert A.has_sorted_indices
+        for A, B in zip(systems, expected, strict=True):
             A.eliminate_zeros()
-            assert A.indptr.tobytes() == expected.indptr.astype(np.int32).tobytes()
-            assert A.indices.tobytes() == expected.indices.astype(np.int32).tobytes()
-            assert A.data.tobytes() == expected.data.tobytes()
-        return data
+            B.eliminate_zeros()
+            assert A.indptr.tobytes() == B.indptr.tobytes()
+            assert A.indices.tobytes() == B.indices.tobytes()
+            assert A.data.tobytes() == B.data.tobytes()
 
     @pytest.mark.parametrize("n", range(2, 14))
     def test_random_models(self, n):
@@ -815,10 +868,12 @@ class TestJumpSystem:
         self.assert_matches_coo(W, mu, r)
 
     def test_ring_with_zero_weights(self):
+        # beyond the 2n absorbed flips, a ring's zero weights leave zero-mass flips in place
         n = 9
-        mu = np.full((1, n), 1.0 / n)
-        data = self.assert_matches_coo(ring_weights(n, 0.5).entries[None], mu, np.array([1.5]))
-        assert (data == 0.0).any()
+        W, mu, r = ring_weights(n, 0.5).entries[None], np.full((1, n), 1.0 / n), np.array([1.5])
+        self.assert_matches_coo(W, mu, r)
+        (E, _, _), (F, _, _), _ = _jump_system(W, mu, r, [""])
+        assert (E == 0.0).sum() + (F == 0.0).sum() > 2 * n
 
     def test_stack(self):
         W, mu, r = TestFixationStack.family(6, 4, np.random.default_rng(6))
@@ -847,8 +902,8 @@ class TestFixationStack:
     def test_chunks_are_bitwise_one_stack(self, monkeypatch):
         W, mu, r = self.family(4, 9, np.random.default_rng(7))
         whole = _fixation_stack(W, mu, r)
-        # 20^2 entries per chunk hold two systems of 14 rows: the nine solve in five chunks
-        monkeypatch.setattr(exact, "_DENSE_CHUNK_ENTRIES", 20**2)
+        # 9^2 entries per chunk hold two Schur complements of 6 rows: the nine solve in five chunks
+        monkeypatch.setattr(exact, "_DENSE_CHUNK_ENTRIES", 9**2)
         sizes, solve = [], np.linalg.solve
         monkeypatch.setattr(np.linalg, "solve", lambda A, b: sizes.append(len(A)) or solve(A, b))
         chunked = _fixation_stack(W, mu, r)
