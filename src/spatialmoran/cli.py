@@ -157,6 +157,8 @@ def _cmd_verify(args, argv) -> int:
         }
         _emit(doc, args.json_indent)
         return 0
+    if args.r is not None or args.mu is not None or args.dump_kernel is not None:
+        raise InputError("--r, --mu and --dump-kernel describe a model: give --model too")
     checks = builtin_suite(seed=args.seed, graphs=args.graphs)
     ok = all(entry["pass"] for entry in checks.values())
     doc = {
@@ -206,8 +208,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run the builtin checks or describe a model")
     p_verify.add_argument("--model", default=None,
                           help="describe this model instead of running the builtin suite")
-    p_verify.add_argument("--r", default=None)
-    p_verify.add_argument("--mu", default=None)
+    p_verify.add_argument("--r", default=None, help="with --model: override the mutant fitness")
+    p_verify.add_argument("--mu", default=None, help="with --model: override the policy")
     p_verify.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_verify.add_argument("--graphs", type=int, default=10,
                           help="random graphs per builtin check family")

@@ -15,10 +15,10 @@ policy (``max|mu W - mu| <= 1e-12``) above ``n = 10``, :func:`_closed_form` cert
 Moran value (the paper's theorem), and ``T``, the gambler's-ruin time, by level from the gap
 ``mu W - mu`` in ``O(n^3)`` (``"closed-form"``, 0 steps); a model that misses goes to BiCGSTAB.
 
-The solve has a leading model axis: :func:`_fixation_stack` solves ``k``
-models with the same ``n`` by one stacked LU and certifies each of them, and
-:func:`fixation_probabilities` is its ``k = 1`` call.  Each model's ``rho``
-and bound are bitwise those of its solve alone.
+The solve has a leading model axis: :func:`_fixation_stack` solves ``k`` models with the same
+``n`` by stacked LU, assembled and solved a chunk of :data:`_DENSE_CHUNK_ENTRIES` entries of
+``I - E F`` at a time, and certifies each; :func:`fixation_probabilities` is its ``k = 1`` call.
+Each model's ``rho`` and bound are bitwise those of its solve alone.
 
 The reference values are the classic well-mixed fixation probabilities
 ``rho_i = i/n`` for neutral fitness and ``(1 - r^-i) / (1 - r^-n)`` otherwise.
@@ -30,7 +30,7 @@ import logging
 import math
 from collections import Counter
 from dataclasses import dataclass
-from functools import partial, reduce
+from functools import reduce
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -46,8 +46,8 @@ SOLVE_RESIDUAL_TOL = 1e-10
 #: Most rows solved by dense LU, the transient masks of ``n = 10``; BiCGSTAB is faster at 9 and
 #: 10 too, but birth-death chains of this size need LU: BiCGSTAB diverges on them.
 _DENSE_MAX_ROWS = 2**10 - 2
-#: Most matrix entries per chunk of a stacked dense LU (2 MiB); a taller system is one chunk.
-_DENSE_CHUNK_ENTRIES = 2**18
+#: Most entries of ``S`` per chunk of a stack (512 KiB); from ``n = 9`` up a chunk is one system.
+_DENSE_CHUNK_ENTRIES = 2**16
 #: Most atoms :meth:`InitialDistribution.level_uniform` enumerates; every level
 #: of an exact-size model fits, since ``C(20, 10) = 184,756``.
 MAX_LEVEL_ATOMS = 10**6
@@ -183,22 +183,16 @@ def _jump_system(W: np.ndarray, mu: np.ndarray, r: np.ndarray, labels: list):
             (flips[:, split:], cols[split:], rhs[:, split:]), masks)
 
 
-def _jumps(data: np.ndarray, cols: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``J x`` on one half's rows of a stack, added in vertex order, for ``x`` of the other."""
-    out = np.zeros(data.shape[:2] + x.shape[2:])
-    for u in range(data.shape[2] if x.shape[1] else 0):  # at n = 2 the even half is empty
-        out += data[:, :, u, None] * x[:, cols[:, u]]
-    return out
-
-
-def _schur(E: np.ndarray, F: np.ndarray, e_cols: np.ndarray, f_cols: np.ndarray) -> np.ndarray:
-    """``I - E F`` of each system of a stack, dense, by one ``bincount`` of the ``w^2`` two-jump
-    paths of each row, ``E[x, u] F[y, v]`` at ``f_cols[y, v]`` for ``y = e_cols[x, u]``."""
-    k, m = E.shape[:2]
-    at = np.arange(k * m).reshape(k, m, 1, 1) * m + f_cols[e_cols]
-    S = np.bincount(at.ravel(), (E[..., None] * -F[:, e_cols]).ravel(), k * m * m)
-    S.reshape(k, m * m)[:, ::m + 1] += 1  # an int: with no paths (n = 2) S counts in ints
-    return S.reshape(k, m, m)
+def _sparse(data: np.ndarray, cols: np.ndarray, width: int) -> csr_matrix:
+    """A half of ``k`` systems as one block-diagonal CSR matrix: row ``x`` of system ``i`` is row
+    ``i m + x``, its ``n`` jumps as they are, in vertex order, at columns ``i width + cols[x]``."""
+    k, m, n = data.shape
+    n *= width > 0  # at n = 2 the other half is empty and every jump absorbed: none stored
+    at = cols[:, :n]
+    if k > 1:  # one system reads its columns as they are: a large one holds no second copy
+        at = at + np.arange(k, dtype=np.int32)[:, None, None] * width
+    indptr = np.arange(k * m + 1, dtype=np.int32) * n
+    return csr_matrix((data[..., :n].ravel(), at.ravel(), indptr), shape=(k * m, k * width))
 
 
 def _certificate(t_max: np.ndarray, t_residual: np.ndarray, terms: int):
@@ -218,17 +212,17 @@ def _certificate(t_max: np.ndarray, t_residual: np.ndarray, terms: int):
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _certified_solve(even, odd, terms: int, guess, labels: list):
-    """Solve ``A_i X_i = [b_i, 1]`` for ``k`` systems ``A_i = [[I, -E_i], [-F_i, I]]``, given by
-    the halves ``(E, e_cols, b_e)``, ``(F, f_cols, b_o)`` of :func:`_jump_system`.
+    """Solve ``A_i X_i = [b_i, 1]`` for a chunk of ``k`` systems ``A_i = [[I, -E_i], [-F_i, I]]``,
+    given by the halves ``(E, e_cols, b_e)``, ``(F, f_cols, b_o)`` of :func:`_jump_system`.
 
     One elimination serves both branches: ``S x_e = b_e + E b_o``, ``S = I - E F``, then
-    ``x_o = b_o + F x_e``.  Up to :data:`_DENSE_MAX_ROWS` rows of ``A``, one stacked LU of
-    :func:`_schur` per chunk of :data:`_DENSE_CHUNK_ENTRIES` entries or one system (BiCGSTAB is
-    faster at ``n = 9``, 10 but diverges on birth-death chains that long); above, BiCGSTAB on
-    ``S``.  ``X[i] = [h_i, T_i]``, even rows first, with a :func:`_certificate` bound from ``A``.
-    BiCGSTAB makes one pass per right-hand side, aimed at the 2-norm residual equal to the
-    max-norm target it must meet (``||r||_inf <= ||r||_2``): ``T`` from zero to 0.01 (the bound
-    grows by at most ``1 / 0.99``), then ``h`` from the even half of ``guess(i)`` to ``tau``, with
+    ``x_o = b_o + F x_e``, every product read from :func:`_sparse`.  Up to :data:`_DENSE_MAX_ROWS`
+    rows of ``A``, one stacked LU of ``S``, scattered dense from ``E F`` (BiCGSTAB is faster at
+    ``n = 9``, 10 but diverges on birth-death chains that long); above, BiCGSTAB on ``S`` for a
+    chunk of one system.  ``X[i] = [h_i, T_i]``, even rows first, with a :func:`_certificate` bound
+    from ``A``.  BiCGSTAB makes one pass per right-hand side, aimed at the 2-norm residual equal to
+    the max-norm target it must meet (``||r||_inf <= ||r||_2``): ``T`` from zero to 0.01 (the bound
+    grows by at most ``1 / 0.99``), then ``h`` from the even half of ``guess(0)`` to ``tau``, with
     no pass if all of it meets ``tau``; ``iterations`` counts both passes'.  A pass that misses,
     runs out of iterations or breaks down goes to the bound check as it is.  Floating-point
     warnings are off, so a pass that diverges to overflow or NaN fails the certificate.  Raises
@@ -238,40 +232,41 @@ def _certified_solve(even, odd, terms: int, guess, labels: list):
     """
     (E, e_cols, b_e), (F, f_cols, b_o) = even, odd
     k, m = b_e.shape[:2]
+    E, F = _sparse(E, e_cols, len(f_cols)), _sparse(F, f_cols, m)
     X, residual = np.empty((k, m + len(f_cols), 2)), np.empty((k, 2))
     x_e, x_o = X[:, :m], X[:, m:]
 
-    def settle(e_jumps, f_jumps, at, back=True):
-        """``||b - A x||`` by column of ``X[at]``, after ``x_o = b_o + F x_e`` if ``back``."""
-        flips = f_jumps(x_e[at])
+    def jumps(half, x):  # J x for the columns x (k, rows, c) of the other half
+        return (half @ x.reshape(-1, x.shape[2])).reshape(k, -1, x.shape[2])
+
+    def settle(j, back=True):
+        """``||b - A x||`` by column ``j`` of ``X``, after ``x_o = b_o + F x_e`` if ``back``."""
+        flips = jumps(F, x_e[..., j])
         if back:
-            x_o[at] = b_o[at] + flips
-        return np.maximum(np.abs(b_e[at] - x_e[at] + e_jumps(x_o[at])).max(axis=-2, initial=0.0),
-                          np.abs(b_o[at] - x_o[at] + flips).max(axis=-2))
+            x_o[..., j] = b_o[..., j] + flips
+        return np.maximum(np.abs(b_e[..., j] - x_e[..., j] + jumps(E, x_o[..., j]))
+                          .max(axis=1, initial=0.0),
+                          np.abs(b_o[..., j] - x_o[..., j] + flips).max(axis=1))
 
     if X.shape[1] <= _DENSE_MAX_ROWS:
-        method, step, steps = "dense", max(1, _DENSE_CHUNK_ENTRIES // max(m, 1)**2), [[1]] * k
-        for c in (slice(lo, lo + step) for lo in range(0, k, step)):
-            E_c, F_c = partial(_jumps, E[c], e_cols), partial(_jumps, F[c], f_cols)
-            x_e[c] = np.linalg.solve(_schur(E[c], F[c], e_cols, f_cols), b_e[c] + E_c(b_o[c]))
-            residual[c] = settle(E_c, F_c, c)
+        method, steps = "dense", [None]  # LU counts one
+        paths = (E @ F).tocoo()  # row i m + x holds E_i F_i's row x at columns i m + z
+        S = np.zeros((k, m, m))
+        S.reshape(k * m, m)[paths.row, paths.col % m] = -paths.data
+        S.reshape(k, m * m)[:, ::m + 1] += 1.0
+        x_e[:] = np.linalg.solve(S, b_e + jumps(E, b_o))
+        residual[:] = settle(np.s_[:])
     else:
-        method, steps = "iterative", [[] for _ in range(k)]  # one entry per iteration
+        method, steps = "iterative", []  # one entry per iteration
+        (x,) = x_e  # the chunk's one system
+        S = LinearOperator((m, m), lambda v: v - E @ (F @ v), dtype=float)
 
-        def csr(data, cols, width):  # the rows as they are, w entries each
-            indptr = np.arange(0, data.size + 1, data.shape[1], dtype=np.int32)
-            return csr_matrix((data.ravel(), cols.ravel(), indptr), shape=(len(cols), width)).dot
+        def solve(j, **target):  # one pass on S for column j; the residual after
+            x[:, j] = bicgstab(S, b_e[0, :, j] + E @ b_o[0, :, j], maxiter=5_000, rtol=0.0,
+                               callback=lambda _: steps.append(None), **target)[0]
+            return settle(np.s_[j:j + 1])[:, 0]
 
-        halves = [(csr(E[i], e_cols, len(f_cols)), csr(F[i], f_cols, m)) for i in range(k)]
-
-        def solve(i, j, **target):  # one pass on S for column j of system i; the residual after
-            E_i, F_i = halves[i]
-            S = LinearOperator((m, m), lambda v: v - E_i(F_i(v)), dtype=float)
-            x_e[i, :, j] = bicgstab(S, b_e[i, :, j] + E_i(b_o[i, :, j]), maxiter=5_000, rtol=0.0,
-                                    callback=lambda _: steps[i].append(None), **target)[0]
-            return settle(E_i, F_i, np.s_[i, :, j:j + 1])[0]
-
-        residual[:, 1] = [solve(i, 1, atol=0.01) for i in range(k)]
+        residual[:, 1] = solve(1, atol=0.01)
     drift, tau, bound = _certificate(np.abs(X[:, :, 1]).max(axis=1), residual[:, 1], terms)
     unbounded = ~(drift < 1.0)
     if unbounded.any():
@@ -279,18 +274,17 @@ def _certified_solve(even, odd, terms: int, guess, labels: list):
         raise NumericalFailure(f"{labels[i]}absorption-time residual "
                                f"{drift[i]:.3e} leaves the error unbounded")
     if method == "iterative":
-        for i in range(k):
-            X[i, :, 0] = guess(i)  # held in X's row, so a pass from it takes no more memory
-            residual[i, 0] = settle(*halves[i], np.s_[i, :, :1], back=False)[0]
-            if residual[i, 0] > tau[i]:  # no pass if the guess meets tau
-                residual[i, 0] = solve(i, 0, x0=x_e[i, :, 0], atol=tau[i])
+        X[0, :, 0] = guess(0)  # held in X's row, so a pass from it takes no more memory
+        residual[:, 0] = settle(np.s_[:1], back=False)[:, 0]
+        if residual[0, 0] > tau[0]:  # no pass if the guess meets tau
+            residual[:, 0] = solve(0, x0=x[:, 0], atol=tau[0])
     bound = bound(residual[:, 0])
     failed = ~(bound <= SOLVE_RESIDUAL_TOL)
     if failed.any():
         i = int(failed.argmax())
         raise NumericalFailure(f"{labels[i]}certified error bound {bound[i]:.3e} "
                                f"above {SOLVE_RESIDUAL_TOL:g}")
-    return X, [SolverInfo(method, len(count), b) for count, b in zip(steps, bound.tolist())]
+    return X, [SolverInfo(method, len(steps), b) for b in bound.tolist()]
 
 
 def _closed_form(W: np.ndarray, mu: np.ndarray, r: float):
@@ -332,6 +326,7 @@ def _fixation_stack(W: np.ndarray, mu: np.ndarray, r: np.ndarray):
     policies ``mu`` ``(k, n)`` and fitnesses ``r`` ``(k,)``, which get the checks of
     ``SelectionPolicy`` and ``MicSMPModel``.  Row ``i`` is bitwise
     :func:`fixation_probabilities` of model ``i``; errors name the model when ``k > 1``.
+    Models are assembled and solved a chunk (:data:`_DENSE_CHUNK_ENTRIES`) at a time.
     Each call logs one DEBUG record: ``n``, the models per method, the largest bound, and how
     many models offered the closed form declined it.
     """
@@ -349,14 +344,18 @@ def _fixation_stack(W: np.ndarray, mu: np.ndarray, r: np.ndarray):
     for i in offered:  # the paper's answer, where it certifies
         if certified := _closed_form(W[i], mu[i], float(r[i])):
             h[i], solvers[i] = certified
-    if todo := [i for i in range(k) if solvers[i] is None]:
-        named = [labels[i] for i in todo]
-        *halves, order = _jump_system(W[todo], mu[todo], r[todo], named)
+    todo = [i for i in range(k) if solvers[i] is None]
+    # S has a row per even mask, less mask 0 and, if n is even, the full mask
+    step = max(1, _DENSE_CHUNK_ENTRIES // max((1 << n - 1) - 2 + n % 2, 1)**2)
+    for chunk in (todo[lo:lo + step] for lo in range(0, len(todo), step)):
+        named = [labels[i] for i in chunk]
+        *halves, order = _jump_system(W[chunk], mu[chunk], r[chunk], named)
         # h starts at the Moran value by level; the levels are built per model, not held
-        X, solved = _certified_solve(*halves, terms=n + 2, labels=named, guess=lambda i:
-                                     _moran_by_level(n, float(r[todo[i]]))[_mask_levels(n)[order]])
-        h[np.ix_(todo, order - 1)], solved = X[:, :, 0], iter(solved)
-        solvers = [solver or next(solved) for solver in solvers]
+        X, solved = _certified_solve(*halves, terms=n + 2, labels=named, guess=lambda i: (
+            _moran_by_level(n, float(r[chunk[i]]))[_mask_levels(n)[order]]))
+        h[np.ix_(chunk, order - 1)] = X[:, :, 0]
+        for i, solver in zip(chunk, solved):
+            solvers[i] = solver
     bound = np.array([solver.residual for solver in solvers])
     if _log.isEnabledFor(logging.DEBUG):
         methods = sorted(Counter(solver.method for solver in solvers).items())

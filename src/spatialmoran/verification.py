@@ -5,8 +5,9 @@ families; each check reports a pass flag, its worst deviation, and a witness
 where one exists.  For a user-supplied model the same quantities are
 reported descriptively without pass/fail semantics.
 
-Random graphs are solved in one stack per vertex count, each time it fills a dense chunk, and
-their drifts and ratios read from one flip-mass batch per graph, with the diagnostics' formulas.
+Random graphs are solved in one stack per vertex count, which the solver takes a chunk at a
+time, and their drifts and ratios read from one flip-mass batch per graph, with the
+diagnostics' formulas.
 """
 
 from __future__ import annotations
@@ -35,8 +36,7 @@ from .analysis import (
 )
 from .dynamics import MicSMPModel, _level_rates, build_model
 from .errors import OutOfRange, SpatialMoranError, ZeroDenominator
-from .exact import (_DENSE_CHUNK_ENTRIES, _fixation_stack, _mask_levels, _moran_by_level,
-                    fixation_probabilities)
+from .exact import _fixation_stack, _mask_levels, _moran_by_level, fixation_probabilities
 from .generators import random_doubly_stochastic, random_strongly_connected_weights
 from .graph import (_integer, complete_graph_weights, is_isothermal, stationary_distribution,
                     validate_weight_matrix)
@@ -54,7 +54,7 @@ def _check(max_deviation: float, threshold: float, witness=None) -> dict:
 
 
 def _stationary_and_isothermal(rng, graphs: int):
-    residual, isothermal, worst, stacks = 0.0, True, [], {}
+    residual, isothermal, stacks = 0.0, True, {}
     for _ in range(graphs):
         n = int(rng.integers(3, 9))
         W = random_strongly_connected_weights(n, rng)
@@ -63,9 +63,7 @@ def _stationary_and_isothermal(rng, graphs: int):
         D = random_doubly_stochastic(n, rng)
         isothermal &= is_isothermal(D)
         stacks.setdefault(n, []).extend(((W.entries, pi), (D.entries, np.full(n, 1.0 / n))))
-        if len(stacks[n]) * len(_R_SET) * ((1 << n) - 2) ** 2 >= _DENSE_CHUNK_ENTRIES:
-            worst.append(_moran_deviations(stacks.pop(n)))
-    fixation_dev, iso_dev = np.max(worst + list(map(_moran_deviations, stacks.values())), axis=0)
+    fixation_dev, iso_dev = np.max(list(map(_moran_deviations, stacks.values())), axis=0)
     return residual, float(fixation_dev), float(iso_dev) if isothermal else float("inf")
 
 

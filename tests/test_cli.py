@@ -309,6 +309,17 @@ class TestVerifyCommand:
         assert code == 0
         assert doc["model_report"]["macro_markov"]["lumpable"] is True
 
+    @pytest.mark.parametrize("flags", [("--r", "3"), ("--mu", "uniform"),
+                                       ("--dump-kernel", "kernel.csv")])
+    def test_model_flags_without_a_model_exit_two(self, capsys, schema, tmp_path, monkeypatch,
+                                                  flags):
+        # the builtin suite has no model to apply them to
+        monkeypatch.chdir(tmp_path)
+        code, doc = run_json(capsys, schema, "verify", "--graphs", "1", *flags)
+        assert code == 2
+        assert doc["error"]["type"] == "InputError" and "--model" in doc["error"]["message"]
+        assert not (tmp_path / "kernel.csv").exists()
+
     def test_model_above_exact_size_exits_two(self, capsys, schema):
         code, doc = run_json(capsys, schema, "verify", "--model", "@complete:21")
         assert code == 2

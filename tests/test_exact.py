@@ -906,9 +906,26 @@ class TestFixationStack:
         monkeypatch.setattr(exact, "_DENSE_CHUNK_ENTRIES", 9**2)
         sizes, solve = [], np.linalg.solve
         monkeypatch.setattr(np.linalg, "solve", lambda A, b: sizes.append(len(A)) or solve(A, b))
+        # and each chunk is assembled on its own
+        assembled, jump_system = [], exact._jump_system
+        monkeypatch.setattr(exact, "_jump_system",
+                            lambda W, *rest: assembled.append(len(W)) or jump_system(W, *rest))
         chunked = _fixation_stack(W, mu, r)
-        assert sizes == [2, 2, 2, 2, 1]
+        assert sizes == assembled == [2, 2, 2, 2, 1]
         assert np.array_equal(whole[0], chunked[0]) and whole[1] == chunked[1]
+
+    def test_peak_memory_does_not_grow_with_the_stack(self):
+        # 240 systems of n = 8 hold 3.7 MiB of flip masses alone; a chunk holds four of them
+        W, mu, r = self.family(8, 240, np.random.default_rng(12))
+        _fixation_stack(W[:1], mu[:1], r[:1])  # imports and caches outside the measurement
+        tracemalloc.start()
+        try:
+            _, solvers = _fixation_stack(W, mu, r)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert {solver.method for solver in solvers} == {"dense"}
+        assert peak < 3 * 2**20
 
     def test_a_model_that_never_changes_is_named(self):
         # only vertex 1 reproduces, onto vertex 2: mutants on 1 and 2 stay forever

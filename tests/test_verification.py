@@ -103,8 +103,8 @@ def test_builtin_suite_matches_per_model_solves(monkeypatch, seed):
 
 @pytest.mark.parametrize("graphs", [10, 200])
 def test_stacked_solves_stay_within_four_mib(graphs):
-    # each vertex count's stack is solved once it holds one dense chunk (2 MiB), so the
-    # peak does not grow with the number of random graphs
+    # each vertex count's stack is one _fixation_stack call, which assembles and solves one
+    # chunk of S (512 KiB) at a time, so the peak does not grow with the number of random graphs
     builtin_suite(1, graphs)  # imports and caches outside the measurement
     tracemalloc.start()
     try:
